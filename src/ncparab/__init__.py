@@ -43,12 +43,6 @@ from .sharpness import (
     series_hs_lower_bound,
     series_plus_norm,
 )
-from .spectral import (
-    EigenBasis,
-    cholesky_spd,
-    generalized_eigenbasis,
-    hermitian_eigen,
-    verify_orthogonality,
-)
+from .spectral import EigenBasis, generalized_eigenbasis, verify_orthogonality
 
 __version__ = "0.1.0"

@@ -175,7 +175,7 @@ def _initial_from_name(name: str, dim: int):
             raise ConfigError("u0 preset 'z2' requires a 2D domain")
         return lambda x, y: (x + 1j * y) ** 2
     if key.startswith("csv:"):
-        return coeff_fields.tabulated_scalar(key[4:])
+        return coeff_fields.tabulated_scalar(name.strip()[4:])
     raise ConfigError(f"unknown initial data preset {name!r}")
 
 

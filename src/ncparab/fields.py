@@ -57,10 +57,19 @@ def tabulated_scalar(path):
     1D tables are interpolated linearly in x; 2D tables use the nearest
     sample point. Rows may be in any order.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [c.strip().lower() for c in next(reader)]
-        rows = [[float(v) for v in row] for row in reader if row]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip().lower() for c in next(reader)]
+            rows = [[float(v) for v in row] for row in reader if row]
+    except OSError as exc:
+        raise ConfigError(f"cannot read CSV field {path}: {exc}") from exc
+    except StopIteration:
+        raise ConfigError(f"CSV field {path} is empty") from None
+    except ValueError as exc:
+        raise ConfigError(f"CSV field {path} has a non-numeric cell: {exc}") from exc
+    if not rows or any(len(row) != len(header) for row in rows):
+        raise ConfigError(f"CSV field {path} needs data rows as wide as its header")
     if header[:3] == ["x", "re", "im"]:
         data = np.array(sorted(rows))
         xs, re, im = data[:, 0], data[:, 1], data[:, 2]

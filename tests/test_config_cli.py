@@ -138,6 +138,39 @@ def test_cli_solve_rejects_indefinite_inline(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+def _inline_u0_cfg(tmp_path, u0):
+    return _write_cfg(
+        tmp_path,
+        "problem.preset = inline\nproblem.domain = interval(0,1)\nproblem.s = all\n"
+        f"problem.u0 = csv:{u0}\nmesh.resolution = 20\nbasis.k = 4\ntime.steps = 5\n",
+    )
+
+
+def test_cli_solve_bad_u0_table_is_config_error(tmp_path):
+    tables = {
+        "empty.csv": "",
+        "text.csv": "x,re,im\n0.0,one,0.0\n",
+        "header_only.csv": "x,re,im\n",
+        "short_row.csv": "x,re,im\n0.0,1.0\n1.0,1.0,0.0\n",
+    }
+    for name, text in tables.items():
+        (tmp_path / name).write_text(text)
+    for u0 in [tmp_path / "no_dir" / "missing.csv"] + [tmp_path / name for name in tables]:
+        cfg = _inline_u0_cfg(tmp_path, u0)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_solve_u0_table_path_keeps_case(tmp_path):
+    table = tmp_path / "Data" / "U0.csv"
+    table.parent.mkdir()
+    table.write_text("x,re,im\n0.0,0.0,0.0\n0.5,1.0,0.0\n1.0,0.0,0.0\n")
+    cfg = _inline_u0_cfg(tmp_path, table)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    _, rows = _read_csv(out / "solution_final.csv")
+    assert any(float(re) != 0.0 for _, re, _ in rows)
+
+
 def test_cli_solve_unknown_preset_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "problem.preset = nothere\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from ncparab import fields
 from ncparab.errors import ConfigError, NoConvergence
-from ncparab.spectral import hermitian_eigen
+from ncparab.spectral import generalized_eigenbasis
 
 
 def test_constant_fields_broadcast():
@@ -68,5 +68,8 @@ def test_scalar_field_from_spec():
 
 
 def test_eigen_kernel_no_convergence_on_invalid_input():
-    with pytest.raises(NoConvergence):
-        hermitian_eigen(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    for n, count in ((2, 2), (40, 2)):  # dense and sparse kernels
+        K = np.eye(n, dtype=complex)
+        K[0, 0] = np.nan
+        with pytest.raises(NoConvergence):
+            generalized_eigenbasis(K, np.eye(n), count)

@@ -1,76 +1,113 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncparab.errors import NotSPD
+from ncparab import spectral
+from ncparab.errors import NoConvergence, NotSPD
 from ncparab.spectral import (
     EIG_TOL,
     ORTHO_TOL,
+    SPARSE_SHARE,
     EigenBasis,
-    cholesky_spd,
     generalized_eigenbasis,
-    hermitian_eigen,
     verify_orthogonality,
 )
 from tests.conftest import build_pipeline
 
 
-def test_cholesky_identity():
-    assert np.allclose(cholesky_spd(np.eye(3)), np.eye(3))
-
-
-def test_cholesky_diagonal():
-    assert np.allclose(cholesky_spd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_cholesky_reconstructs_random_spd(seed):
-    rng = np.random.default_rng(seed)
-    B = rng.standard_normal((5, 5))
-    M = B @ B.T + 5.0 * np.eye(5)
-    R = cholesky_spd(M)
-    assert np.max(np.abs(R @ R.conj().T - M)) <= 1e-10 * np.max(np.abs(M))
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotSPD):
-        cholesky_spd(np.diag([1.0, -1.0]))
-
-
 def test_hermitian_eigen_diagonal():
-    w, V = hermitian_eigen(np.diag([3.0, 1.0]).astype(complex))
-    assert np.allclose(w, [1.0, 3.0])
-    assert np.allclose(np.abs(V), [[0.0, 1.0], [1.0, 0.0]])
+    basis = generalized_eigenbasis(np.diag([3.0, 1.0]).astype(complex), np.eye(2), 2)
+    assert np.allclose(basis.eigenvalues, [1.0, 3.0])
+    scaled = np.abs(basis.vectors) * np.sqrt(basis.eigenvalues)[None, :]
+    assert np.allclose(scaled, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_hermitian_eigen_degenerate_matrix():
-    # closed form for [[1, i], [-i, 1]]: eigenvalues 1 -+ |i| = 0, 2
-    H = np.array([[1.0, 1.0j], [-1.0j, 1.0]])
-    w, V = hermitian_eigen(H)
-    assert np.allclose(w, [0.0, 2.0], atol=1e-14)
-    assert np.max(np.abs(H @ V - V * w[None, :])) <= EIG_TOL * np.linalg.norm(H)
-    assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= EIG_TOL
+    # closed form for [[1, i], [-i, 1]]: eigenvalues 1 -+ |i| = 0, 2, only
+    # semidefinite; a mass term lifts them to 1, 3, as the boundary term
+    # does on the disk
+    K = np.array([[1.0, 1.0j], [-1.0j, 1.0]]) + np.eye(2)
+    basis = generalized_eigenbasis(K, np.eye(2), 2)
+    assert np.allclose(basis.eigenvalues, [1.0, 3.0], atol=1e-14)
+    V = basis.vectors
+    assert np.max(np.abs(K @ V - V * basis.eigenvalues[None, :])) <= EIG_TOL * np.linalg.norm(K)
+    assert np.max(np.abs(V.conj().T @ K @ V - np.eye(2))) <= EIG_TOL
 
 
 def test_hermitian_eigen_zero_matrix_sign_convention():
-    w, V = hermitian_eigen(np.zeros((3, 3), dtype=complex))
-    assert np.allclose(w, 0.0)
-    assert np.allclose(V, np.eye(3))
+    with pytest.raises(NotSPD):
+        generalized_eigenbasis(np.zeros((3, 3), dtype=complex), np.eye(3), 3)
+    # one threefold eigenvalue: unit vectors, in index order, entries positive
+    basis = generalized_eigenbasis(np.eye(3, dtype=complex), np.eye(3), 3)
+    assert np.allclose(basis.eigenvalues, 1.0)
+    assert np.allclose(basis.vectors, np.eye(3))
 
 
 def test_hermitian_eigen_sign_fix_deterministic():
     rng = np.random.default_rng(3)
-    B = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    H = B + B.conj().T
-    w, V = hermitian_eigen(H)
-    for j in range(6):
-        i = int(np.argmax(np.abs(V[:, j])))
-        assert V[i, j].imag == pytest.approx(0.0, abs=1e-14)
-        assert V[i, j].real > 0.0
-    w2, V2 = hermitian_eigen(H)
-    assert np.array_equal(w, w2) and np.array_equal(V, V2)
+    for n, count in ((6, 6), (60, 3)):  # dense and sparse kernels
+        B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        K = B @ B.conj().T + np.eye(n)
+        basis = generalized_eigenbasis(K, np.eye(n), count)
+        for j in range(count):
+            col = basis.vectors[:, j]
+            i = int(np.argmax(np.abs(col)))
+            assert col[i].imag == pytest.approx(0.0, abs=1e-14)
+            assert col[i].real > 0.0
+        again = generalized_eigenbasis(K, np.eye(n), count)
+        assert np.array_equal(basis.eigenvalues, again.eigenvalues)
+        assert np.array_equal(basis.vectors, again.vectors)
+
+
+def test_generalized_eigenbasis_rejects_indefinite_mass():
+    # dense (count close to N) and sparse (count <= N / SPARSE_SHARE) kernels;
+    # -0.01 and the last block put an eigenvalue at -100, far from the shift;
+    # that block has positive LU pivots once its rows are exchanged
+    blocks = ([[-1.0]], [[-0.01]], [[0.0]], [[0.0, 0.01], [0.01, 0.0]])
+    for n, count in ((2, 2), (40, 2)):
+        for block in blocks:
+            M = np.eye(n)
+            b = len(block)
+            M[n - b :, n - b :] = block
+            with pytest.raises(NotSPD):
+                generalized_eigenbasis(np.eye(n, dtype=complex), M, count)
+
+
+def test_arpack_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((40, 0)))
+
+    monkeypatch.setattr(spectral.spla, "eigsh", fail)
+    with pytest.raises(NoConvergence):
+        generalized_eigenbasis(np.eye(40, dtype=complex), np.eye(40), 2)
+
+
+# (lo, hi) mesh resolutions per preset: N from 19 to 385
+RESOLUTIONS = {"heat1d": (20, 200), "disk": (2, 8), "robin_rect": (4, 16)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(sorted(RESOLUTIONS)).flatmap(
+        lambda name: st.tuples(st.just(name), st.integers(*RESOLUTIONS[name]))
+    )
+)
+def test_sparse_and_dense_kernels_agree(case):
+    name, resolution = case
+    forms = build_pipeline(name, resolution=resolution, k=1)[2]
+    k = forms.N // SPARSE_SHARE  # the sparse kernel's largest count
+    small = generalized_eigenbasis(forms.k_plus, forms.mass, k)
+    full = generalized_eigenbasis(forms.k_plus, forms.mass, forms.N)
+    assert np.allclose(small.eigenvalues, full.eigenvalues[:k], rtol=1e-9, atol=0.0)
+    for basis in (small, full):
+        rep = verify_orthogonality(basis, forms.k_plus, forms.mass)
+        assert rep.max_plus_residual <= ORTHO_TOL
+        assert rep.max_mass_offdiag <= ORTHO_TOL
+    again = generalized_eigenbasis(forms.k_plus, forms.mass, k)
+    assert np.array_equal(small.eigenvalues, again.eigenvalues)
+    assert np.array_equal(small.vectors, again.vectors)
 
 
 def test_generalized_dirichlet_laplacian_converges_to_squares():
@@ -156,7 +193,8 @@ def test_full_basis_expansion_reproduces_vector(heat_pipeline):
 
 
 def test_generalized_eigenbasis_rejects_indefinite_pencil():
-    K = np.diag([1.0, -1.0]).astype(complex)
-    M = np.eye(2)
-    with pytest.raises(NotSPD):
-        generalized_eigenbasis(K, M, 2)
+    for n, count in ((2, 2), (40, 2)):  # dense and sparse kernels
+        K = np.eye(n, dtype=complex)
+        K[-1, -1] = -1.0
+        with pytest.raises(NotSPD):
+            generalized_eigenbasis(K, np.eye(n), count)
