@@ -22,10 +22,10 @@ from .integrator import (
     GalerkinSystem,
     GalerkinTrajectory,
     build_galerkin_system,
+    evolve_theta,
     project_initial,
     reconstruct_solution,
     solve_evolution,
-    step_theta,
 )
 from .meshing import Mesh, build_mesh
 from .problem import (

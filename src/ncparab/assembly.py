@@ -14,13 +14,17 @@ eliminating the nodes pinned by the degenerate boundary set:
 Quadrature is 2-point Gauss on segments and the 3-point edge-midpoint rule
 on triangles, both exact for quadratic integrands, hence exact whenever the
 coefficients are elementwise constant.
+
+Source loads go through one sparse load operator per mesh, which maps the
+source values at all quadrature points to the reduced nodal loads, so a
+block of times costs one source evaluation per time and one sparse product.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -181,17 +185,52 @@ def assemble_first_order(
     return _scatter_matrix(mesh.elements, data, n)
 
 
-def assemble_load(mesh: Mesh, f: Optional[Callable], t: float) -> np.ndarray:
-    """Load vector <f(., t), phi_i> with constrained entries dropped."""
-    free = free_nodes(mesh)
+@dataclass(frozen=True)
+class LoadOperator:
+    """Sparse map from source values at the quadrature points of a mesh to
+    reduced nodal loads: ``matrix[i, e*Q + q] = w_eq * phi_q(node i)``, with
+    the quadrature weights (measure included) and P1 values baked in and
+    only the free rows kept."""
+
+    coords: tuple  # per-axis coordinates of the E*Q quadrature points
+    matrix: sp.csr_matrix  # (free nodes, E*Q), complex like the source values
+
+
+def load_operator(mesh: Mesh) -> LoadOperator:
+    """The mesh's load operator, built on first use and kept on the mesh."""
+    if mesh._load_operator is None:
+        pts, wts, phi = _element_quadrature(mesh)
+        n_elem, n_quad, dim = pts.shape
+        ndof = mesh.elements.shape[1]
+        shape = (n_elem, n_quad, ndof)
+        rows = np.broadcast_to(mesh.elements[:, None, :], shape)
+        cols = np.broadcast_to(np.arange(n_elem * n_quad).reshape(n_elem, n_quad, 1), shape)
+        data = wts[:, :, None] * phi[None, :, :]
+        P = sp.coo_matrix(
+            (data.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(mesh.num_nodes, n_elem * n_quad),
+        ).tocsr()
+        mesh._load_operator = LoadOperator(
+            coords=_coords(pts.reshape(n_elem * n_quad, dim)),
+            matrix=P[free_nodes(mesh)].astype(complex),
+        )
+    return mesh._load_operator
+
+
+def assemble_load(mesh: Mesh, f: Optional[Callable], times: Sequence[float]) -> np.ndarray:
+    """Load vectors <f(., t), phi_i> with constrained entries dropped, one row
+    per time in ``times``.
+
+    ``f(*coords, t)`` is evaluated once per time at the quadrature points;
+    the whole block is one sparse product with the mesh's load operator.
+    """
+    op = load_operator(mesh)
     if f is None:
-        return np.zeros(len(free), dtype=complex)
-    pts, wts, phi = _element_quadrature(mesh)
-    F = np.zeros(mesh.num_nodes, dtype=complex)
-    for q in range(pts.shape[1]):
-        vals = np.asarray(f(*_coords(pts[:, q, :]), t), dtype=complex)
-        np.add.at(F, mesh.elements, (wts[:, q] * vals)[:, None] * phi[q][None, :])
-    return F[free]
+        return np.zeros((len(times), op.matrix.shape[0]), dtype=complex)
+    values = np.empty((len(times), op.matrix.shape[1]), dtype=complex)
+    for i, t in enumerate(times):
+        values[i] = f(*op.coords, t)
+    return (op.matrix @ values.T).T
 
 
 def free_nodes(mesh: Mesh) -> np.ndarray:
@@ -244,7 +283,6 @@ class AssembledForms:
     k_plus: sp.csr_matrix
     mass: sp.csr_matrix
     first_order: sp.csr_matrix
-    spec: ProblemSpec = None
     _k_factor: object = field(default=None, repr=False)
 
     @property
@@ -259,30 +297,14 @@ class AssembledForms:
                 raise SingularKPlus(str(exc)) from exc
         return self._k_factor.solve(np.asarray(rhs, dtype=complex))
 
-    def load(self, t: float) -> np.ndarray:
-        return assemble_load(self.mesh, self.spec.source if self.spec else None, t)
 
-    def load_dual_norm(self, t: float) -> float:
-        return dual_norm(self.load(t), self.k_plus, factor=self)
-
-
-def dual_norm(F: np.ndarray, k_plus, factor: Optional[AssembledForms] = None) -> float:
-    """Discrete dual norm sqrt(F* K+^-1 F) of a reduced load vector."""
-    F = np.asarray(F, dtype=complex)
-    if not np.any(F):
-        return 0.0
-    if factor is not None:
-        x = factor.k_plus_solve(F)
-    else:
-        try:
-            if sp.issparse(k_plus):
-                x = spla.splu(k_plus.tocsc()).solve(F)
-            else:
-                x = np.linalg.solve(np.asarray(k_plus), F)
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
-            raise SingularKPlus(str(exc)) from exc
-    val = float(np.real(np.vdot(F, x)))
-    return float(np.sqrt(max(val, 0.0)))
+def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:
+    """Discrete dual norms sqrt(F* K+^-1 F) of the rows of a block of reduced
+    loads, from one multi-right-hand-side solve with the factored K+."""
+    F = np.atleast_2d(np.asarray(F, dtype=complex))
+    X = forms.k_plus_solve(F.T)
+    vals = np.real(np.einsum("ti,it->t", F.conj(), X))
+    return np.sqrt(np.maximum(vals, 0.0))
 
 
 def assemble_forms(
@@ -298,7 +320,7 @@ def assemble_forms(
     M = apply_S_constraints(assemble_mass(mesh), constrained)
     C = apply_S_constraints(assemble_first_order(mesh, spec, factorized), constrained)
     return AssembledForms(
-        mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C, spec=spec
+        mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C
     )
 
 

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .assembly import assemble_forms, export_matrix_coo
-from .config import RunConfig, build_problem
+from .config import RunConfig, build_problem, named_preset
 from .errors import ConfigError, NcparabError, NoOracle
 from .estimates import (
     apriori_bounds,
@@ -99,7 +99,7 @@ def _run_estimates(cfg: RunConfig, spec, forms, basis, k, trajectory) -> tuple[l
             ["energy_bound_pass", _fmt(report.energy_ok)],
         ]
         ok = ok and report.bounds_ok
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
+    system = build_galerkin_system(forms, basis, k)
     if cfg.checks_uniqueness:
         min_eig, uniq_ok = check_uniqueness_condition(system.interaction)
         rows += [["uniqueness_min_eig", _fmt(min_eig)], ["uniqueness_pass", _fmt(uniq_ok)]]
@@ -162,7 +162,7 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
     cfg.checks_bounds = True
     cfg.checks_uniqueness = True
     cfg.checks_continuity = True
-    cfg.checks_energy = cfg.time_theta == 1.0
+    cfg.checks_energy = True
     spec, mesh, forms, basis, k, steps = _prepare(cfg)
     trajectory = solve_evolution(spec, forms, basis, k, steps, cfg.time_theta)
     report_rows, ok = _run_estimates(cfg, spec, forms, basis, k, trajectory)
@@ -227,7 +227,7 @@ def _convergence_level(args):
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    preset = get_preset(cfg.problem_preset)
+    preset = named_preset(cfg)
     if preset.oracle is None:
         raise NoOracle(f"preset {cfg.problem_preset!r} has no exact solution")
     spec = preset.build()

@@ -190,6 +190,27 @@ def _source_from_name(name: str, dim: int):
     raise ConfigError(f"unknown source preset {name!r}")
 
 
+def named_preset(cfg: RunConfig):
+    """The preset a config names. The other ``problem.*`` keys would be
+    ignored under it, so any of them set away from its default raises
+    ``ConfigError``."""
+    preset = get_preset(cfg.problem_preset)
+    default = RunConfig()
+    ignored = [
+        key
+        for key, attr in RunConfig.keymap().items()
+        if key.startswith("problem.")
+        and attr != "problem_preset"
+        and getattr(cfg, attr) != getattr(default, attr)
+    ]
+    if ignored:
+        raise ConfigError(
+            f"{', '.join(ignored)} only apply with problem.preset = inline, "
+            f"not with the named preset {cfg.problem_preset!r}"
+        )
+    return preset
+
+
 def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
     """Resolve a config to a problem plus mesh/basis/step counts.
 
@@ -197,7 +218,7 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
     filled in where the config left zeros.
     """
     if cfg.problem_preset and cfg.problem_preset != "inline":
-        preset = get_preset(cfg.problem_preset)
+        preset = named_preset(cfg)
         spec = preset.build()
         resolution = cfg.mesh_resolution or preset.default_resolution
         k = cfg.basis_k or preset.default_k

@@ -9,8 +9,10 @@ where ``Chat`` pairs the lower-order form against the basis and
 ``d_i`` is the squared L2 norm of the i-th basis vector. The system is
 complex and solved natively in complex arithmetic with a one-parameter
 implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
-backward Euler); the step matrix is factored once since the coefficients do
-not depend on time.
+backward Euler). The coefficients do not depend on time, so the step matrix
+is factored once and each step applies a constant propagator. The source is
+evaluated in blocks of grid times; only the modal loads and the dual norms
+of each block are kept.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ from .errors import SingularStepMatrix, TimeOffGrid
 from .problem import ProblemSpec
 from .spectral import EigenBasis
 
+# Grid times per source evaluation block: bounds the full-size loads held at
+# once to (LOAD_BLOCK, N). The energy-identity check walks the same blocks.
+LOAD_BLOCK = 64
+
 
 @dataclass
 class GalerkinSystem:
@@ -34,7 +40,6 @@ class GalerkinSystem:
     dimension: int
     interaction: np.ndarray  # (k, k), modal matrix of the lower-order form
     capacitance: np.ndarray  # (k,), squared L2 norms of the basis vectors
-    forcing: Callable  # t -> (k,) complex modal load
 
 
 @dataclass
@@ -49,6 +54,8 @@ class GalerkinTrajectory:
     theta: float
     basis: EigenBasis = field(repr=False)
     forms: AssembledForms = field(repr=False)
+    # (M+1, k) modal loads H* F(t); None for a source-free problem
+    modal_loads: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dt(self) -> float:
@@ -61,23 +68,12 @@ class GalerkinTrajectory:
         return idx
 
 
-def build_galerkin_system(
-    forms: AssembledForms, basis: EigenBasis, k: int, source: Optional[Callable] = None
-) -> GalerkinSystem:
+def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> GalerkinSystem:
     """Project the assembled forms onto the first k basis vectors."""
     H = basis.vectors[:, :k]
     interaction = H.conj().T @ (forms.first_order @ H)
     capacitance = basis.mass_norms[:k].copy()
-    mesh = forms.mesh
-
-    def forcing(t: float) -> np.ndarray:
-        if source is None:
-            return np.zeros(k, dtype=complex)
-        return H.conj().T @ assemble_load(mesh, source, t)
-
-    return GalerkinSystem(
-        dimension=k, interaction=interaction, capacitance=capacitance, forcing=forcing
-    )
+    return GalerkinSystem(dimension=k, interaction=interaction, capacitance=capacitance)
 
 
 def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
@@ -86,30 +82,71 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
     return (basis.vectors.conj().T @ Mu) / basis.mass_norms
 
 
-def _step_matrices(system: GalerkinSystem, theta: float, dt: float):
-    k = system.dimension
-    D = np.diag(system.capacitance)
-    A = np.eye(k) + system.interaction
-    lhs = D / dt + theta * A
-    rhs = D / dt - (1.0 - theta) * A
-    return lhs, rhs
-
-
 def _factor(lhs: np.ndarray):
-    lu, piv = sla.lu_factor(lhs)
+    lu, piv = sla.lu_factor(lhs, overwrite_a=True)
     if np.min(np.abs(np.diag(lu))) < 1e-300:
         raise SingularStepMatrix("implicit step matrix is singular")
     return lu, piv
 
 
-def step_theta(
-    system: GalerkinSystem, g: np.ndarray, theta: float, dt: float, t: float = 0.0
+def evolve_theta(
+    system: GalerkinSystem,
+    g0: np.ndarray,
+    theta: float,
+    dt: float,
+    steps: int,
+    loads: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One theta-scheme step from time t to t + dt."""
-    lhs, rhs = _step_matrices(system, theta, dt)
-    lu, piv = _factor(lhs)
-    b = rhs @ g + theta * system.forcing(t + dt) + (1.0 - theta) * system.forcing(t)
-    return sla.lu_solve((lu, piv), b)
+    """Theta-scheme coefficients (steps + 1, k) from ``g0`` on a uniform grid.
+
+    Each step solves
+
+        D (g_{m+1} - g_m) / dt + A (theta g_{m+1} + (1 - theta) g_m)
+            = theta F_{m+1} + (1 - theta) F_m,   A = I + Chat,
+
+    written as g_{m+1} = P g_m + q_m with the constant propagator
+    P = lhs^-1 rhs, lhs = D/dt + theta A, rhs = D/dt - (1 - theta) A, and the
+    load increments q_m = lhs^-1 (theta F_{m+1} + (1 - theta) F_m), all
+    solved with one factorization. ``loads`` holds the modal loads F at the
+    steps + 1 grid times, or None for a source-free problem.
+    """
+    k = system.dimension
+    diag = np.diag_indices(k)
+    A = system.interaction + np.eye(k)
+    lhs = theta * A
+    lhs[diag] += system.capacitance / dt
+    A *= -(1.0 - theta)
+    A[diag] += system.capacitance / dt  # A now holds rhs
+    # lhs and rhs are dropped once the propagator exists: at k = N each is
+    # as large as the dense eigenbasis
+    factor = _factor(lhs)
+    del lhs
+    prop = sla.lu_solve(factor, A, overwrite_b=True)
+    del A
+
+    coeffs = np.zeros((steps + 1, k), dtype=complex)
+    coeffs[0] = g0
+    if loads is not None:
+        increments = theta * loads[1:] + (1.0 - theta) * loads[:-1]
+        coeffs[1:] = sla.lu_solve(factor, increments.T, overwrite_b=True).T
+    del factor
+    for m in range(steps):
+        coeffs[m + 1] += prop @ coeffs[m]
+    return coeffs
+
+
+def _modal_loads(source: Callable, forms: AssembledForms, H: np.ndarray, times: np.ndarray):
+    """Modal loads H* F(t), one row per grid time, and the squared dual norms
+    of the full loads F(t), assembled LOAD_BLOCK times at a time."""
+    Hc = H.conj()
+    modal = np.empty((len(times), H.shape[1]), dtype=complex)
+    dual_sq = np.empty(len(times))
+    for start in range(0, len(times), LOAD_BLOCK):
+        block = slice(start, start + LOAD_BLOCK)
+        F = assemble_load(forms.mesh, source, times[block])
+        modal[block] = F @ Hc
+        dual_sq[block] = dual_norm(F, forms) ** 2
+    return modal, dual_sq
 
 
 def solve_evolution(
@@ -125,7 +162,7 @@ def solve_evolution(
     The dual-norm trace uses the full discrete load, not its truncation to
     the first k modes.
     """
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
+    system = build_galerkin_system(forms, basis, k)
     T = spec.final_time
     dt = T / time_steps
     times = np.linspace(0.0, T, time_steps + 1)
@@ -143,24 +180,16 @@ def solve_evolution(
         plus_norms=basis.plus_norms[:k],
         mass_norms=basis.mass_norms[:k],
     )
-    coeffs = np.zeros((time_steps + 1, k), dtype=complex)
-    coeffs[0] = project_initial(u0, sub_basis, forms.mass)
-
-    lhs, rhs = _step_matrices(system, theta, dt)
-    lu, piv = _factor(lhs)
-    loads = [system.forcing(t) for t in times]
-    for m in range(time_steps):
-        b = rhs @ coeffs[m] + theta * loads[m + 1] + (1.0 - theta) * loads[m]
-        coeffs[m + 1] = sla.lu_solve((lu, piv), b)
+    if spec.source is None:
+        modal_loads = None
+        dual_f_sq = np.zeros(time_steps + 1)
+    else:
+        modal_loads, dual_f_sq = _modal_loads(spec.source, forms, sub_basis.vectors, times)
+    g0 = project_initial(u0, sub_basis, forms.mass)
+    coeffs = evolve_theta(system, g0, theta, dt, time_steps, modal_loads)
 
     norm_plus_sq = np.sum(np.abs(coeffs) ** 2, axis=1)
     norm_l2_sq = np.sum(system.capacitance[None, :] * np.abs(coeffs) ** 2, axis=1)
-    if spec.source is None:
-        dual_f_sq = np.zeros(time_steps + 1)
-    else:
-        dual_f_sq = np.array(
-            [dual_norm(forms.load(t), forms.k_plus, factor=forms) ** 2 for t in times]
-        )
     return GalerkinTrajectory(
         times=times,
         coefficients=coeffs,
@@ -170,6 +199,7 @@ def solve_evolution(
         theta=theta,
         basis=sub_basis,
         forms=forms,
+        modal_loads=modal_loads,
     )
 
 
@@ -187,32 +217,40 @@ def reconstruct_solution(
 def energy_identity_residuals(
     system: GalerkinSystem, trajectory: GalerkinTrajectory
 ) -> np.ndarray:
-    """Relative defect of the discrete energy balance at each implicit step.
+    """Relative defect of the discrete energy balance at each theta step.
 
-    For the backward scheme, pairing the step equation with the new state
-    gives, after taking real parts,
+    Pairing the step equation D (g_{m+1} - g_m)/dt + A g_theta = F_theta,
+    with g_theta = theta g_{m+1} + (1 - theta) g_m, A = I + Chat and
+    F_theta = theta F_{m+1} + (1 - theta) F_m, against g_theta gives, after
+    taking real parts,
 
-        Re<dg/dt, D g> + |g|^2 + Re(g* Chat g) = Re(g* Fhat),
+        Re<g_theta, D (g_{m+1} - g_m)/dt> + |g_theta|^2
+            + Re(g_theta* Chat g_theta) = Re<g_theta, F_theta>,
 
-    which a correctly solved step satisfies to solver precision.
+    exact for every theta, which a correctly solved step satisfies to solver
+    precision. The modal loads come from the trajectory; nothing is
+    reassembled.
     """
     g = trajectory.coefficients
+    theta = trajectory.theta
     dt = trajectory.dt
     d = system.capacitance
+    loads = trajectory.modal_loads
     res = np.zeros(len(g) - 1)
-    for m in range(len(g) - 1):
-        gn = g[m + 1]
+    for start in range(0, len(res), LOAD_BLOCK):
+        block = slice(start, start + LOAD_BLOCK)
+        old, new = g[:-1][block], g[1:][block]
+        g_th = theta * new + (1.0 - theta) * old
+        norm_sq = np.sum(np.abs(g_th) ** 2, axis=1)
         lhs = (
-            np.real(np.vdot(gn, d * (gn - g[m]) / dt))
-            + float(np.real(np.vdot(gn, gn)))
-            + float(np.real(np.vdot(gn, system.interaction @ gn)))
+            np.real(np.sum(g_th.conj() * (d * (new - old) / dt), axis=1))
+            + norm_sq
+            + np.real(np.sum(g_th.conj() * (g_th @ system.interaction.T), axis=1))
         )
-        rhs = float(np.real(np.vdot(gn, system.forcing(trajectory.times[m + 1]))))
-        scale = max(
-            abs(lhs),
-            abs(rhs),
-            float(np.real(np.vdot(gn, gn))),
-            1e-30,
-        )
-        res[m] = abs(lhs - rhs) / scale
+        rhs = np.zeros(len(g_th))
+        if loads is not None:
+            f_th = theta * loads[1:][block] + (1.0 - theta) * loads[:-1][block]
+            rhs = np.real(np.sum(g_th.conj() * f_th, axis=1))
+        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(norm_sq, 1e-30))
+        res[block] = np.abs(lhs - rhs) / scale
     return res

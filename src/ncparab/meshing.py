@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +38,8 @@ class Mesh:
     facet_normals: np.ndarray
     facet_measures: np.ndarray
     facet_dirichlet: np.ndarray
+    # Built on first use by ``assembly.load_operator``; not part of the mesh.
+    _load_operator: object = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:

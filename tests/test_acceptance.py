@@ -245,7 +245,7 @@ def test_criterion_6_sharpness_example():
 def test_criterion_7_energy_identity_all_presets(preset_pipelines):
     worst = 0.0
     for name, (spec, forms, basis, k, _, steps) in preset_pipelines.items():
-        system = build_galerkin_system(forms, basis, k, source=spec.source)
+        system = build_galerkin_system(forms, basis, k)
         traj = solve_evolution(spec, forms, basis, k, steps, 1.0)
         res = energy_identity_residuals(system, traj)
         if len(res):

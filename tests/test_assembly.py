@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncparab import fields
 from ncparab.assembly import (
+    AssembledForms,
     apply_S_constraints,
     assemble_first_order,
     assemble_forms,
@@ -20,6 +24,7 @@ from ncparab.problem import (
     Interval,
     ProblemSpec,
     Rectangle,
+    UnitDiskPolygon,
     factorize_principal,
     sample_interior_points,
 )
@@ -156,9 +161,10 @@ def test_convection_matches_hand_assembly():
 
 def test_load_zero_source():
     mesh = build_mesh(Interval(0.0, 1.0), 4)
-    assert np.all(assemble_load(mesh, None, 0.0) == 0.0)
+    assert np.all(assemble_load(mesh, None, [0.0]) == 0.0)
     f = lambda x, t: np.zeros(np.shape(x), dtype=complex)
-    assert np.allclose(assemble_load(mesh, f, 0.0), 0.0)
+    F = assemble_load(mesh, f, [0.0, 1.0])
+    assert F.shape == (2, 5) and np.allclose(F, 0.0)
 
 
 def test_load_constant_source_interior():
@@ -166,7 +172,8 @@ def test_load_constant_source_interior():
     sel = lambda x: np.ones(np.shape(x), dtype=bool)
     mesh = build_mesh(Interval(0.0, 1.0), n, sel)
     f = lambda x, t: np.ones(np.shape(x), dtype=complex)
-    F = assemble_load(mesh, f, 0.0)
+    F = assemble_load(mesh, f, [0.0])
+    assert F.shape == (1, n - 1)
     assert np.allclose(F, 1.0 / n, atol=1e-14)
 
 
@@ -182,8 +189,63 @@ def test_load_of_basis_function_is_mass_column():
     def f(x, t):
         return np.interp(x, nodes, hat).astype(complex)
 
-    F = assemble_load(mesh, f, 0.0)
+    (F,) = assemble_load(mesh, f, [0.0])
     assert np.allclose(F, M[:, k], atol=1e-14)
+
+
+# (domain, lowest and highest resolution): from 3 to about 400 nodes
+LOAD_DOMAINS = {
+    "interval": (Interval(-0.5, 2.0), 2, 400),
+    "rectangle": (Rectangle(0.0, 1.0, -1.0, 0.5), 2, 19),
+    "disk": (UnitDiskPolygon(16), 2, 24),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(sorted(LOAD_DOMAINS)).flatmap(
+        lambda name: st.tuples(st.just(name), st.integers(*LOAD_DOMAINS[name][1:]))
+    ),
+    st.booleans(),
+    st.integers(1, 150),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_load_is_exact_for_affine_sources(case, constrained, n_times, seed):
+    # f(x, t) = c(t) (a0 + a.x): P1 quadrature is exact for f times a hat
+    # function, so each row is c(t) M_full f_nodes on the free nodes
+    name, resolution = case
+    domain = LOAD_DOMAINS[name][0]
+    rng = np.random.default_rng(seed)
+    a0 = complex(*rng.standard_normal(2))
+    a = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
+
+    def c(t):
+        return np.exp(3j * t) * (1.0 + t * t)
+
+    def f(*args):
+        *x, t = args
+        return c(t) * (a0 + sum(a_l * x_l for a_l, x_l in zip(a, x)))
+
+    selector = (lambda *x: np.ones(np.shape(x[0]), dtype=bool)) if constrained else None
+    spec = _interval_spec(
+        domain=domain,
+        principal=fields.constant_matrix(np.eye(domain.dim)),
+        zero_order_a00=fields.constant_scalar(1.0),
+        dirichlet_selector=selector,
+    )
+    mesh = build_mesh(domain, resolution, selector)
+    forms = assemble_forms(mesh, spec, factorize_principal(spec, sample_interior_points(domain, 4)))
+    times = np.sort(rng.uniform(0.0, 2.0, n_times))
+
+    F = assemble_load(mesh, f, times)
+    assert F.shape == (n_times, forms.N)
+    nodal = (assemble_mass(mesh) @ (a0 + mesh.nodes @ a))[forms.dofmap.free]
+    expected = c(times)[:, None] * nodal[None, :]
+    assert np.max(np.abs(F - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    blocked = dual_norm(F, forms)
+    one_by_one = [np.sqrt(np.real(np.vdot(row, forms.k_plus_solve(row)))) for row in F]
+    assert np.allclose(blocked, one_by_one, rtol=1e-12, atol=0.0)
 
 
 def test_apply_constraints_identity_when_s_empty():
@@ -233,10 +295,18 @@ def test_constraining_everything_raises():
         assemble_forms(mesh, spec, fz)
 
 
+def _forms_with(K):
+    """Forms holding only a sparse complex K+, as assembled, enough for
+    ``dual_norm``."""
+    return AssembledForms(
+        mesh=None, dofmap=None, k_plus=sp.csr_matrix(K, dtype=complex), mass=None, first_order=None
+    )
+
+
 def test_dual_norm_trivial_cases():
-    assert dual_norm(np.zeros(4), np.eye(4)) == 0.0
-    F = np.array([3.0, 4.0j, 0.0])
-    assert dual_norm(F, np.eye(3)) == pytest.approx(5.0)
+    assert np.array_equal(dual_norm(np.zeros(4), _forms_with(np.eye(4))), [0.0])
+    F = np.array([[3.0, 4.0j, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -2.0j]])
+    assert np.allclose(dual_norm(F, _forms_with(np.eye(3))), [5.0, 0.0, 2.0], rtol=1e-15)
 
 
 def test_dual_norm_matches_monte_carlo_sup():
@@ -245,7 +315,8 @@ def test_dual_norm_matches_monte_carlo_sup():
     B = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     K = B.conj().T @ B + n * np.eye(n)
     F = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    exact_sq = dual_norm(F, K) ** 2
+    (exact,) = dual_norm(F, _forms_with(K))
+    exact_sq = exact**2
     V = rng.standard_normal((10_000, n)) + 1j * rng.standard_normal((10_000, n))
     num = np.abs(V.conj() @ F) ** 2
     den = np.real(np.einsum("vi,ij,vj->v", V.conj(), K, V))
@@ -255,8 +326,9 @@ def test_dual_norm_matches_monte_carlo_sup():
 
 
 def test_dual_norm_singular_raises():
-    with pytest.raises(SingularKPlus):
-        dual_norm(np.ones(2), np.zeros((2, 2)))
+    for K in (np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0]])):
+        with pytest.raises(SingularKPlus):
+            dual_norm(np.ones(2), _forms_with(K))
 
 
 def test_k_plus_hermitian_and_positive_definite(disk_pipeline):

@@ -190,6 +190,35 @@ def test_cli_check_subcommand(tmp_path):
     assert report["uniqueness_pass"] == "true"
 
 
+def test_cli_check_energy_identity_at_crank_nicolson(tmp_path):
+    # the theta-general identity is checked at every theta, not only at 1
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = forced1d\nmesh.resolution = 25\nbasis.k = 8\n"
+        "time.steps = 40\ntime.theta = 0.5\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["check", "--config", cfg, "--out", out]) == 0
+    report = dict(_read_csv(os.path.join(out, "report.csv"))[1])
+    assert report["energy_residual_pass"] == "true"
+    assert float(report["energy_residual_max"]) <= 1e-9
+
+
+def test_cli_named_preset_rejects_problem_keys(tmp_path):
+    # a named preset would silently drop these keys; they are a config error
+    for extra in ("problem.u0 = csv:/no_dir/missing.csv", "problem.T = 0.3", "problem.f = sine_cos"):
+        cfg = _write_cfg(tmp_path, f"problem.preset = heat1d\n{extra}\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    cfg = _write_cfg(tmp_path, "problem.domain = interval(0,1)\nproblem.s = all\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(ConfigError, match="problem.T"):
+        build_problem(RunConfig(problem_preset="disk", problem_T=0.3))
+    # keys left at their defaults, and every key outside problem.*, still load
+    cfg = RunConfig.from_text(RunConfig(problem_preset="disk", basis_k=12).to_text())
+    assert build_problem(cfg)[2] == 12
+
+
 def test_cli_eigs(tmp_path):
     cfg = _write_cfg(
         tmp_path, "problem.preset = heat1d\nmesh.resolution = 50\nbasis.k = 5\n"

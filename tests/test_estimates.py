@@ -81,7 +81,7 @@ def test_growth_single_mode_matches_scalar_ode():
     # for k = 1 the system is d1 g' + (1 + Chat) g = 0 with exponential
     # solution; the trajectory must follow it to scheme accuracy
     spec, mesh, forms, basis, _ = build_pipeline("growth1d", resolution=40, k=1)
-    system = build_galerkin_system(forms, basis, 1, source=None)
+    system = build_galerkin_system(forms, basis, 1)
     trajectory = solve_evolution(spec, forms, basis, 1, 400, 0.5)
     rate = (1.0 + system.interaction[0, 0]) / system.capacitance[0]
     exact = trajectory.coefficients[0, 0] * np.exp(-rate * trajectory.times)

@@ -1,27 +1,26 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from ncparab.errors import TimeOffGrid
 from ncparab.integrator import (
     GalerkinSystem,
     build_galerkin_system,
     energy_identity_residuals,
+    evolve_theta,
     project_initial,
     reconstruct_solution,
     solve_evolution,
-    step_theta,
 )
 from ncparab.spectral import generalized_eigenbasis
 from tests.conftest import build_pipeline, nodal_initial
 
 
-def _scalar_system(rho=1.0, c=0.0, forcing=None):
-    forcing = forcing or (lambda t: np.zeros(1, dtype=complex))
+def _scalar_system(rho=1.0, c=0.0):
     return GalerkinSystem(
         dimension=1,
         interaction=np.array([[c]], dtype=complex),
         capacitance=np.array([rho]),
-        forcing=forcing,
     )
 
 
@@ -29,11 +28,9 @@ def test_backward_euler_scalar_decay_closed_form():
     # rho g' + g = 0 discretizes to g_{m+1} = g_m / (1 + dt/rho)
     rho, dt = 0.7, 0.05
     system = _scalar_system(rho=rho)
-    g = np.array([1.0 + 0.0j])
-    for _ in range(3):
-        g_next = step_theta(system, g, 1.0, dt)
-        assert g_next[0] == pytest.approx(g[0] / (1.0 + dt / rho), rel=1e-14)
-        g = g_next
+    g = evolve_theta(system, np.array([1.0 + 0.0j]), 1.0, dt, 3)
+    for m in range(3):
+        assert g[m + 1, 0] == pytest.approx(g[m, 0] / (1.0 + dt / rho), rel=1e-14)
 
 
 def test_constant_forcing_fixed_point():
@@ -41,15 +38,13 @@ def test_constant_forcing_fixed_point():
     C = 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     Fhat = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     system = GalerkinSystem(
-        dimension=3,
-        interaction=C,
-        capacitance=np.array([1.0, 2.0, 0.5]),
-        forcing=lambda t: Fhat,
+        dimension=3, interaction=C, capacitance=np.array([1.0, 2.0, 0.5])
     )
     g_star = np.linalg.solve(np.eye(3) + C, Fhat)
+    loads = np.tile(Fhat, (4, 1))
     for theta in (0.5, 1.0):
-        g_next = step_theta(system, g_star, theta, 0.1)
-        assert np.allclose(g_next, g_star, atol=1e-12)
+        g = evolve_theta(system, g_star, theta, 0.1, 3, loads)
+        assert np.allclose(g, g_star[None, :], atol=1e-12)
 
 
 def test_crank_nicolson_local_error_third_order():
@@ -58,7 +53,7 @@ def test_crank_nicolson_local_error_third_order():
     system = _scalar_system(rho=rho)
     errors = []
     for dt in (0.1, 0.05):
-        g1 = step_theta(system, np.array([1.0 + 0.0j]), 0.5, dt)
+        g1 = evolve_theta(system, np.array([1.0 + 0.0j]), 0.5, dt, 1)[1]
         errors.append(abs(g1[0] - np.exp(-dt / rho)))
     ratio = errors[0] / errors[1]
     assert 6.0 <= ratio <= 10.0
@@ -154,38 +149,46 @@ def test_single_mode_trajectory_is_basis_vector(heat_pipeline):
 
 
 def test_backward_euler_energy_identity(heat_pipeline):
-    spec, _, forms, basis, k = heat_pipeline
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
-    trajectory = solve_evolution(spec, forms, basis, k, 50, 1.0)
-    res = energy_identity_residuals(system, trajectory)
-    assert np.max(res) <= 1e-9
+    # pairing with g_theta makes the identity exact for every theta, not
+    # only backward Euler; forced1d puts a source on the right side and
+    # runs over several load blocks, the last one partial
+    forced = build_pipeline("forced1d", resolution=30, k=10)
+    for theta in (0.0, 0.5, 1.0):
+        for (spec, _, forms, basis, k), steps in ((heat_pipeline, 50), (forced, 200)):
+            system = build_galerkin_system(forms, basis, k)
+            trajectory = solve_evolution(spec, forms, basis, k, steps, theta)
+            assert (trajectory.modal_loads is None) == (spec.source is None)
+            assert np.max(energy_identity_residuals(system, trajectory)) <= 1e-9
 
 
-def test_theta_step_satisfies_galerkin_consistency(heat_pipeline):
+def test_theta_step_satisfies_galerkin_consistency():
     # the scheme itself is the discrete weak statement; residual is solver
     # roundoff only
-    spec, _, forms, basis, k = heat_pipeline
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
-    for theta in (0.5, 1.0):
-        trajectory = solve_evolution(spec, forms, basis, k, 20, theta)
-        g = trajectory.coefficients
-        dt = trajectory.dt
-        D = np.diag(system.capacitance)
-        A = np.eye(k) + system.interaction
-        for m in range(len(g) - 1):
-            mid = theta * g[m + 1] + (1.0 - theta) * g[m]
-            Fmid = theta * system.forcing(trajectory.times[m + 1]) + (
-                1.0 - theta
-            ) * system.forcing(trajectory.times[m])
-            res = D @ (g[m + 1] - g[m]) / dt + A @ mid - Fmid
-            assert np.max(np.abs(res)) <= 1e-11 * max(1.0, np.max(np.abs(g[m])))
+    for name in ("heat1d", "forced1d"):
+        spec, _, forms, basis, k = build_pipeline(name, resolution=50, k=20)
+        system = build_galerkin_system(forms, basis, k)
+        for theta in (0.5, 1.0):
+            trajectory = solve_evolution(spec, forms, basis, k, 20, theta)
+            g = trajectory.coefficients
+            F = trajectory.modal_loads
+            if F is None:
+                F = np.zeros_like(g)
+            dt = trajectory.dt
+            D = np.diag(system.capacitance)
+            A = np.eye(k) + system.interaction
+            for m in range(len(g) - 1):
+                mid = theta * g[m + 1] + (1.0 - theta) * g[m]
+                Fmid = theta * F[m + 1] + (1.0 - theta) * F[m]
+                res = D @ (g[m + 1] - g[m]) / dt + A @ mid - Fmid
+                scale = max(1.0, np.max(np.abs(g[m])), np.max(np.abs(Fmid)))
+                assert np.max(np.abs(res)) <= 1e-11 * scale
 
 
 def test_norm_derivative_two_ways_second_order():
     # centered differences of the L2 trace against 2 Re <g', D g> from the
     # ODE right side agree to O(dt^2)
     spec, mesh, forms, basis, k = build_pipeline("forced1d", resolution=30, k=10)
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
+    system = build_galerkin_system(forms, basis, k)
     D = system.capacitance
     A = np.eye(k) + system.interaction
     errs = []
@@ -196,7 +199,7 @@ def test_norm_derivative_two_ways_second_order():
         worst = 0.0
         for m in range(1, len(g) - 1):
             fd = (trajectory.norm_l2_sq[m + 1] - trajectory.norm_l2_sq[m - 1]) / (2 * dt)
-            gprime = (system.forcing(trajectory.times[m]) - A @ g[m]) / D
+            gprime = (trajectory.modal_loads[m] - A @ g[m]) / D
             analytic = 2.0 * float(np.real(np.vdot(g[m], D * gprime)))
             worst = max(worst, abs(fd - analytic))
         errs.append(worst)
@@ -204,16 +207,23 @@ def test_norm_derivative_two_ways_second_order():
     assert 2.5 <= ratio <= 6.5
 
 
-def test_solve_evolution_agrees_with_public_stepper(heat_pipeline):
-    # the cached-factorization loop must reproduce step-by-step calls
-    spec, _, forms, basis, k = heat_pipeline
-    system = build_galerkin_system(forms, basis, k, source=spec.source)
-    trajectory = solve_evolution(spec, forms, basis, k, 5, 0.5)
-    g = trajectory.coefficients[0]
-    dt = trajectory.dt
-    for m in range(5):
-        g = step_theta(system, g, 0.5, dt, t=trajectory.times[m])
-        assert np.allclose(g, trajectory.coefficients[m + 1], atol=1e-13)
+def test_solve_evolution_agrees_with_lu_solve_reference():
+    # the propagator form must reproduce one factored solve per step
+    spec, _, forms, basis, k = build_pipeline("forced1d", resolution=50, k=20)
+    system = build_galerkin_system(forms, basis, k)
+    for theta in (0.5, 1.0):
+        trajectory = solve_evolution(spec, forms, basis, k, 5, theta)
+        dt = trajectory.dt
+        D = np.diag(system.capacitance)
+        A = np.eye(k) + system.interaction
+        factor = sla.lu_factor(D / dt + theta * A)
+        rhs = D / dt - (1.0 - theta) * A
+        F = trajectory.modal_loads
+        g = trajectory.coefficients[0]
+        for m in range(5):
+            b = rhs @ g + theta * F[m + 1] + (1.0 - theta) * F[m]
+            g = sla.lu_solve(factor, b)
+            assert np.allclose(g, trajectory.coefficients[m + 1], rtol=1e-13, atol=1e-13)
 
 
 def test_l2_trace_jumps_shrink_linearly_with_dt():
