@@ -9,13 +9,10 @@ bounds hold with the computed constants.
 
 import numpy as np
 
-from ncparab.assembly import assemble_forms
 from ncparab.estimates import apriori_bounds, check_uniqueness_condition, compute_constants
-from ncparab.integrator import build_galerkin_system, solve_evolution
-from ncparab.meshing import build_mesh
+from ncparab.integrator import discretize, solve_evolution
 from ncparab.presets import get_preset
-from ncparab.problem import factorize_principal, sample_interior_points, validate_coefficients
-from ncparab.spectral import generalized_eigenbasis
+from ncparab.problem import validate_coefficients
 
 
 def main():
@@ -26,26 +23,19 @@ def main():
     print(f"smallest complex-form eigenvalue = {report.min_complex_eigenvalue}")
     print(f"coercive: {report.coercive}")
 
-    mesh = build_mesh(spec.domain, preset.default_resolution, spec.dirichlet_selector)
-    factorized = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-    forms = assemble_forms(mesh, spec, factorized)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, preset.default_k)
-    print(f"\nmesh: {mesh.num_nodes} nodes, {len(mesh.elements)} triangles")
+    forms, basis = discretize(spec, preset.default_resolution, preset.default_k)
+    print(f"\nmesh: {forms.mesh.num_nodes} nodes, {len(forms.mesh.elements)} triangles")
     print(f"first pencil eigenvalues: {np.round(basis.eigenvalues[:5], 4)}")
 
-    trajectory = solve_evolution(spec, forms, basis, preset.default_k, preset.default_steps, 1.0)
+    trajectory = solve_evolution(spec, forms, basis, basis.size, preset.default_steps, 1.0)
     l2 = np.sqrt(trajectory.norm_l2_sq)
     print(f"\n|u(0)|_L2 = {l2[0]:.6f}  ->  |u(T)|_L2 = {l2[-1]:.6f}")
     print(f"monotone decay: {bool(np.all(np.diff(l2) <= 1e-12))}")
 
-    c1, c2 = compute_constants(spec)
-    nodes = mesh.nodes
-    u0 = forms.dofmap.reduce(spec.initial(nodes[:, 0], nodes[:, 1]))
-    est = apriori_bounds(trajectory, u0, c1, c2, spec.final_time)
+    est = apriori_bounds(trajectory, *compute_constants(spec))
     print(f"\nsup bound:    {est.sup_lhs:.6f} <= {est.sup_rhs:.6f}  ({est.sup_ok})")
     print(f"energy bound: {est.energy_lhs:.6f} <= {est.energy_rhs:.6f}  ({est.energy_ok})")
-    system = build_galerkin_system(forms, basis, preset.default_k)
-    min_eig, ok = check_uniqueness_condition(system.interaction)
+    min_eig, ok = check_uniqueness_condition(trajectory.system.interaction)
     print(f"uniqueness condition: min eig = {min_eig:.2e} ({'holds' if ok else 'fails'})")
 
 

@@ -22,6 +22,7 @@ from .integrator import (
     GalerkinSystem,
     GalerkinTrajectory,
     build_galerkin_system,
+    discretize,
     evolve_theta,
     project_initial,
     reconstruct_solution,

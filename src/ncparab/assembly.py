@@ -240,21 +240,12 @@ def free_nodes(mesh: Mesh) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def apply_S_constraints(obj, constrained_dofs: np.ndarray):
-    """Drop rows/columns (entries) at the constrained dofs."""
-    constrained = np.asarray(constrained_dofs, dtype=int)
-    if sp.issparse(obj):
-        size = obj.shape[0]
-        mask = np.ones(size, dtype=bool)
-        mask[constrained] = False
-        keep = np.nonzero(mask)[0]
-        return obj.tocsr()[keep][:, keep]
-    arr = np.asarray(obj)
-    mask = np.ones(arr.shape[0], dtype=bool)
-    mask[constrained] = False
-    if arr.ndim == 1:
-        return arr[mask]
-    return arr[np.ix_(mask, mask)]
+def apply_S_constraints(matrix: sp.spmatrix, constrained_dofs: np.ndarray) -> sp.csr_matrix:
+    """Drop the rows and columns of a sparse matrix at the constrained dofs."""
+    mask = np.ones(matrix.shape[0], dtype=bool)
+    mask[np.asarray(constrained_dofs, dtype=int)] = False
+    keep = np.nonzero(mask)[0]
+    return matrix.tocsr()[keep][:, keep]
 
 
 @dataclass
@@ -290,9 +281,11 @@ class AssembledForms:
         return len(self.dofmap.free)
 
     def k_plus_solve(self, rhs: np.ndarray) -> np.ndarray:
+        # factored complex like the right sides; assemble_forms already
+        # stores K+ complex, so astype copies nothing there
         if self._k_factor is None:
             try:
-                self._k_factor = spla.splu(self.k_plus.tocsc())
+                self._k_factor = spla.splu(self.k_plus.tocsc().astype(complex, copy=False))
             except RuntimeError as exc:
                 raise SingularKPlus(str(exc)) from exc
         return self._k_factor.solve(np.asarray(rhs, dtype=complex))

@@ -4,7 +4,8 @@ Subcommands: ``solve`` (full pipeline plus report), ``eigs`` (basis
 eigenvalues), ``convergence`` (refinement study against the exact solution),
 ``check`` (estimate verification only), ``sharpness`` (embedding series).
 Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
-3 numerical failure. Output CSVs are written atomically with 17 significant
+3 numerical failure, 4 internal error (any other exception; its traceback
+goes to stderr). Output CSVs are written atomically with 17 significant
 digits so identical runs are byte-identical.
 """
 
@@ -13,11 +14,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .assembly import assemble_forms, export_matrix_coo
+from .assembly import export_matrix_coo
 from .config import RunConfig, build_problem, named_preset
 from .errors import ConfigError, NcparabError, NoOracle
 from .estimates import (
@@ -28,15 +30,14 @@ from .estimates import (
     compute_constants,
 )
 from .integrator import (
-    build_galerkin_system,
+    discretize,
     energy_identity_residuals,
+    reconstruct_solution,
     solve_evolution,
 )
-from .meshing import build_mesh, export_mesh
+from .meshing import export_mesh
 from .presets import get_preset
-from .problem import factorize_principal, sample_interior_points, validate_coefficients
 from .sharpness import find_divergence_epsilon, series_hs_lower_bound, series_plus_norm
-from .spectral import generalized_eigenbasis
 
 
 def _fmt(v) -> str:
@@ -61,32 +62,13 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _prepare(cfg: RunConfig):
-    spec, resolution, k, steps = build_problem(cfg)
-    validate_coefficients(spec)
-    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    factorized = factorize_principal(spec, sample_interior_points(spec.domain, 16))
-    forms = assemble_forms(mesh, spec, factorized)
-    k = min(k, forms.N)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, k)
-    return spec, mesh, forms, basis, k, steps
-
-
-def _run_estimates(cfg: RunConfig, spec, forms, basis, k, trajectory) -> tuple[list, bool]:
+def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
     rows: list[list] = []
     ok = True
     c1, c2 = compute_constants(spec)
     rows += [["c1", _fmt(c1)], ["c2", _fmt(c2)]]
     if cfg.checks_bounds:
-        u0_full = np.zeros(forms.mesh.num_nodes, dtype=complex)
-        if spec.initial is not None:
-            nodes = forms.mesh.nodes
-            u0_full = np.asarray(
-                spec.initial(*(nodes[:, i] for i in range(forms.mesh.dim))), dtype=complex
-            )
-        report = apriori_bounds(
-            trajectory, forms.dofmap.reduce(u0_full), c1, c2, spec.final_time
-        )
+        report = apriori_bounds(trajectory, c1, c2)
         rows += [
             ["gronwall_factor", _fmt(report.gronwall_factor)],
             ["sup_bound_lhs", _fmt(report.sup_lhs)],
@@ -99,15 +81,14 @@ def _run_estimates(cfg: RunConfig, spec, forms, basis, k, trajectory) -> tuple[l
             ["energy_bound_pass", _fmt(report.energy_ok)],
         ]
         ok = ok and report.bounds_ok
-    system = build_galerkin_system(forms, basis, k)
     if cfg.checks_uniqueness:
-        min_eig, uniq_ok = check_uniqueness_condition(system.interaction)
+        min_eig, uniq_ok = check_uniqueness_condition(trajectory.system.interaction)
         rows += [["uniqueness_min_eig", _fmt(min_eig)], ["uniqueness_pass", _fmt(uniq_ok)]]
         ok = ok and uniq_ok
     if cfg.checks_continuity:
         rows.append(["continuity_max_jump", _fmt(check_continuity(trajectory))])
     if cfg.checks_energy:
-        res = energy_identity_residuals(system, trajectory)
+        res = energy_identity_residuals(trajectory)
         energy_ok = bool(np.max(res) <= 1e-9) if len(res) else True
         rows += [
             ["energy_residual_max", _fmt(float(np.max(res)) if len(res) else 0.0)],
@@ -115,64 +96,60 @@ def _run_estimates(cfg: RunConfig, spec, forms, basis, k, trajectory) -> tuple[l
         ]
         ok = ok and energy_ok
     if cfg.checks_cauchy:
-        ratio, cauchy_ok = check_cauchy_bound(forms, c1, c2, seed=cfg.seed)
+        ratio, cauchy_ok = check_cauchy_bound(trajectory.forms, c1, c2, seed=cfg.seed)
         rows += [["cauchy_ratio", _fmt(ratio)], ["cauchy_pass", _fmt(cauchy_ok)]]
         ok = ok and cauchy_ok
     rows.append(["all_pass", _fmt(ok)])
     return rows, ok
 
 
-def run_solve(cfg: RunConfig, out_dir: str, write_mesh: bool = False) -> int:
+def run_solve(
+    cfg: RunConfig, out_dir: str, write_mesh: bool = False, report_only: bool = False
+) -> int:
+    """Solve and check one problem. ``report_only`` writes report.csv alone,
+    without the trajectory and the final solution."""
     os.makedirs(out_dir, exist_ok=True)
-    spec, mesh, forms, basis, k, steps = _prepare(cfg)
-    trajectory = solve_evolution(spec, forms, basis, k, steps, cfg.time_theta)
+    spec, resolution, k, steps = build_problem(cfg)
+    forms, basis = discretize(spec, resolution, k)
+    trajectory = solve_evolution(spec, forms, basis, basis.size, steps, cfg.time_theta)
 
-    shown = min(k, 16)
-    header = ["t", "norm_plus_sq", "norm_l2_sq", "dual_f_sq"] + [
-        f"g_abs_{j}" for j in range(1, shown + 1)
-    ]
-    rows = []
-    for m, t in enumerate(trajectory.times):
-        row = [
-            t,
-            trajectory.norm_plus_sq[m],
-            trajectory.norm_l2_sq[m],
-            trajectory.dual_f_sq[m],
+    if not report_only:
+        shown = min(basis.size, 16)
+        header = ["t", "norm_plus_sq", "norm_l2_sq", "dual_f_sq"] + [
+            f"g_abs_{j}" for j in range(1, shown + 1)
         ]
-        row += list(np.abs(trajectory.coefficients[m, :shown]))
-        rows.append(row)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
+        rows = [
+            [t, trajectory.norm_plus_sq[m], trajectory.norm_l2_sq[m], trajectory.dual_f_sq[m]]
+            + list(np.abs(trajectory.coefficients[m, :shown]))
+            for m, t in enumerate(trajectory.times)
+        ]
+        _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
+        final = reconstruct_solution(trajectory, trajectory.times[-1])
+        _write_csv(
+            os.path.join(out_dir, "solution_final.csv"),
+            ["id", "re", "im"],
+            [[i, v.real, v.imag] for i, v in enumerate(final)],
+        )
 
-    final = trajectory.forms.dofmap.expand(basis.vectors[:, :k] @ trajectory.coefficients[-1])
-    _write_csv(
-        os.path.join(out_dir, "solution_final.csv"),
-        ["id", "re", "im"],
-        [[i, v.real, v.imag] for i, v in enumerate(final)],
-    )
-
-    report_rows, ok = _run_estimates(cfg, spec, forms, basis, k, trajectory)
+    report_rows, ok = _run_estimates(cfg, spec, trajectory)
     _write_csv(os.path.join(out_dir, "report.csv"), ["key", "value"], report_rows)
     if write_mesh:
-        export_mesh(mesh, out_dir)
+        export_mesh(forms.mesh, out_dir)
     return 0 if ok else 1
 
 
 def run_check(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    cfg.checks_bounds = True
-    cfg.checks_uniqueness = True
-    cfg.checks_continuity = True
-    cfg.checks_energy = True
-    spec, mesh, forms, basis, k, steps = _prepare(cfg)
-    trajectory = solve_evolution(spec, forms, basis, k, steps, cfg.time_theta)
-    report_rows, ok = _run_estimates(cfg, spec, forms, basis, k, trajectory)
-    _write_csv(os.path.join(out_dir, "report.csv"), ["key", "value"], report_rows)
-    return 0 if ok else 1
+    """``run_solve`` with the bounds, uniqueness, continuity and energy
+    checks on, writing report.csv only."""
+    cfg.checks_bounds = cfg.checks_uniqueness = True
+    cfg.checks_continuity = cfg.checks_energy = True
+    return run_solve(cfg, out_dir, report_only=True)
 
 
 def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    spec, mesh, forms, basis, k, _ = _prepare(cfg)
+    spec, resolution, k, _ = build_problem(cfg)
+    _, basis = discretize(spec, resolution, k)
     rows = [
         [j + 1, basis.eigenvalues[j], basis.mass_norms[j]] for j in range(basis.size)
     ]
@@ -192,12 +169,10 @@ def solve_error_vs_oracle(preset_name: str, resolution: int, steps: int, theta: 
     if preset.oracle is None:
         raise NoOracle(f"preset {preset_name!r} has no exact solution")
     spec = preset.build()
-    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    factorized = factorize_principal(spec, sample_interior_points(spec.domain, 16))
-    forms = assemble_forms(mesh, spec, factorized)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, forms.N)
-    trajectory = solve_evolution(spec, forms, basis, forms.N, steps, theta)
+    forms, basis = discretize(spec, resolution, None)
+    trajectory = solve_evolution(spec, forms, basis, basis.size, steps, theta)
     numeric = basis.vectors @ trajectory.coefficients[-1]
+    mesh = forms.mesh
     coords = tuple(mesh.nodes[forms.dofmap.free, i] for i in range(mesh.dim))
     exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
     diff = numeric - exact
@@ -214,10 +189,7 @@ def _convergence_level(args):
     width = _interval_width(spec)
     h = width / resolution
     if mode == "eigs":
-        mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-        factorized = factorize_principal(spec, sample_interior_points(spec.domain, 16))
-        forms = assemble_forms(mesh, spec, factorized)
-        basis = generalized_eigenbasis(forms.k_plus, forms.mass, min(3, forms.N))
+        _, basis = discretize(spec, resolution, 3)
         exact = np.array([(j * np.pi) ** 2 for j in range(1, basis.size + 1)])
         err = float(np.max(np.abs(basis.eigenvalues - exact) / exact))
         return h, float("nan"), err
@@ -341,6 +313,10 @@ def main(argv=None) -> int:
     except NcparabError as exc:
         print(f"numerical failure: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
     return 2
 
 

@@ -237,6 +237,11 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
             raise ConfigError(
                 f"cannot parse problem.first_order {cfg.problem_first_order!r}"
             ) from exc
+    if len(first_order) > dim:
+        raise ConfigError(
+            f"problem.first_order has {len(first_order)} entries, "
+            f"more than the {dim} dimension(s) of the domain"
+        )
     a0 = coeff_fields.scalar_field_from_spec(cfg.problem_a0, dim)
     b0 = coeff_fields.scalar_field_from_spec(cfg.problem_b0, dim)
     b1 = coeff_fields.scalar_field_from_spec(cfg.problem_b1, dim)

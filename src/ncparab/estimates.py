@@ -39,9 +39,6 @@ class EstimateReport:
     energy_rhs: float
     sup_ok: bool
     energy_ok: bool
-    uniqueness_min_eig: float = float("nan")
-    uniqueness_ok: bool = False
-    continuity_max_jump: float = float("nan")
 
     @property
     def bounds_ok(self) -> bool:
@@ -68,22 +65,18 @@ def compute_constants(spec: ProblemSpec, sample_density: int = 32) -> tuple[floa
 
 
 def apriori_bounds(
-    trajectory: GalerkinTrajectory,
-    u0: np.ndarray,
-    c1: float,
-    c2: float,
-    T: float,
-    slack: float = BOUND_SLACK,
+    trajectory: GalerkinTrajectory, c1: float, c2: float, slack: float = BOUND_SLACK
 ) -> EstimateReport:
-    """Check the sup and energy bounds on a computed trajectory.
+    """Check the sup and energy bounds on a computed trajectory over its
+    whole grid [0, T].
 
-    ``u0`` is the reduced nodal initial vector; its squared L2 norm enters
-    the right side through the mass matrix, k-independently.
+    The squared L2 norm of the trajectory's reduced nodal initial vector
+    enters the right side through the mass matrix, k-independently.
     """
-    mass = trajectory.forms.mass
-    u0 = np.asarray(u0, dtype=complex)
-    u0_sq = float(np.real(np.vdot(u0, mass @ u0)))
+    u0 = trajectory.initial
+    u0_sq = float(np.real(np.vdot(u0, trajectory.forms.mass @ u0)))
     f_int = float(np.trapezoid(trajectory.dual_f_sq, trajectory.times))
+    T = trajectory.times[-1]
     factor = float(np.exp((2.0 * c2 + 2.0 * c1**2) * T))
     rhs = (u0_sq + f_int) * factor
 

@@ -47,10 +47,6 @@ def constant_matrix(mat):
     return field
 
 
-def zero_source(*coords_and_t):
-    return np.zeros(np.shape(coords_and_t[0]), dtype=complex)
-
-
 def tabulated_scalar(path):
     """Scalar field from a CSV table with columns x[,y],re,im.
 

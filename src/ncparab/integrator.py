@@ -13,6 +13,10 @@ backward Euler). The coefficients do not depend on time, so the step matrix
 is factored once and each step applies a constant propagator. The source is
 evaluated in blocks of grid times; only the modal loads and the dual norms
 of each block are kept.
+
+``discretize`` is the one path from a problem to its forms and energy basis;
+``solve_evolution`` the one place that projects the system and the initial
+data, which the trajectory then carries for the checks.
 """
 
 from __future__ import annotations
@@ -23,14 +27,24 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg as sla
 
-from .assembly import AssembledForms, assemble_load, dual_norm
+from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm
 from .errors import SingularStepMatrix, TimeOffGrid
-from .problem import ProblemSpec
-from .spectral import EigenBasis
+from .meshing import build_mesh
+from .problem import (
+    ProblemSpec,
+    factorize_principal,
+    sample_interior_points,
+    validate_coefficients,
+)
+from .spectral import EigenBasis, generalized_eigenbasis
 
 # Grid times per source evaluation block: bounds the full-size loads held at
 # once to (LOAD_BLOCK, N). The energy-identity check walks the same blocks.
 LOAD_BLOCK = 64
+
+# Sample points per axis at which the principal factorization is checked;
+# they only set FactorizedPrincipal.residual_bound, not the assembled forms.
+FACTOR_SAMPLE_DENSITY = 16
 
 
 @dataclass
@@ -52,6 +66,8 @@ class GalerkinTrajectory:
     norm_l2_sq: np.ndarray  # sum d_i |g_i|^2
     dual_f_sq: np.ndarray  # squared dual norm of the full load
     theta: float
+    initial: np.ndarray = field(repr=False)  # reduced nodal initial vector u0
+    system: GalerkinSystem = field(repr=False)
     basis: EigenBasis = field(repr=False)
     forms: AssembledForms = field(repr=False)
     # (M+1, k) modal loads H* F(t); None for a source-free problem
@@ -66,6 +82,23 @@ class GalerkinTrajectory:
         if abs(self.times[idx] - t) > 1e-12 * max(1.0, float(self.times[-1])):
             raise TimeOffGrid(f"t = {t} is not on the trajectory grid")
         return idx
+
+
+def discretize(
+    spec: ProblemSpec, resolution: int, k: Optional[int]
+) -> tuple[AssembledForms, EigenBasis]:
+    """Validated forms of ``spec`` on a mesh of the given resolution and the
+    first min(k, N) pairs of their energy basis (all N pairs for k = None).
+
+    Each stage is called through its name in this module, so a caller that
+    rebinds those names (a tracer, a test) sees every stage.
+    """
+    validate_coefficients(spec)
+    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
+    samples = sample_interior_points(spec.domain, FACTOR_SAMPLE_DENSITY)
+    forms = assemble_forms(mesh, spec, factorize_principal(spec, samples))
+    count = forms.N if k is None else min(k, forms.N)
+    return forms, generalized_eigenbasis(forms.k_plus, forms.mass, count)
 
 
 def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> GalerkinSystem:
@@ -160,19 +193,18 @@ def solve_evolution(
     """Full trajectory on [0, T] with energy, L2 and dual-norm traces.
 
     The dual-norm trace uses the full discrete load, not its truncation to
-    the first k modes.
+    the first k modes. The trajectory keeps the projected system and the
+    reduced nodal initial vector for the checks.
     """
     system = build_galerkin_system(forms, basis, k)
     T = spec.final_time
     dt = T / time_steps
     times = np.linspace(0.0, T, time_steps + 1)
 
-    u0_full = np.zeros(forms.mesh.num_nodes, dtype=complex)
+    u0 = np.zeros(forms.N, dtype=complex)
     if spec.initial is not None:
-        nodes = forms.mesh.nodes
-        coords = tuple(nodes[:, i] for i in range(forms.mesh.dim))
-        u0_full = np.asarray(spec.initial(*coords), dtype=complex)
-    u0 = forms.dofmap.reduce(u0_full)
+        coords = tuple(forms.mesh.nodes[:, i] for i in range(forms.mesh.dim))
+        u0 = forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex))
 
     sub_basis = EigenBasis(
         eigenvalues=basis.eigenvalues[:k],
@@ -197,26 +229,22 @@ def solve_evolution(
         norm_l2_sq=norm_l2_sq,
         dual_f_sq=dual_f_sq,
         theta=theta,
+        initial=u0,
+        system=system,
         basis=sub_basis,
         forms=forms,
         modal_loads=modal_loads,
     )
 
 
-def reconstruct_solution(
-    trajectory: GalerkinTrajectory, basis: EigenBasis, mesh, t: float
-) -> np.ndarray:
+def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray:
     """Nodal solution values at a grid time, zeros reinstated on the
     constrained nodes."""
-    idx = trajectory.time_index(t)
-    k = trajectory.coefficients.shape[1]
-    reduced = basis.vectors[:, :k] @ trajectory.coefficients[idx]
+    reduced = trajectory.basis.vectors @ trajectory.coefficients[trajectory.time_index(t)]
     return trajectory.forms.dofmap.expand(reduced)
 
 
-def energy_identity_residuals(
-    system: GalerkinSystem, trajectory: GalerkinTrajectory
-) -> np.ndarray:
+def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
     """Relative defect of the discrete energy balance at each theta step.
 
     Pairing the step equation D (g_{m+1} - g_m)/dt + A g_theta = F_theta,
@@ -228,9 +256,10 @@ def energy_identity_residuals(
             + Re(g_theta* Chat g_theta) = Re<g_theta, F_theta>,
 
     exact for every theta, which a correctly solved step satisfies to solver
-    precision. The modal loads come from the trajectory; nothing is
-    reassembled.
+    precision. The system and the modal loads come from the trajectory;
+    nothing is reassembled.
     """
+    system = trajectory.system
     g = trajectory.coefficients
     theta = trajectory.theta
     dt = trajectory.dt

@@ -1,31 +1,35 @@
-import numpy as np
+from pathlib import Path
+
 import pytest
 
-from ncparab.assembly import assemble_forms
-from ncparab.meshing import build_mesh
+import ncparab
+from ncparab.integrator import discretize
 from ncparab.presets import get_preset
-from ncparab.problem import factorize_principal, sample_interior_points
-from ncparab.spectral import generalized_eigenbasis
 
 
 def build_pipeline(preset_name, resolution=None, k=None):
-    """Assemble mesh, forms and eigenbasis for a preset; shared helper."""
+    """Discretize a preset, at its defaults where no size is given; shared
+    helper returning (spec, mesh, forms, basis, basis size)."""
     preset = get_preset(preset_name)
     spec = preset.build()
-    resolution = resolution or preset.default_resolution
-    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    factorized = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-    forms = assemble_forms(mesh, spec, factorized)
-    k = min(k or preset.default_k, forms.N)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, k)
-    return spec, mesh, forms, basis, k
+    forms, basis = discretize(
+        spec, resolution or preset.default_resolution, k or preset.default_k
+    )
+    return spec, forms.mesh, forms, basis, basis.size
 
 
-def nodal_initial(spec, forms):
-    nodes = forms.mesh.nodes
-    coords = tuple(nodes[:, i] for i in range(forms.mesh.dim))
-    u0 = np.asarray(spec.initial(*coords), dtype=complex)
-    return forms.dofmap.reduce(u0)
+def child_env():
+    """A minimal environment for a child process: one BLAS thread, none of
+    the caller's settings, and PYTHONPATH at the directory that holds the
+    imported package, so the child runs the same copy of ncparab (source
+    tree, editable or regular install) as the test."""
+    return {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(ncparab.__file__).resolve().parent.parent),
+        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": "1",
+    }
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ncparab import fields
 from ncparab.assembly import (
     AssembledForms,
+    DofMap,
     apply_S_constraints,
     assemble_first_order,
     assemble_forms,
@@ -262,8 +263,9 @@ def test_apply_constraints_removes_endpoints():
     M = assemble_mass(mesh)
     reduced = apply_S_constraints(M, mesh.dirichlet_nodes())
     assert reduced.shape == (5, 5)
+    dofmap = DofMap(total=7, free=free_nodes(mesh), constrained=mesh.dirichlet_nodes())
     vec = np.arange(7, dtype=float)
-    assert np.allclose(apply_S_constraints(vec, mesh.dirichlet_nodes()), vec[1:-1])
+    assert np.array_equal(dofmap.reduce(vec), vec[1:-1])
 
 
 def test_reduce_then_expand_is_identity_on_free_dofs():
@@ -323,6 +325,12 @@ def test_dual_norm_matches_monte_carlo_sup():
     mc = float(np.max(num / den))
     assert mc <= exact_sq * (1.0 + 1e-12)
     assert mc >= exact_sq * 0.95
+
+
+def test_dual_norm_real_k_plus():
+    # a K+ stored real is factored complex like the loads
+    forms = AssembledForms(None, None, sp.csr_matrix(np.eye(4)), None, None)
+    assert np.allclose(dual_norm(np.array([3.0, 4.0j, 0.0, 0.0]), forms), [5.0], rtol=1e-15)
 
 
 def test_dual_norm_singular_raises():

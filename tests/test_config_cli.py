@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncparab.assembly import export_matrix_coo
+from ncparab import cli
 from ncparab.cli import main
 from ncparab.config import RunConfig, build_problem, parse_domain
 from ncparab.errors import ConfigError
@@ -174,6 +175,26 @@ def test_cli_solve_u0_table_path_keeps_case(tmp_path):
 def test_cli_solve_unknown_preset_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "problem.preset = nothere\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_solve_too_many_drift_coefficients_is_config_error(tmp_path):
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+        "problem.first_order = 0.5,0.5\nproblem.s = all\n",
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_internal_error_exits_4(tmp_path, monkeypatch, capsys):
+    def broken(*args):
+        raise RuntimeError("stage broke")
+
+    monkeypatch.setattr(cli, "solve_evolution", broken)
+    cfg = _write_cfg(tmp_path, "problem.preset = zero1d\n")
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: stage broke" in err
 
 
 def test_cli_check_subcommand(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ncparab import fields
-from ncparab.assembly import assemble_forms
 from ncparab.estimates import (
     apriori_bounds,
     check_cauchy_bound,
@@ -10,17 +9,10 @@ from ncparab.estimates import (
     check_uniqueness_condition,
     compute_constants,
 )
-from ncparab.integrator import build_galerkin_system, solve_evolution
-from ncparab.meshing import build_mesh
+from ncparab.integrator import build_galerkin_system, discretize, solve_evolution
 from ncparab.presets import build_forced1d
-from ncparab.problem import (
-    Interval,
-    ProblemSpec,
-    factorize_principal,
-    sample_interior_points,
-)
-from ncparab.spectral import generalized_eigenbasis
-from tests.conftest import build_pipeline, nodal_initial
+from ncparab.problem import Interval, ProblemSpec
+from tests.conftest import build_pipeline
 
 
 def _constants_spec(first_order=(), delta_a0=0.0):
@@ -50,7 +42,7 @@ def test_constants_euclidean_norm_of_sups():
 def test_bounds_zero_data_pass():
     spec, mesh, forms, basis, k = build_pipeline("zero1d", resolution=16, k=8)
     trajectory = solve_evolution(spec, forms, basis, k, 20, 0.5)
-    report = apriori_bounds(trajectory, nodal_initial(spec, forms), 0.0, 0.0, spec.final_time)
+    report = apriori_bounds(trajectory, 0.0, 0.0)
     assert report.sup_lhs == 0.0 and report.sup_rhs == 0.0
     assert report.sup_ok and report.energy_ok
 
@@ -60,7 +52,7 @@ def test_bounds_heat_sup_attained_at_zero():
     trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)
     c1, c2 = compute_constants(spec)
     assert (c1, c2) == (0.0, 0.0)
-    report = apriori_bounds(trajectory, nodal_initial(spec, forms), c1, c2, spec.final_time)
+    report = apriori_bounds(trajectory, c1, c2)
     # heat semigroup decays, so the sup sits at t = 0 and the factor is 1
     assert report.gronwall_factor == 1.0
     assert report.sup_lhs == pytest.approx(trajectory.norm_l2_sq[0])
@@ -72,7 +64,7 @@ def test_bounds_growth_case_holds_with_exponential_factor():
     trajectory = solve_evolution(spec, forms, basis, k, 200, 0.5)
     c1, c2 = compute_constants(spec)
     assert (c1, c2) == (0.0, 5.0)
-    report = apriori_bounds(trajectory, nodal_initial(spec, forms), c1, c2, spec.final_time)
+    report = apriori_bounds(trajectory, c1, c2)
     assert report.gronwall_factor == pytest.approx(np.exp(10.0 * spec.final_time))
     assert report.sup_ok and report.energy_ok
 
@@ -81,8 +73,8 @@ def test_growth_single_mode_matches_scalar_ode():
     # for k = 1 the system is d1 g' + (1 + Chat) g = 0 with exponential
     # solution; the trajectory must follow it to scheme accuracy
     spec, mesh, forms, basis, _ = build_pipeline("growth1d", resolution=40, k=1)
-    system = build_galerkin_system(forms, basis, 1)
     trajectory = solve_evolution(spec, forms, basis, 1, 400, 0.5)
+    system = trajectory.system
     rate = (1.0 + system.interaction[0, 0]) / system.capacitance[0]
     exact = trajectory.coefficients[0, 0] * np.exp(-rate * trajectory.times)
     err = np.max(np.abs(trajectory.coefficients[:, 0] - exact))
@@ -147,26 +139,20 @@ def test_right_side_non_decreasing_in_final_time():
     rhs_values = []
     for T in (0.1, 0.5, 1.0):
         spec = ProblemSpec(**{**base.__dict__, "final_time": T})
-        mesh = build_mesh(spec.domain, 30, spec.dirichlet_selector)
-        fz = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-        forms = assemble_forms(mesh, spec, fz)
-        basis = generalized_eigenbasis(forms.k_plus, forms.mass, 10)
+        forms, basis = discretize(spec, 30, 10)
         trajectory = solve_evolution(spec, forms, basis, 10, int(100 * T / 0.1), 0.5)
-        c1, c2 = compute_constants(spec)
-        report = apriori_bounds(trajectory, nodal_initial(spec, forms), c1, c2, T)
+        report = apriori_bounds(trajectory, *compute_constants(spec))
         rhs_values.append(report.sup_rhs)
     assert rhs_values[0] <= rhs_values[1] <= rhs_values[2]
 
 
 def test_right_side_independent_of_basis_size():
-    spec, mesh, forms, _, _ = build_pipeline("forced1d", resolution=30, k=10)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, 20)
+    spec, _, forms, basis, _ = build_pipeline("forced1d", resolution=30, k=20)
     c1, c2 = compute_constants(spec)
-    u0 = nodal_initial(spec, forms)
     reports = []
     for k in (10, 20):
         trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)
-        reports.append(apriori_bounds(trajectory, u0, c1, c2, spec.final_time))
+        reports.append(apriori_bounds(trajectory, c1, c2))
     assert reports[0].sup_rhs == reports[1].sup_rhs
     assert all(r.sup_ok and r.energy_ok for r in reports)
 

@@ -13,7 +13,7 @@ from ncparab.integrator import (
     solve_evolution,
 )
 from ncparab.spectral import generalized_eigenbasis
-from tests.conftest import build_pipeline, nodal_initial
+from tests.conftest import build_pipeline
 
 
 def _scalar_system(rho=1.0, c=0.0):
@@ -79,8 +79,8 @@ def test_project_initial_full_basis_round_trip(heat_pipeline):
 
 
 def test_projection_does_not_increase_l2_norm(heat_pipeline):
-    spec, _, forms, basis, _ = heat_pipeline
-    u0 = nodal_initial(spec, forms)
+    spec, _, forms, basis, k = heat_pipeline
+    u0 = solve_evolution(spec, forms, basis, k, 1, 0.5).initial
     g0 = project_initial(u0, basis, forms.mass)
     proj_norm_sq = float(np.sum(basis.mass_norms * np.abs(g0) ** 2))
     full_norm_sq = float(np.real(np.vdot(u0, forms.mass @ u0)))
@@ -90,7 +90,7 @@ def test_projection_does_not_increase_l2_norm(heat_pipeline):
 def test_heat_solution_matches_separation_of_variables():
     spec, mesh, forms, basis, k = build_pipeline("heat1d", resolution=100, k=40)
     trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)  # dt = 1e-3
-    u = reconstruct_solution(trajectory, basis, mesh, spec.final_time)
+    u = reconstruct_solution(trajectory, spec.final_time)
     x = mesh.nodes[:, 0]
     exact = np.exp(-np.pi**2 * spec.final_time) * np.sin(np.pi * x)
     err = np.linalg.norm(u - exact) / np.linalg.norm(exact)
@@ -123,7 +123,7 @@ def test_norm_traces_match_reconstruction(heat_pipeline):
     l2_sq = float(np.real(np.vdot(reduced, forms.mass @ reduced)))
     assert plus_sq == pytest.approx(trajectory.norm_plus_sq[m], rel=1e-8)
     assert l2_sq == pytest.approx(trajectory.norm_l2_sq[m], rel=1e-8)
-    u = reconstruct_solution(trajectory, basis, mesh, t)
+    u = reconstruct_solution(trajectory, t)
     assert np.allclose(u[forms.dofmap.free], reduced)
     assert np.all(u[forms.dofmap.constrained] == 0.0)
 
@@ -131,12 +131,11 @@ def test_norm_traces_match_reconstruction(heat_pipeline):
 def test_reconstruct_initial_and_single_mode(heat_pipeline):
     spec, mesh, forms, basis, k = heat_pipeline
     trajectory = solve_evolution(spec, forms, basis, k, 10, 0.5)
-    u0_nodal = nodal_initial(spec, forms)
-    g0 = project_initial(u0_nodal, basis, forms.mass)
+    g0 = project_initial(trajectory.initial, basis, forms.mass)
     expected = forms.dofmap.expand(basis.vectors[:, :k] @ g0[:k])
-    assert np.allclose(reconstruct_solution(trajectory, basis, mesh, 0.0), expected)
+    assert np.allclose(reconstruct_solution(trajectory, 0.0), expected)
     with pytest.raises(TimeOffGrid):
-        reconstruct_solution(trajectory, basis, mesh, spec.final_time / 3.1)
+        reconstruct_solution(trajectory, spec.final_time / 3.1)
 
 
 def test_single_mode_trajectory_is_basis_vector(heat_pipeline):
@@ -144,7 +143,7 @@ def test_single_mode_trajectory_is_basis_vector(heat_pipeline):
     trajectory = solve_evolution(spec, forms, basis, k, 10, 1.0)
     trajectory.coefficients[3] = 0.0
     trajectory.coefficients[3, 0] = 1.0
-    u = reconstruct_solution(trajectory, basis, mesh, trajectory.times[3])
+    u = reconstruct_solution(trajectory, trajectory.times[3])
     assert np.allclose(u[forms.dofmap.free], basis.vectors[:, 0])
 
 
@@ -155,10 +154,9 @@ def test_backward_euler_energy_identity(heat_pipeline):
     forced = build_pipeline("forced1d", resolution=30, k=10)
     for theta in (0.0, 0.5, 1.0):
         for (spec, _, forms, basis, k), steps in ((heat_pipeline, 50), (forced, 200)):
-            system = build_galerkin_system(forms, basis, k)
             trajectory = solve_evolution(spec, forms, basis, k, steps, theta)
             assert (trajectory.modal_loads is None) == (spec.source is None)
-            assert np.max(energy_identity_residuals(system, trajectory)) <= 1e-9
+            assert np.max(energy_identity_residuals(trajectory)) <= 1e-9
 
 
 def test_theta_step_satisfies_galerkin_consistency():
@@ -166,9 +164,9 @@ def test_theta_step_satisfies_galerkin_consistency():
     # roundoff only
     for name in ("heat1d", "forced1d"):
         spec, _, forms, basis, k = build_pipeline(name, resolution=50, k=20)
-        system = build_galerkin_system(forms, basis, k)
         for theta in (0.5, 1.0):
             trajectory = solve_evolution(spec, forms, basis, k, 20, theta)
+            system = trajectory.system
             g = trajectory.coefficients
             F = trajectory.modal_loads
             if F is None:
@@ -210,9 +208,9 @@ def test_norm_derivative_two_ways_second_order():
 def test_solve_evolution_agrees_with_lu_solve_reference():
     # the propagator form must reproduce one factored solve per step
     spec, _, forms, basis, k = build_pipeline("forced1d", resolution=50, k=20)
-    system = build_galerkin_system(forms, basis, k)
     for theta in (0.5, 1.0):
         trajectory = solve_evolution(spec, forms, basis, k, 5, theta)
+        system = trajectory.system
         dt = trajectory.dt
         D = np.diag(system.capacitance)
         A = np.eye(k) + system.interaction

@@ -11,17 +11,9 @@ import numpy as np
 import pytest
 
 from ncparab import fields
-from ncparab.assembly import assemble_forms
-from ncparab.integrator import reconstruct_solution, solve_evolution
+from ncparab.integrator import discretize, reconstruct_solution, solve_evolution
 from ncparab.meshing import build_mesh
-from ncparab.problem import (
-    ProblemSpec,
-    Rectangle,
-    UnitDiskPolygon,
-    factorize_principal,
-    sample_interior_points,
-)
-from ncparab.spectral import generalized_eigenbasis
+from ncparab.problem import ProblemSpec, Rectangle, UnitDiskPolygon, factorize_principal
 
 DECAY_RATE = 2.0 * np.pi**2 + 1.0
 
@@ -45,20 +37,15 @@ def _neumann_square_spec():
 
 
 def _solve(spec, resolution, k, steps):
-    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    fz = factorize_principal(spec, sample_interior_points(spec.domain, 4))
-    forms = assemble_forms(mesh, spec, fz)
-    k = min(k, forms.N)
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, k)
-    traj = solve_evolution(spec, forms, basis, k, steps, 0.5)
-    return mesh, forms, basis, traj
+    forms, basis = discretize(spec, resolution, k)
+    return solve_evolution(spec, forms, basis, basis.size, steps, 0.5)
 
 
-def _rel_error(spec, mesh, forms, basis, traj):
-    u = reconstruct_solution(traj, basis, mesh, spec.final_time)
+def _rel_error(spec, traj):
+    u = reconstruct_solution(traj, spec.final_time)
+    mesh, M = traj.forms.mesh, traj.forms.mass
     exact = np.exp(-DECAY_RATE * spec.final_time) * _u0(mesh.nodes[:, 0], mesh.nodes[:, 1])
     d = u - exact
-    M = forms.mass
     return float(
         np.sqrt(np.real(np.vdot(d, M @ d)) / np.real(np.vdot(exact, M @ exact)))
     )
@@ -66,27 +53,23 @@ def _rel_error(spec, mesh, forms, basis, traj):
 
 def test_neumann_square_matches_closed_form():
     spec = _neumann_square_spec()
-    err = _rel_error(spec, *_solve(spec, 16, 60, 50))
+    err = _rel_error(spec, _solve(spec, 16, 60, 50))
     assert err < 0.02
 
 
 def test_neumann_square_second_order_in_space():
     spec = _neumann_square_spec()
-    errs = [_rel_error(spec, *_solve(spec, res, 60, 50)) for res in (8, 16)]
+    errs = [_rel_error(spec, _solve(spec, res, 60, 50)) for res in (8, 16)]
     assert 3.0 <= errs[0] / errs[1] <= 5.0
 
 
 def test_constant_is_exact_pencil_eigenvector():
     # stiffness annihilates constants exactly, so with a00 = 1 the constant
     # vector solves K+ h = 1 * M h discretely, at any resolution
-    spec = _neumann_square_spec()
-    mesh = build_mesh(spec.domain, 6, None)
-    fz = factorize_principal(spec, sample_interior_points(spec.domain, 4))
-    forms = assemble_forms(mesh, spec, fz)
+    forms, basis = discretize(_neumann_square_spec(), 6, 1)
     ones = np.ones(forms.N, dtype=complex)
     residual = forms.k_plus @ ones - forms.mass @ ones
     assert np.max(np.abs(residual)) <= 1e-13
-    basis = generalized_eigenbasis(forms.k_plus, forms.mass, 1)
     assert basis.eigenvalues[0] == pytest.approx(1.0, abs=1e-11)
 
 
