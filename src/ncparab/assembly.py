@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConstraintOnAllDofs, DivisionByZeroB1, SingularKPlus
+from .errors import ConstraintOnAllDofs, SingularKPlus
 from .meshing import Mesh
 from .problem import FactorizedPrincipal, ProblemSpec
 
@@ -112,10 +112,9 @@ def _scatter_matrix(conn: np.ndarray, data: np.ndarray, size: int) -> sp.csr_mat
 
 
 def _robin_ratio(spec: ProblemSpec, coords) -> np.ndarray:
-    b1 = np.real(np.asarray(spec.boundary_b1(*coords), dtype=complex))
-    if np.any(b1 == 0.0):
-        raise DivisionByZeroB1("b1 vanishes on an unconstrained boundary facet")
+    # b00 comes from problem.split_zero_order, which refuses b1 = 0
     b00 = np.real(np.asarray(spec.boundary_b00(*coords), dtype=complex))
+    b1 = np.real(np.asarray(spec.boundary_b1(*coords), dtype=complex))
     return b00 / b1
 
 

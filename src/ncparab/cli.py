@@ -34,8 +34,9 @@ from .integrator import (
     energy_identity_residuals,
     reconstruct_solution,
     solve_evolution,
+    solve_nodal,
 )
-from .meshing import export_mesh
+from .meshing import build_mesh, export_mesh
 from .presets import get_preset
 from .sharpness import find_divergence_epsilon, series_hs_lower_bound, series_plus_norm
 
@@ -159,19 +160,18 @@ def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     return 0
 
 
-def _interval_width(spec) -> float:
-    return spec.domain.b - spec.domain.a
-
-
 def solve_error_vs_oracle(preset_name: str, resolution: int, steps: int, theta: float):
-    """Relative L2 error against the preset oracle at final time."""
+    """Relative L2 error against the preset oracle at final time.
+
+    The Galerkin solution with the full basis (k = N) is the nodal theta
+    scheme, so no eigenbasis is computed.
+    """
     preset = get_preset(preset_name)
     if preset.oracle is None:
         raise NoOracle(f"preset {preset_name!r} has no exact solution")
     spec = preset.build()
-    forms, basis = discretize(spec, resolution, None)
-    trajectory = solve_evolution(spec, forms, basis, basis.size, steps, theta)
-    numeric = basis.vectors @ trajectory.coefficients[-1]
+    forms, _ = discretize(spec, resolution, 0)
+    numeric = solve_nodal(spec, forms, steps, theta)[-1]
     mesh = forms.mesh
     coords = tuple(mesh.nodes[forms.dofmap.free, i] for i in range(mesh.dim))
     exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
@@ -182,57 +182,51 @@ def solve_error_vs_oracle(preset_name: str, resolution: int, steps: int, theta: 
     return err / ref
 
 
-def _convergence_level(args):
+def _convergence_level(args) -> float:
     mode, preset_name, resolution, steps, theta = args
-    preset = get_preset(preset_name)
-    spec = preset.build()
-    width = _interval_width(spec)
-    h = width / resolution
     if mode == "eigs":
-        _, basis = discretize(spec, resolution, 3)
-        exact = np.array([(j * np.pi) ** 2 for j in range(1, basis.size + 1)])
-        err = float(np.max(np.abs(basis.eigenvalues - exact) / exact))
-        return h, float("nan"), err
-    err = solve_error_vs_oracle(preset_name, resolution, steps, theta)
-    return h, spec.final_time / steps, float(err)
+        preset = get_preset(preset_name)
+        _, basis = discretize(preset.build(), resolution, 3)
+        exact = preset.spectrum(basis.size)
+        return float(np.max(np.abs(basis.eigenvalues - exact) / exact))
+    return float(solve_error_vs_oracle(preset_name, resolution, steps, theta))
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     os.makedirs(out_dir, exist_ok=True)
     preset = named_preset(cfg)
-    if preset.oracle is None:
+    mode = cfg.convergence_mode
+    if preset.oracle is None or (mode == "eigs" and preset.spectrum is None):
         raise NoOracle(f"preset {cfg.problem_preset!r} has no exact solution")
     spec = preset.build()
-    width = _interval_width(spec)
-    levels = []
-    if cfg.convergence_mode == "space_time":
-        base = cfg.mesh_resolution or 25
-        for i in range(cfg.convergence_levels):
-            resolution = base * 2**i
-            h = width / resolution
-            steps = max(1, round(spec.final_time / (h / 10.0)))
-            levels.append((cfg.convergence_mode, cfg.problem_preset, resolution, steps, cfg.time_theta))
-    elif cfg.convergence_mode == "time":
-        resolution = cfg.mesh_resolution or 200
-        base_steps = cfg.time_steps or 10
-        for i in range(cfg.convergence_levels):
-            levels.append(
-                (cfg.convergence_mode, cfg.problem_preset, resolution, base_steps * 2**i, cfg.time_theta)
-            )
-    else:  # eigs
-        base = cfg.mesh_resolution or 25
-        for i in range(cfg.convergence_levels):
-            levels.append((cfg.convergence_mode, cfg.problem_preset, base * 2**i, 1, cfg.time_theta))
+    count = range(cfg.convergence_levels)
+    if mode == "time":
+        resolutions = [cfg.mesh_resolution or 200 for _ in count]
+        steps = [(cfg.time_steps or 10) * 2**i for i in count]
+    else:
+        resolutions = [(cfg.mesh_resolution or 25) * 2**i for i in count]
+    sizes = [build_mesh(spec.domain, resolution).size for resolution in resolutions]
+    if mode == "space_time":
+        # dt = h/10 rounded to whole steps on the coarsest level, then halved
+        # with h, so both errors fall by the same factor
+        steps = [max(1, round(spec.final_time / (sizes[0] / 10.0))) * 2**i for i in count]
+    elif mode == "eigs":
+        steps = [1 for _ in count]
+    levels = [
+        (mode, cfg.problem_preset, resolution, n, cfg.time_theta)
+        for resolution, n in zip(resolutions, steps)
+    ]
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_convergence_level, levels))
+            errors = list(pool.map(_convergence_level, levels))
     else:
-        results = [_convergence_level(level) for level in levels]
+        errors = [_convergence_level(level) for level in levels]
 
     rows = []
-    for i, (h, dt, err) in enumerate(results):
-        order = float("nan") if i == 0 else float(np.log2(results[i - 1][2] / err))
+    for i, (h, n, err) in enumerate(zip(sizes, steps, errors)):
+        dt = float("nan") if mode == "eigs" else spec.final_time / n
+        order = float("nan") if i == 0 else float(np.log2(errors[i - 1] / err))
         rows.append([h, dt, err, order])
     _write_csv(os.path.join(out_dir, "convergence.csv"), ["h", "dt", "error", "observed_order"], rows)
     return 0

@@ -92,8 +92,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     def validate(self) -> None:
-        if self.problem_T <= 0.0:
-            raise ConfigError("problem.T must be positive")
+        if not 0.0 < self.problem_T < np.inf:
+            raise ConfigError("problem.T must be positive and finite")
         if not 0.0 <= self.time_theta <= 1.0:
             raise ConfigError("time.theta must lie in [0, 1]")
         for attr in (
@@ -133,19 +133,33 @@ def _parse_value(text: str, kind: type):
 
 
 def parse_domain(text: str):
+    """Domain from ``interval(a,b)``, ``rectangle(ax,bx,ay,by)`` or
+    ``disk(segments)``; bounds must be finite and increasing, and a disk
+    polygon needs at least 3 segments."""
     token = text.strip().lower().replace(" ", "")
     try:
         if token.startswith("interval(") and token.endswith(")"):
             a, b = (float(v) for v in token[9:-1].split(","))
+            _check_bounds(text, (a, b))
             return Interval(a, b)
         if token.startswith("rectangle(") and token.endswith(")"):
             ax, bx, ay, by = (float(v) for v in token[10:-1].split(","))
+            _check_bounds(text, (ax, bx), (ay, by))
             return Rectangle(ax, bx, ay, by)
         if token.startswith("disk(") and token.endswith(")"):
-            return UnitDiskPolygon(int(token[5:-1]))
+            segments = int(token[5:-1])
+            if segments < 3:
+                raise ConfigError(f"domain {text!r} needs at least 3 segments")
+            return UnitDiskPolygon(segments)
     except ValueError as exc:
         raise ConfigError(f"cannot parse domain {text!r}") from exc
     raise ConfigError(f"unknown domain {text!r}")
+
+
+def _check_bounds(text: str, *bounds) -> None:
+    for lo, hi in bounds:
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise ConfigError(f"domain {text!r} needs finite bounds with lower < upper")
 
 
 def _selector_from_name(name: str, domain):
@@ -230,13 +244,9 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
     principal = coeff_fields.matrix_field_from_name(cfg.problem_principal, dim)
     first_order = []
     if cfg.problem_first_order.strip():
-        try:
-            for token in cfg.problem_first_order.split(","):
-                first_order.append(coeff_fields.constant_scalar(complex(token.strip())))
-        except ValueError as exc:
-            raise ConfigError(
-                f"cannot parse problem.first_order {cfg.problem_first_order!r}"
-            ) from exc
+        for token in cfg.problem_first_order.split(","):
+            value = coeff_fields.parse_constant(token, "problem.first_order entry")
+            first_order.append(coeff_fields.constant_scalar(value))
     if len(first_order) > dim:
         raise ConfigError(
             f"problem.first_order has {len(first_order)} entries, "

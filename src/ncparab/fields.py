@@ -66,6 +66,8 @@ def tabulated_scalar(path):
         raise ConfigError(f"CSV field {path} has a non-numeric cell: {exc}") from exc
     if not rows or any(len(row) != len(header) for row in rows):
         raise ConfigError(f"CSV field {path} needs data rows as wide as its header")
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError(f"CSV field {path} has a non-finite cell")
     if header[:3] == ["x", "re", "im"]:
         data = np.array(sorted(rows))
         xs, re, im = data[:, 0], data[:, 1], data[:, 2]
@@ -103,20 +105,32 @@ def matrix_field_from_name(name, dim):
             raise ConfigError("disk principal matrix requires a 2D domain")
         return constant_matrix(DEGENERATE_DISK_MATRIX)
     if key.startswith("diag(") and key.endswith(")"):
-        entries = [float(v) for v in key[5:-1].split(",")]
+        try:
+            entries = [float(v) for v in key[5:-1].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse principal matrix {name!r}") from exc
+        if not np.all(np.isfinite(entries)):
+            raise ConfigError(f"principal matrix {name!r} has non-finite entries")
         if len(entries) != dim:
             raise ConfigError(f"diag(...) needs {dim} entries, got {len(entries)}")
         return constant_matrix(np.diag(entries))
     raise ConfigError(f"unknown principal-matrix preset {name!r}")
 
 
+def parse_constant(text, what="scalar field"):
+    """Finite complex value of a config literal such as ``-2+1j``."""
+    try:
+        value = complex(text.strip().replace(" ", ""))
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what} {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"{what} {text!r} is not finite")
+    return value
+
+
 def scalar_field_from_spec(text, dim):
     """Scalar field from a config token: complex literal or ``csv:PATH``."""
     token = text.strip()
     if token.startswith("csv:"):
-        field = tabulated_scalar(token[4:])
-        return field
-    try:
-        return constant_scalar(complex(token.replace(" ", "")))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse scalar field {text!r}") from exc
+        return tabulated_scalar(token[4:])
+    return constant_scalar(parse_constant(token))

@@ -1,4 +1,4 @@
-"""Time integration of the Galerkin system in the eigenbasis.
+"""Time integration of the Galerkin system.
 
 Expanding the approximate solution in the energy-orthonormal basis turns
 the weak problem into a k-dimensional linear ODE system
@@ -14,6 +14,13 @@ is factored once and each step applies a constant propagator. The source is
 evaluated in blocks of grid times; only the modal loads and the dual norms
 of each block are kept.
 
+When the basis spans the whole finite element space (k = N), the modal
+system is the nodal system M u' + (K+ + C) u = F written in another basis.
+``solve_nodal`` steps that system directly with the same theta step over the
+sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C) and one
+sparse product per step, with no eigensolve and no dense N x N array. The
+convergence studies take this path.
+
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
 data, which the trajectory then carries for the checks.
@@ -22,10 +29,12 @@ data, which the trajectory then carries for the checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm
 from .errors import SingularStepMatrix, TimeOffGrid
@@ -36,7 +45,7 @@ from .problem import (
     sample_interior_points,
     validate_coefficients,
 )
-from .spectral import EigenBasis, generalized_eigenbasis
+from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
 
 # Grid times per source evaluation block: bounds the full-size loads held at
 # once to (LOAD_BLOCK, N). The energy-identity check walks the same blocks.
@@ -54,6 +63,10 @@ class GalerkinSystem:
     dimension: int
     interaction: np.ndarray  # (k, k), modal matrix of the lower-order form
     capacitance: np.ndarray  # (k,), squared L2 norms of the basis vectors
+
+    def theta_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The modal pair (D, A) = (diag d, I + Chat) of the theta step."""
+        return np.diag(self.capacitance), self.interaction + np.eye(self.dimension)
 
 
 @dataclass
@@ -86,9 +99,10 @@ class GalerkinTrajectory:
 
 def discretize(
     spec: ProblemSpec, resolution: int, k: Optional[int]
-) -> tuple[AssembledForms, EigenBasis]:
+) -> tuple[AssembledForms, Optional[EigenBasis]]:
     """Validated forms of ``spec`` on a mesh of the given resolution and the
-    first min(k, N) pairs of their energy basis (all N pairs for k = None).
+    first min(k, N) pairs of their energy basis (all N pairs for k = None,
+    no basis and no eigensolve for k = 0).
 
     Each stage is called through its name in this module, so a caller that
     rebinds those names (a tracer, a test) sees every stage.
@@ -97,6 +111,8 @@ def discretize(
     mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
     samples = sample_interior_points(spec.domain, FACTOR_SAMPLE_DENSITY)
     forms = assemble_forms(mesh, spec, factorize_principal(spec, samples))
+    if k == 0:
+        return forms, None
     count = forms.N if k is None else min(k, forms.N)
     return forms, generalized_eigenbasis(forms.k_plus, forms.mass, count)
 
@@ -115,54 +131,78 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
     return (basis.vectors.conj().T @ Mu) / basis.mass_norms
 
 
-def _factor(lhs: np.ndarray):
-    lu, piv = sla.lu_factor(lhs, overwrite_a=True)
-    if np.min(np.abs(np.diag(lu))) < 1e-300:
+def _factor(lhs):
+    """Solver for the step matrix, dense LU or sparse SuperLU, refusing a
+    zero pivot."""
+    if sp.issparse(lhs):
+        try:
+            # finite element matrices are structurally symmetric, so a
+            # minimum-degree order on A^T + A keeps the fill low
+            lu = spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: factor is exactly singular
+            raise SingularStepMatrix(f"implicit step matrix is singular: {exc}") from exc
+        pivots, solve = lu.U.diagonal(), lu.solve
+    else:
+        factor = sla.lu_factor(lhs, overwrite_a=True)
+        pivots = np.diag(factor[0])
+
+        def solve(b):
+            return sla.lu_solve(factor, b, overwrite_b=True)
+
+    if np.min(np.abs(pivots)) < 1e-300:
         raise SingularStepMatrix("implicit step matrix is singular")
-    return lu, piv
+    return solve
 
 
 def evolve_theta(
-    system: GalerkinSystem,
+    system: Union[GalerkinSystem, tuple],
     g0: np.ndarray,
     theta: float,
     dt: float,
     steps: int,
     loads: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Theta-scheme coefficients (steps + 1, k) from ``g0`` on a uniform grid.
+    """Theta-scheme states (steps + 1, n) from ``g0`` on a uniform grid.
 
     Each step solves
 
         D (g_{m+1} - g_m) / dt + A (theta g_{m+1} + (1 - theta) g_m)
-            = theta F_{m+1} + (1 - theta) F_m,   A = I + Chat,
+            = theta F_{m+1} + (1 - theta) F_m,
 
-    written as g_{m+1} = P g_m + q_m with the constant propagator
-    P = lhs^-1 rhs, lhs = D/dt + theta A, rhs = D/dt - (1 - theta) A, and the
-    load increments q_m = lhs^-1 (theta F_{m+1} + (1 - theta) F_m), all
-    solved with one factorization. ``loads`` holds the modal loads F at the
-    steps + 1 grid times, or None for a source-free problem.
+    that is lhs g_{m+1} = rhs g_m + q_m with lhs = D/dt + theta A,
+    rhs = D/dt - (1 - theta) A and q_m = theta F_{m+1} + (1 - theta) F_m.
+    ``system`` gives the pair (D, A): a GalerkinSystem its dense modal pair
+    (diag d, I + Chat), or a sparse nodal pair (M, K+ + C) is passed as is.
+    ``loads`` holds F at the steps + 1 grid times, or None for a
+    source-free problem.
+
+    A dense pair is stepped with the constant propagator P = lhs^-1 rhs and
+    the increments lhs^-1 q_m, all from one factorization; a sparse pair
+    with one sparse factor of lhs and one solve per step, so no n x n array
+    is formed.
     """
-    k = system.dimension
-    diag = np.diag_indices(k)
-    A = system.interaction + np.eye(k)
-    lhs = theta * A
-    lhs[diag] += system.capacitance / dt
-    A *= -(1.0 - theta)
-    A[diag] += system.capacitance / dt  # A now holds rhs
-    # lhs and rhs are dropped once the propagator exists: at k = N each is
-    # as large as the dense eigenbasis
-    factor = _factor(lhs)
-    del lhs
-    prop = sla.lu_solve(factor, A, overwrite_b=True)
-    del A
-
-    coeffs = np.zeros((steps + 1, k), dtype=complex)
-    coeffs[0] = g0
+    D, A = system.theta_pair() if isinstance(system, GalerkinSystem) else system
+    solve = _factor(D / dt + theta * A)
+    rhs = D / dt - (1.0 - theta) * A
+    del D, A
+    increments = None
     if loads is not None:
         increments = theta * loads[1:] + (1.0 - theta) * loads[:-1]
-        coeffs[1:] = sla.lu_solve(factor, increments.T, overwrite_b=True).T
-    del factor
+
+    coeffs = np.zeros((steps + 1, len(g0)), dtype=complex)
+    coeffs[0] = g0
+    if sp.issparse(rhs):
+        for m in range(steps):
+            b = rhs @ coeffs[m]
+            if increments is not None:
+                b += increments[m]
+            coeffs[m + 1] = solve(b)
+        return coeffs
+    prop = solve(rhs)
+    del rhs
+    if increments is not None:
+        coeffs[1:] = solve(increments.T).T
+    del solve
     for m in range(steps):
         coeffs[m + 1] += prop @ coeffs[m]
     return coeffs
@@ -180,6 +220,14 @@ def _modal_loads(source: Callable, forms: AssembledForms, H: np.ndarray, times: 
         modal[block] = F @ Hc
         dual_sq[block] = dual_norm(F, forms) ** 2
     return modal, dual_sq
+
+
+def _initial_vector(spec: ProblemSpec, forms: AssembledForms) -> np.ndarray:
+    """Reduced nodal initial vector u0, zero without initial data."""
+    if spec.initial is None:
+        return np.zeros(forms.N, dtype=complex)
+    coords = tuple(forms.mesh.nodes[:, i] for i in range(forms.mesh.dim))
+    return forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex))
 
 
 def solve_evolution(
@@ -201,11 +249,7 @@ def solve_evolution(
     dt = T / time_steps
     times = np.linspace(0.0, T, time_steps + 1)
 
-    u0 = np.zeros(forms.N, dtype=complex)
-    if spec.initial is not None:
-        coords = tuple(forms.mesh.nodes[:, i] for i in range(forms.mesh.dim))
-        u0 = forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex))
-
+    u0 = _initial_vector(spec, forms)
     sub_basis = EigenBasis(
         eigenvalues=basis.eigenvalues[:k],
         vectors=basis.vectors[:, :k],
@@ -235,6 +279,29 @@ def solve_evolution(
         forms=forms,
         modal_loads=modal_loads,
     )
+
+
+def solve_nodal(
+    spec: ProblemSpec, forms: AssembledForms, time_steps: int, theta: float = 0.5
+) -> np.ndarray:
+    """Reduced nodal states (steps + 1, N) of M u' + (K+ + C) u = F on [0, T].
+
+    This is the Galerkin solution with k = N: the same theta step as
+    ``evolve_theta`` over the nodal pair (M, K+ + C), started from the nodal
+    u0, which the full basis would reproduce exactly. Without the eigenbasis
+    the definiteness of M and K+ is checked by their factors, as the
+    eigensolver would (``NotSPD``).
+    """
+    definite_factor(forms.mass, "mass matrix")
+    definite_factor(forms.k_plus, "energy matrix K+")
+    T = spec.final_time
+    loads = None
+    if spec.source is not None:
+        times = np.linspace(0.0, T, time_steps + 1)
+        loads = assemble_load(forms.mesh, spec.source, times)
+    pair = (forms.mass, forms.k_plus + forms.first_order)
+    u0 = _initial_vector(spec, forms)
+    return evolve_theta(pair, u0, theta, T / time_steps, time_steps, loads)
 
 
 def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray:

@@ -29,6 +29,9 @@ class Mesh:
     ``nodes`` is (N, dim); ``elements`` is (E, dim+1) node indices with
     positive orientation; facets are (F, dim) node indices (a single node in
     1D). ``facet_dirichlet`` marks facets belonging to the constrained set.
+    ``size`` is the mesh size h, the longest element edge; the structured
+    generators give it from their exact spacing, otherwise it is measured
+    from the nodes.
     """
 
     dim: int
@@ -38,8 +41,15 @@ class Mesh:
     facet_normals: np.ndarray
     facet_measures: np.ndarray
     facet_dirichlet: np.ndarray
+    size: Optional[float] = None
     # Built on first use by ``assembly.load_operator``; not part of the mesh.
     _load_operator: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.size is None:
+            p = self.nodes[self.elements]
+            edges = p - np.roll(p, 1, axis=1)
+            self.size = float(np.max(np.linalg.norm(edges, axis=2)))
 
     @property
     def num_nodes(self) -> int:
@@ -94,7 +104,8 @@ def _interval_mesh(domain: Interval, resolution: int) -> Mesh:
     facets = np.array([[0], [resolution]])
     normals = np.array([[-1.0], [1.0]])
     measures = np.ones(2)
-    return Mesh(1, nodes, elements, facets, normals, measures, np.zeros(2, dtype=bool))
+    size = (domain.b - domain.a) / resolution
+    return Mesh(1, nodes, elements, facets, normals, measures, np.zeros(2, dtype=bool), size)
 
 
 def _rectangle_mesh(domain: Rectangle, resolution: int) -> Mesh:
@@ -130,7 +141,9 @@ def _rectangle_mesh(domain: Rectangle, resolution: int) -> Mesh:
     facets = np.array(facets)
     normals = np.array(normals)
     measures = np.linalg.norm(nodes[facets[:, 1]] - nodes[facets[:, 0]], axis=1)
-    return Mesh(2, nodes, elements, facets, normals, measures, np.zeros(len(facets), dtype=bool))
+    size = float(np.hypot((domain.bx - domain.ax) / n, (domain.by - domain.ay) / n))
+    dirichlet = np.zeros(len(facets), dtype=bool)
+    return Mesh(2, nodes, elements, facets, normals, measures, dirichlet, size)
 
 
 def _disk_mesh(domain: UnitDiskPolygon, resolution: int) -> Mesh:

@@ -21,6 +21,7 @@ class Preset:
     default_steps: int
     description: str
     oracle: Optional[Callable] = None  # exact solution (coords..., t) -> complex
+    spectrum: Optional[Callable] = None  # n -> first n exact pencil eigenvalues
 
 
 def _sine(x):
@@ -31,8 +32,26 @@ def _heat_oracle(x, t):
     return np.exp(-np.pi**2 * t) * np.sin(np.pi * x)
 
 
-def _all_boundary(x):
-    return np.ones(np.shape(x), dtype=bool)
+def _heat_spectrum(n):
+    return (np.pi * np.arange(1, n + 1)) ** 2
+
+
+def _sine2d(x, y):
+    return (np.sin(np.pi * x) * np.sin(np.pi * y)).astype(complex)
+
+
+def _heat2d_oracle(x, y, t):
+    return np.exp(-2.0 * np.pi**2 * t) * np.sin(np.pi * x) * np.sin(np.pi * y)
+
+
+def _heat2d_spectrum(n):
+    # pi^2 (i^2 + j^2) over i, j >= 1; i, j <= n covers the n smallest
+    i = np.arange(1, n + 1)
+    return np.sort(np.pi**2 * (i[:, None] ** 2 + i[None, :] ** 2), axis=None)[:n]
+
+
+def _all_boundary(*coords):
+    return np.ones(np.shape(coords[0]), dtype=bool)
 
 
 def _zero_boundary_fields(spec_kwargs):
@@ -42,7 +61,7 @@ def _zero_boundary_fields(spec_kwargs):
     return spec_kwargs
 
 
-def _dirichlet_interval(**overrides) -> ProblemSpec:
+def _dirichlet_problem(**overrides) -> ProblemSpec:
     kwargs = dict(
         domain=Interval(0.0, 1.0),
         final_time=0.1,
@@ -59,22 +78,22 @@ def _dirichlet_interval(**overrides) -> ProblemSpec:
 
 
 def build_heat1d() -> ProblemSpec:
-    return _dirichlet_interval()
+    return _dirichlet_problem()
 
 
 def build_zero1d() -> ProblemSpec:
-    return _dirichlet_interval(initial=fields.constant_scalar(0.0))
+    return _dirichlet_problem(initial=fields.constant_scalar(0.0))
 
 
 def build_growth1d() -> ProblemSpec:
     # a0 = -5: the nonnegative part vanishes and the remainder drives growth.
-    return _dirichlet_interval(
+    return _dirichlet_problem(
         zero_order_delta_a0=fields.constant_scalar(-5.0), final_time=0.2
     )
 
 
 def build_drift1d() -> ProblemSpec:
-    return _dirichlet_interval(
+    return _dirichlet_problem(
         first_order=[fields.constant_scalar(0.5)],
         zero_order_delta_a0=fields.constant_scalar(-0.2j),
         final_time=0.2,
@@ -86,7 +105,16 @@ def _forcing(x, t):
 
 
 def build_forced1d() -> ProblemSpec:
-    return _dirichlet_interval(source=_forcing, final_time=0.5)
+    return _dirichlet_problem(source=_forcing, final_time=0.5)
+
+
+def build_heat2d() -> ProblemSpec:
+    return _dirichlet_problem(
+        domain=Rectangle(0.0, 1.0, 0.0, 1.0),
+        final_time=0.05,
+        principal=fields.constant_matrix(np.eye(2)),
+        initial=_sine2d,
+    )
 
 
 def build_disk() -> ProblemSpec:
@@ -138,6 +166,17 @@ PRESETS: dict[str, Preset] = {
         default_steps=100,
         description="1D heat equation, fully constrained boundary, sine initial data",
         oracle=_heat_oracle,
+        spectrum=_heat_spectrum,
+    ),
+    "heat2d": Preset(
+        "heat2d",
+        build_heat2d,
+        default_resolution=16,
+        default_k=10,
+        default_steps=50,
+        description="2D heat equation on the unit square, fully constrained boundary",
+        oracle=_heat2d_oracle,
+        spectrum=_heat2d_spectrum,
     ),
     "zero1d": Preset(
         "zero1d",

@@ -202,8 +202,9 @@ def validate_coefficients(spec: ProblemSpec, sample_density: int = 32) -> Valida
         if spec.dirichlet_selector is not None:
             off_s = ~np.asarray(spec.dirichlet_selector(*bcoords), dtype=bool)
         if off_s.any():
-            b1v = np.real(spec.boundary_b1(*bcoords))[off_s]
-            b00v = np.real(spec.boundary_b00(*bcoords))[off_s]
+            robin = tuple(c[off_s] for c in bcoords)
+            b1v = np.real(spec.boundary_b1(*robin))
+            b00v = np.real(spec.boundary_b00(*robin))
             if np.any(b1v == 0.0):
                 robin_ok = False
             else:

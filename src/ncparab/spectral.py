@@ -81,7 +81,7 @@ def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
     return eigenvalues[order], vectors[:, order]
 
 
-def _definite_factor(mat, name: str):
+def definite_factor(mat, name: str):
     """Sparse LU of a Hermitian matrix, preferring diagonal pivots.
 
     Elimination in a symmetric order has real positive pivots and no row
@@ -89,7 +89,9 @@ def _definite_factor(mat, name: str):
     doubles as the definiteness check.
     """
     try:
-        lu = spla.splu(mat, diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = spla.splu(
+            sp.csc_matrix(mat), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         raise NotSPD(f"{name} is singular: {exc}") from exc
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0.0)):
@@ -107,9 +109,9 @@ def _shift_invert(K, M, count: int):
     conditioned when K+ is singular, and far below the smallest eigenvalue
     on the shipped meshes, so the shifted spectrum stays well separated.
     """
-    _definite_factor(M, "mass matrix")
+    definite_factor(M, "mass matrix")
     sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
-    lu = _definite_factor((K - sigma * M).tocsc(), "shifted pencil K+ - sigma M")
+    lu = definite_factor((K - sigma * M).tocsc(), "shifted pencil K+ - sigma M")
     solve = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.U.dtype)
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     try:

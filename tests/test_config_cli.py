@@ -406,3 +406,107 @@ def test_repeated_runs_identical_in_process(tmp_path):
         with open(os.path.join(out, "trajectory.csv"), "rb") as fh:
             outs.append(fh.read())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("domain", ["rectangle(0,0,0,1)", "interval(1,0)"])
+def test_cli_degenerate_domain_is_config_error(tmp_path, domain, monkeypatch):
+    def no_mesh(*args):
+        raise AssertionError("meshed a degenerate domain")
+
+    monkeypatch.setattr(cli, "discretize", no_mesh)
+    cfg = _write_cfg(
+        tmp_path, f"problem.preset = inline\nproblem.domain = {domain}\nproblem.s = all\n"
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_parse_domain_rejects_degenerate_bounds():
+    for bad in ("interval(1,0)", "interval(0,0)", "interval(0,inf)", "rectangle(0,0,0,1)",
+                "rectangle(0,1,1,0)", "rectangle(0,1,0,nan)", "disk(2)"):
+        with pytest.raises(ConfigError):
+            parse_domain(bad)
+
+
+def test_cli_unparsable_diag_principal_is_config_error(tmp_path):
+    for principal in ("diag(1,x)", "diag(1,nan)"):
+        cfg = _write_cfg(
+            tmp_path,
+            "problem.preset = inline\nproblem.domain = rectangle(0,1,0,1)\n"
+            f"problem.principal = {principal}\nproblem.s = all\nmesh.resolution = 4\n",
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_non_finite_problem_values_are_config_errors(tmp_path):
+    table = tmp_path / "nan.csv"
+    table.write_text("x,re,im\n0.0,1.0,0.0\n1.0,nan,0.0\n")
+    for line in ("problem.a0 = nan", "problem.b0 = inf", "problem.first_order = nan",
+                 "problem.first_order = x", "problem.T = nan", "problem.T = inf",
+                 f"problem.a0 = csv:{table}"):
+        cfg = _write_cfg(
+            tmp_path,
+            "problem.preset = inline\nproblem.domain = interval(0,1)\nproblem.s = all\n"
+            f"mesh.resolution = 6\n{line}\n",
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2, line
+
+
+def test_b1_may_vanish_on_the_constrained_set_only(tmp_path):
+    # b1 vanishes at x = 0: allowed where the solution is pinned (S = left),
+    # a division by zero where the Robin condition needs b0/b1 (S = right)
+    table = tmp_path / "b1.csv"
+    table.write_text("x,re,im\n0.0,0.0,0.0\n1.0,1.0,0.0\n")
+    for side, code in (("left", 0), ("right", 3)):
+        cfg = _write_cfg(
+            tmp_path,
+            "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+            f"problem.s = {side}\nproblem.u0 = sine\nproblem.b1 = csv:{table}\n"
+            "mesh.resolution = 20\nbasis.k = 3\ntime.steps = 5\n",
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / side)]) == code
+
+
+def test_cli_convergence_heat2d_second_order(tmp_path):
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = heat2d\nconvergence.levels = 3\nmesh.resolution = 8\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["convergence", "--config", cfg, "--out", out]) == 0
+    _, rows = _read_csv(os.path.join(out, "convergence.csv"))
+    h, dt = ([float(r[i]) for r in rows] for i in (0, 1))
+    # h is the longest edge, the cell diagonal; dt = h/10 rounded to whole
+    # steps on the coarsest level, then halved with h
+    assert h == pytest.approx([np.sqrt(2.0) / 8 / 2**i for i in range(3)], rel=1e-15)
+    assert dt == pytest.approx([0.05 / 3 / 2**i for i in range(3)], rel=1e-15)
+    orders = [float(r[3]) for r in rows[1:]]
+    assert all(abs(o - 2.0) <= 0.02 for o in orders)
+
+
+def test_cli_convergence_heat2d_eigs_mode_second_order(tmp_path):
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = heat2d\nconvergence.mode = eigs\nconvergence.levels = 3\n"
+        "mesh.resolution = 8\n",
+    )
+    out = str(tmp_path / "out")
+    assert main(["convergence", "--config", cfg, "--out", out]) == 0
+    _, rows = _read_csv(os.path.join(out, "convergence.csv"))
+    orders = [float(r[3]) for r in rows[1:]]
+    assert all(abs(o - 2.0) <= 0.3 for o in orders)
+
+
+@pytest.mark.parametrize("mode", ["space_time", "time"])
+def test_cli_convergence_computes_no_eigenbasis(tmp_path, monkeypatch, mode):
+    from ncparab import integrator
+
+    def no_eigenbasis(*args):
+        raise AssertionError("convergence computed an eigenbasis")
+
+    monkeypatch.setattr(integrator, "generalized_eigenbasis", no_eigenbasis)
+    cfg = _write_cfg(
+        tmp_path,
+        f"problem.preset = heat1d\nconvergence.mode = {mode}\nconvergence.levels = 2\n"
+        "mesh.resolution = 20\ntime.steps = 10\n",
+    )
+    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -1,17 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncparab.errors import TimeOffGrid
+from ncparab.assembly import assemble_load
+from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
 from ncparab.integrator import (
     GalerkinSystem,
     build_galerkin_system,
+    discretize,
     energy_identity_residuals,
     evolve_theta,
     project_initial,
     reconstruct_solution,
     solve_evolution,
+    solve_nodal,
 )
+from ncparab.presets import get_preset
 from ncparab.spectral import generalized_eigenbasis
 from tests.conftest import build_pipeline
 
@@ -233,3 +242,67 @@ def test_l2_trace_jumps_shrink_linearly_with_dt():
         jumps.append(float(np.max(np.abs(np.diff(norms)))))
     for coarse, fine in zip(jumps[:-1], jumps[1:]):
         assert 1.5 <= coarse / fine <= 2.5
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["heat1d", "drift1d", "growth1d"]),
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([0.5, 1.0]),
+)
+def test_nodal_step_is_the_full_basis_galerkin_solution(name, resolution, steps, theta):
+    # with k = N the modal system is the nodal one in another basis, so both
+    # theta schemes give the same final state
+    spec = get_preset(name).build()
+    forms, basis = discretize(spec, resolution, None)
+    modal = solve_evolution(spec, forms, basis, basis.size, steps, theta)
+    expected = basis.vectors @ modal.coefficients[-1]
+    nodal = solve_nodal(spec, forms, steps, theta)
+    assert nodal.shape == (steps + 1, forms.N)
+    assert np.array_equal(nodal[0], modal.initial)
+    diff = nodal[-1] - expected
+    err = np.sqrt(np.real(np.vdot(diff, forms.mass @ diff)))
+    ref = np.sqrt(np.real(np.vdot(expected, forms.mass @ expected)))
+    assert err <= 1e-9 * ref
+
+
+def test_nodal_step_matches_a_direct_sparse_solve():
+    spec = get_preset("forced1d").build()
+    forms, _ = discretize(spec, 20, 0)
+    theta, steps = 0.5, 6
+    states = solve_nodal(spec, forms, steps, theta)
+    dt = spec.final_time / steps
+    A = (forms.k_plus + forms.first_order).toarray()
+    M = forms.mass.toarray()
+    times = np.linspace(0.0, spec.final_time, steps + 1)
+    F = assemble_load(forms.mesh, spec.source, times)
+    for m in range(steps):
+        b = (M / dt - (1.0 - theta) * A) @ states[m] + theta * F[m + 1] + (1.0 - theta) * F[m]
+        assert np.allclose(np.linalg.solve(M / dt + theta * A, b), states[m + 1], rtol=1e-12)
+
+
+def test_nodal_step_refuses_indefinite_or_singular_forms():
+    spec = get_preset("heat1d").build()
+    forms, basis = discretize(spec, 10, 0)
+    assert basis is None
+    K = forms.k_plus.tolil()
+    K[0, :] = 0.0
+    K[:, 0] = 0.0
+    for bad in (
+        {"mass": -forms.mass},
+        {"mass": forms.mass - sp.diags(np.r_[1.0, np.zeros(forms.N - 1)])},
+        {"k_plus": -forms.k_plus},
+        {"k_plus": K.tocsr()},
+    ):
+        with pytest.raises(NotSPD):
+            solve_nodal(spec, dataclasses.replace(forms, **bad), 4, 0.5)
+
+
+def test_singular_step_matrix_raises_for_dense_and_sparse_pairs():
+    # D/dt + theta A vanishes: with dt = 0.5 and theta = 1, A = -2 D
+    dense = GalerkinSystem(dimension=2, interaction=-3.0 * np.eye(2), capacitance=np.ones(2))
+    sparse = (sp.identity(2, format="csr"), -2.0 * sp.identity(2, format="csr"))
+    for system in (dense, sparse):
+        with pytest.raises(SingularStepMatrix):
+            evolve_theta(system, np.ones(2, dtype=complex), 1.0, 0.5, 3)

@@ -100,3 +100,14 @@ def test_invalid_inputs():
         build_mesh("not-a-domain", 4)
     with pytest.raises(InvalidDomain):
         build_mesh(UnitDiskPolygon(2), 4)
+
+
+def test_mesh_size_is_the_longest_edge():
+    # exact spacing on the structured meshes, measured on the disk
+    assert build_mesh(Interval(0.0, 1.0), 200).size == 1.0 / 200
+    rect = build_mesh(Rectangle(0.0, 1.0, 0.0, 2.0), 8)
+    assert rect.size == pytest.approx(np.hypot(1.0 / 8, 2.0 / 8), rel=1e-15)
+    for mesh in (rect, build_mesh(UnitDiskPolygon(16), 4)):
+        p = mesh.nodes[mesh.elements]
+        edges = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2)
+        assert np.max(edges) == pytest.approx(mesh.size, rel=1e-14)
