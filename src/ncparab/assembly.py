@@ -17,12 +17,11 @@ coefficients are elementwise constant.
 
 Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
-block of times costs one source evaluation per time and one sparse product.
+block of times costs one source evaluation and one sparse product.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -220,16 +219,18 @@ def assemble_load(mesh: Mesh, f: Optional[Callable], times: Sequence[float]) -> 
     """Load vectors <f(., t), phi_i> with constrained entries dropped, one row
     per time in ``times``.
 
-    ``f(*coords, t)`` is evaluated once per time at the quadrature points;
-    the whole block is one sparse product with the mesh's load operator.
+    ``f`` is called once for the whole block, with the quadrature-point
+    coordinates as columns and the times as a row, so its values are an
+    (E*Q, len(times)) array; the block is one sparse product with the mesh's
+    load operator.
     """
     op = load_operator(mesh)
+    times = np.asarray(times, dtype=float)
     if f is None:
         return np.zeros((len(times), op.matrix.shape[0]), dtype=complex)
-    values = np.empty((len(times), op.matrix.shape[1]), dtype=complex)
-    for i, t in enumerate(times):
-        values[i] = f(*op.coords, t)
-    return (op.matrix @ values.T).T
+    values = f(*(c[:, None] for c in op.coords), times[None, :])
+    values = np.broadcast_to(np.asarray(values, dtype=complex), (op.matrix.shape[1], len(times)))
+    return (op.matrix @ values).T
 
 
 def free_nodes(mesh: Mesh) -> np.ndarray:
@@ -315,16 +316,3 @@ def assemble_forms(
         mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C
     )
 
-
-def export_matrix_coo(path: str, matrix) -> None:
-    """Write a matrix in coordinate text format (row, col, re, im)."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["row", "col", "re", "im"])
-        for i in order:
-            v = complex(coo.data[i])
-            w.writerow(
-                [int(coo.row[i]), int(coo.col[i]), format(v.real, ".17g"), format(v.imag, ".17g")]
-            )

@@ -5,8 +5,9 @@ eigenvalues), ``convergence`` (refinement study against the exact solution),
 ``check`` (estimate verification only), ``sharpness`` (embedding series).
 Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
 3 numerical failure, 4 internal error (any other exception; its traceback
-goes to stderr). Output CSVs are written atomically with 17 significant
-digits so identical runs are byte-identical.
+goes to stderr). Every output file, the mesh and matrix exports included,
+goes through one table writer: written atomically with LF line endings and
+floats with 17 significant digits, so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy.sparse as sp
 
-from .assembly import export_matrix_coo
 from .config import RunConfig, build_problem, named_preset
 from .errors import ConfigError, NcparabError, NoOracle
 from .estimates import (
@@ -36,17 +37,28 @@ from .integrator import (
     solve_evolution,
     solve_nodal,
 )
-from .meshing import build_mesh, export_mesh
+from .meshing import Mesh, build_mesh
 from .presets import get_preset
 from .sharpness import find_divergence_epsilon, series_hs_lower_bound, series_plus_norm
 
 
+# %-format of a table column by numpy dtype kind; bools are written as
+# true/false strings. 17 significant digits round-trip every float.
+_FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+
+
+def _cells(column) -> tuple[str, list]:
+    """The %-format and the Python values of one table column."""
+    values = np.asarray(column)
+    if values.dtype.kind == "b":
+        values = np.where(values, "true", "false")
+    return _FORMATS[values.dtype.kind], values.tolist()
+
+
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    """One value as the table writer writes it in a column of its type."""
+    fmt, (value,) = _cells([v])
+    return fmt % value
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -56,11 +68,49 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _write_table(path: str, header: list[str], columns: list) -> None:
+    """Write equal-length columns as a CSV table, one %-format call per row."""
+    formats, values = zip(*map(_cells, columns))
+    line = ",".join(formats) + "\n"
+    rows = "".join(line % row for row in zip(*values))
+    _atomic_write(path, ",".join(header) + "\n" + rows)
+
+
+def export_mesh(mesh: Mesh, out_dir: str) -> None:
+    """Write nodes.csv, elements.csv and facets.csv into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    names = ["n0", "n1", "n2"]
+    _write_table(
+        os.path.join(out_dir, "nodes.csv"),
+        ["id", "x", "y"][: 1 + mesh.dim],
+        [np.arange(mesh.num_nodes), *mesh.nodes.T],
+    )
+    _write_table(
+        os.path.join(out_dir, "elements.csv"),
+        ["id"] + names[: mesh.elements.shape[1]],
+        [np.arange(len(mesh.elements)), *mesh.elements.T],
+    )
+    _write_table(
+        os.path.join(out_dir, "facets.csv"),
+        ["id"] + names[: mesh.boundary_facets.shape[1]] + ["tag"],
+        [
+            np.arange(len(mesh.boundary_facets)),
+            *mesh.boundary_facets.T,
+            np.where(mesh.facet_dirichlet, "S", "robin"),
+        ],
+    )
+
+
+def export_matrix_coo(path: str, matrix) -> None:
+    """Write a matrix in coordinate text format (row, col, re, im), row-major."""
+    coo = sp.coo_matrix(matrix)
+    order = np.lexsort((coo.col, coo.row))
+    data = coo.data[order]
+    _write_table(
+        path,
+        ["row", "col", "re", "im"],
+        [coo.row[order], coo.col[order], np.real(data), np.imag(data)],
+    )
 
 
 def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
@@ -119,21 +169,26 @@ def run_solve(
         header = ["t", "norm_plus_sq", "norm_l2_sq", "dual_f_sq"] + [
             f"g_abs_{j}" for j in range(1, shown + 1)
         ]
-        rows = [
-            [t, trajectory.norm_plus_sq[m], trajectory.norm_l2_sq[m], trajectory.dual_f_sq[m]]
-            + list(np.abs(trajectory.coefficients[m, :shown]))
-            for m, t in enumerate(trajectory.times)
-        ]
-        _write_csv(os.path.join(out_dir, "trajectory.csv"), header, rows)
+        _write_table(
+            os.path.join(out_dir, "trajectory.csv"),
+            header,
+            [
+                trajectory.times,
+                trajectory.norm_plus_sq,
+                trajectory.norm_l2_sq,
+                trajectory.dual_f_sq,
+                *np.abs(trajectory.coefficients[:, :shown]).T,
+            ],
+        )
         final = reconstruct_solution(trajectory, trajectory.times[-1])
-        _write_csv(
+        _write_table(
             os.path.join(out_dir, "solution_final.csv"),
             ["id", "re", "im"],
-            [[i, v.real, v.imag] for i, v in enumerate(final)],
+            [np.arange(len(final)), final.real, final.imag],
         )
 
     report_rows, ok = _run_estimates(cfg, spec, trajectory)
-    _write_csv(os.path.join(out_dir, "report.csv"), ["key", "value"], report_rows)
+    _write_table(os.path.join(out_dir, "report.csv"), ["key", "value"], list(zip(*report_rows)))
     if write_mesh:
         export_mesh(forms.mesh, out_dir)
     return 0 if ok else 1
@@ -151,10 +206,11 @@ def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     spec, resolution, k, _ = build_problem(cfg)
     _, basis = discretize(spec, resolution, k)
-    rows = [
-        [j + 1, basis.eigenvalues[j], basis.mass_norms[j]] for j in range(basis.size)
-    ]
-    _write_csv(os.path.join(out_dir, "eigenvalues.csv"), ["j", "lambda", "mass_norm"], rows)
+    _write_table(
+        os.path.join(out_dir, "eigenvalues.csv"),
+        ["j", "lambda", "mass_norm"],
+        [np.arange(1, basis.size + 1), basis.eigenvalues, basis.mass_norms],
+    )
     if vectors:
         export_matrix_coo(os.path.join(out_dir, "eigenvectors.csv"), basis.vectors)
     return 0
@@ -171,7 +227,7 @@ def solve_error_vs_oracle(preset_name: str, resolution: int, steps: int, theta: 
         raise NoOracle(f"preset {preset_name!r} has no exact solution")
     spec = preset.build()
     forms, _ = discretize(spec, resolution, 0)
-    numeric = solve_nodal(spec, forms, steps, theta)[-1]
+    numeric = solve_nodal(spec, forms, steps, theta)
     mesh = forms.mesh
     coords = tuple(mesh.nodes[forms.dofmap.free, i] for i in range(mesh.dim))
     exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
@@ -223,12 +279,16 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     else:
         errors = [_convergence_level(level) for level in levels]
 
-    rows = []
-    for i, (h, n, err) in enumerate(zip(sizes, steps, errors)):
-        dt = float("nan") if mode == "eigs" else spec.final_time / n
-        order = float("nan") if i == 0 else float(np.log2(errors[i - 1] / err))
-        rows.append([h, dt, err, order])
-    _write_csv(os.path.join(out_dir, "convergence.csv"), ["h", "dt", "error", "observed_order"], rows)
+    dts = [float("nan") if mode == "eigs" else spec.final_time / n for n in steps]
+    orders = [
+        float("nan") if i == 0 else float(np.log2(errors[i - 1] / err))
+        for i, err in enumerate(errors)
+    ]
+    _write_table(
+        os.path.join(out_dir, "convergence.csv"),
+        ["h", "dt", "error", "observed_order"],
+        [sizes, dts, errors, orders],
+    )
     return 0
 
 
@@ -249,10 +309,10 @@ def run_sharpness(cfg: RunConfig, out_dir: str) -> int:
         rows.append([n, partial_a, tail_a, lower.partial_sum, verdict])
         if n == terms and lower.diverges and not lower.growth_observed:
             consistent = False
-    _write_csv(
+    _write_table(
         os.path.join(out_dir, "sharpness.csv"),
         ["N", "partial_A", "tail_A", "partial_B", "verdict"],
-        rows,
+        list(zip(*rows)),
     )
     return 0 if consistent else 1
 

@@ -6,8 +6,11 @@ Conventions used throughout the package:
   coordinates are numpy arrays of a common shape, and returns an array of
   that shape (complex or real);
 * a matrix field returns shape ``coords + (n, n)``;
-* a source term takes a trailing float time argument, ``f(x, t)`` or
-  ``f(x, y, t)``.
+* a source term takes a trailing time argument, ``f(x, t)`` or
+  ``f(x, y, t)``, where ``t`` is an array that broadcasts against the
+  coordinates: the loads of a block of times come from one call with the
+  points as a column and the times as a row, and the result must broadcast
+  to their common shape.
 
 Named presets cover the configurations used by the shipped experiments;
 tabulated fields can be loaded from CSV for anything else.

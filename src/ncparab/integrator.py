@@ -11,15 +11,15 @@ complex and solved natively in complex arithmetic with a one-parameter
 implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
 backward Euler). The coefficients do not depend on time, so the step matrix
 is factored once and each step applies a constant propagator. The source is
-evaluated in blocks of grid times; only the modal loads and the dual norms
-of each block are kept.
+called once per block of grid times; only the modal loads and the dual
+norms of each block are kept.
 
 When the basis spans the whole finite element space (k = N), the modal
 system is the nodal system M u' + (K+ + C) u = F written in another basis.
 ``solve_nodal`` steps that system directly with the same theta step over the
 sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C) and one
-sparse product per step, with no eigensolve and no dense N x N array. The
-convergence studies take this path.
+sparse product per step, with no eigensolve and no dense N x N array, and
+keeps only the current state. The convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -47,7 +47,8 @@ from .problem import (
 )
 from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
 
-# Grid times per source evaluation block: bounds the full-size loads held at
+# Grid times per source call: bounds the source values of one call to
+# (E*Q, LOAD_BLOCK) and the full-size loads that solve_evolution holds at
 # once to (LOAD_BLOCK, N). The energy-identity check walks the same blocks.
 LOAD_BLOCK = 64
 
@@ -162,7 +163,8 @@ def evolve_theta(
     steps: int,
     loads: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Theta-scheme states (steps + 1, n) from ``g0`` on a uniform grid.
+    """Theta-scheme states from ``g0`` on a uniform grid: all steps + 1 of
+    them (steps + 1, n) for a dense pair, the final one (n,) for a sparse pair.
 
     Each step solves
 
@@ -178,8 +180,8 @@ def evolve_theta(
 
     A dense pair is stepped with the constant propagator P = lhs^-1 rhs and
     the increments lhs^-1 q_m, all from one factorization; a sparse pair
-    with one sparse factor of lhs and one solve per step, so no n x n array
-    is formed.
+    with one sparse factor of lhs and one solve per step, carrying a single
+    state, so no n x n array and no (steps + 1, n) array of states is formed.
     """
     D, A = system.theta_pair() if isinstance(system, GalerkinSystem) else system
     solve = _factor(D / dt + theta * A)
@@ -189,15 +191,16 @@ def evolve_theta(
     if loads is not None:
         increments = theta * loads[1:] + (1.0 - theta) * loads[:-1]
 
-    coeffs = np.zeros((steps + 1, len(g0)), dtype=complex)
-    coeffs[0] = g0
     if sp.issparse(rhs):
+        g = np.asarray(g0, dtype=complex)
         for m in range(steps):
-            b = rhs @ coeffs[m]
+            b = rhs @ g
             if increments is not None:
                 b += increments[m]
-            coeffs[m + 1] = solve(b)
-        return coeffs
+            g = solve(b)
+        return g
+    coeffs = np.zeros((steps + 1, len(g0)), dtype=complex)
+    coeffs[0] = g0
     prop = solve(rhs)
     del rhs
     if increments is not None:
@@ -208,15 +211,21 @@ def evolve_theta(
     return coeffs
 
 
+def _load_blocks(source: Callable, forms: AssembledForms, times: np.ndarray):
+    """Reduced loads F(t) at the grid times, LOAD_BLOCK times per block:
+    pairs of the block's slice and its (block length, N) loads."""
+    for start in range(0, len(times), LOAD_BLOCK):
+        block = slice(start, start + LOAD_BLOCK)
+        yield block, assemble_load(forms.mesh, source, times[block])
+
+
 def _modal_loads(source: Callable, forms: AssembledForms, H: np.ndarray, times: np.ndarray):
     """Modal loads H* F(t), one row per grid time, and the squared dual norms
-    of the full loads F(t), assembled LOAD_BLOCK times at a time."""
+    of the full loads F(t)."""
     Hc = H.conj()
     modal = np.empty((len(times), H.shape[1]), dtype=complex)
     dual_sq = np.empty(len(times))
-    for start in range(0, len(times), LOAD_BLOCK):
-        block = slice(start, start + LOAD_BLOCK)
-        F = assemble_load(forms.mesh, source, times[block])
+    for block, F in _load_blocks(source, forms, times):
         modal[block] = F @ Hc
         dual_sq[block] = dual_norm(F, forms) ** 2
     return modal, dual_sq
@@ -253,7 +262,6 @@ def solve_evolution(
     sub_basis = EigenBasis(
         eigenvalues=basis.eigenvalues[:k],
         vectors=basis.vectors[:, :k],
-        plus_norms=basis.plus_norms[:k],
         mass_norms=basis.mass_norms[:k],
     )
     if spec.source is None:
@@ -284,7 +292,7 @@ def solve_evolution(
 def solve_nodal(
     spec: ProblemSpec, forms: AssembledForms, time_steps: int, theta: float = 0.5
 ) -> np.ndarray:
-    """Reduced nodal states (steps + 1, N) of M u' + (K+ + C) u = F on [0, T].
+    """Reduced nodal state (N,) at T of M u' + (K+ + C) u = F on [0, T].
 
     This is the Galerkin solution with k = N: the same theta step as
     ``evolve_theta`` over the nodal pair (M, K+ + C), started from the nodal
@@ -298,7 +306,7 @@ def solve_nodal(
     loads = None
     if spec.source is not None:
         times = np.linspace(0.0, T, time_steps + 1)
-        loads = assemble_load(forms.mesh, spec.source, times)
+        loads = np.concatenate([F for _, F in _load_blocks(spec.source, forms, times)])
     pair = (forms.mass, forms.k_plus + forms.first_order)
     u0 = _initial_vector(spec, forms)
     return evolve_theta(pair, u0, theta, T / time_steps, time_steps, loads)

@@ -8,8 +8,6 @@ measures, and a Dirichlet tag decided by a midpoint predicate.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,9 +15,6 @@ import numpy as np
 
 from .errors import InvalidDomain
 from .problem import Domain, Interval, Rectangle, UnitDiskPolygon
-
-DIRICHLET_TAG = "S"
-ROBIN_TAG = "robin"
 
 
 @dataclass
@@ -195,25 +190,3 @@ def _orient_positive(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
     out[neg, 1], out[neg, 2] = elements[neg, 2], elements[neg, 1]
     return out
 
-
-def export_mesh(mesh: Mesh, out_dir: str) -> None:
-    """Write nodes.csv, elements.csv and facets.csv into ``out_dir``."""
-    os.makedirs(out_dir, exist_ok=True)
-    coord_cols = ["x"] if mesh.dim == 1 else ["x", "y"]
-    with open(os.path.join(out_dir, "nodes.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + coord_cols)
-        for i, p in enumerate(mesh.nodes):
-            w.writerow([i] + [format(v, ".17g") for v in p])
-    elem_cols = ["n0", "n1"] if mesh.dim == 1 else ["n0", "n1", "n2"]
-    with open(os.path.join(out_dir, "elements.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + elem_cols)
-        for i, e in enumerate(mesh.elements):
-            w.writerow([i] + list(map(int, e)))
-    facet_cols = ["n0"] if mesh.dim == 1 else ["n0", "n1"]
-    with open(os.path.join(out_dir, "facets.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + facet_cols + ["tag"])
-        for i, (f, is_s) in enumerate(zip(mesh.boundary_facets, mesh.facet_dirichlet)):
-            w.writerow([i] + list(map(int, f)) + [DIRICHLET_TAG if is_s else ROBIN_TAG])

@@ -37,7 +37,6 @@ class EigenBasis:
 
     eigenvalues: np.ndarray  # ascending, positive
     vectors: np.ndarray  # (N, k), columns h_j with h_j* K+ h_j = 1
-    plus_norms: np.ndarray  # h_j* K+ h_j, all 1 by normalization
     mass_norms: np.ndarray  # h_j* M h_j = 1/lambda_j
 
     @property
@@ -143,11 +142,8 @@ def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
         raise NotSPD(f"pencil eigenvalue {float(np.min(w)):.3e} is not positive")
     # Both kernels return M-orthonormal vectors, so h* K+ h = lambda h* M h = 1.
     vectors = V / np.sqrt(w)[None, :]
-    plus_norms = np.real(np.einsum("ij,ij->j", vectors.conj(), K @ vectors))
     mass_norms = np.real(np.einsum("ij,ij->j", vectors.conj(), M @ vectors))
-    return EigenBasis(
-        eigenvalues=w, vectors=vectors, plus_norms=plus_norms, mass_norms=mass_norms
-    )
+    return EigenBasis(eigenvalues=w, vectors=vectors, mass_norms=mass_norms)
 
 
 def verify_orthogonality(basis: EigenBasis, k_plus, mass) -> OrthogonalityReport:

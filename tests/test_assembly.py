@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import fields
+from ncparab.config import _source_from_name
 from ncparab.assembly import (
     AssembledForms,
     DofMap,
@@ -20,7 +21,7 @@ from ncparab.assembly import (
 )
 from ncparab.errors import ConstraintOnAllDofs, SingularKPlus
 from ncparab.meshing import Mesh, build_mesh
-from ncparab.presets import build_disk
+from ncparab.presets import _forcing, build_disk
 from ncparab.problem import (
     Interval,
     ProblemSpec,
@@ -247,6 +248,43 @@ def test_blocked_load_is_exact_for_affine_sources(case, constrained, n_times, se
     blocked = dual_norm(F, forms)
     one_by_one = [np.sqrt(np.real(np.vdot(row, forms.k_plus_solve(row)))) for row in F]
     assert np.allclose(blocked, one_by_one, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(LOAD_DOMAINS)).flatmap(
+        lambda name: st.tuples(st.just(name), st.integers(*LOAD_DOMAINS[name][1:]))
+    ),
+    st.sampled_from(["sine_cos", "forcing", "affine"]),
+    st.integers(1, 150),
+    st.integers(0, 2**32 - 1),
+)
+def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
+    # the block's one source call gives bit for bit the loads of one call
+    # per time; the 1D sources are lifted to 2D by ignoring y
+    name, resolution = case
+    domain = LOAD_DOMAINS[name][0]
+    rng = np.random.default_rng(seed)
+    if source == "affine":
+        a0 = complex(*rng.standard_normal(2))
+        a = rng.standard_normal(domain.dim) + 1j * rng.standard_normal(domain.dim)
+
+        def f(*args):
+            *x, t = args
+            return np.exp(3j * t) * (1.0 + t * t) * (a0 + sum(a_l * x_l for a_l, x_l in zip(a, x)))
+
+    else:
+        g = _source_from_name("sine_cos", 1) if source == "sine_cos" else _forcing
+
+        def f(*args):
+            return g(args[0], args[-1])
+
+    mesh = build_mesh(domain, resolution)
+    times = np.sort(rng.uniform(0.0, 2.0, n_times))
+    blocked = assemble_load(mesh, f, times)
+    one_by_one = np.concatenate([assemble_load(mesh, f, [t]) for t in times])
+    assert blocked.shape == (n_times, len(free_nodes(mesh)))
+    assert np.array_equal(blocked, one_by_one)
 
 
 def test_apply_constraints_identity_when_s_empty():

@@ -4,12 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from ncparab.assembly import export_matrix_coo
 from ncparab import cli
-from ncparab.cli import main
+from ncparab.cli import export_matrix_coo, export_mesh, main
 from ncparab.config import RunConfig, build_problem, parse_domain
 from ncparab.errors import ConfigError
-from ncparab.meshing import build_mesh, export_mesh
+from ncparab.meshing import build_mesh
 from ncparab.problem import Interval, Rectangle, UnitDiskPolygon
 
 
@@ -392,6 +391,61 @@ def test_matrix_coordinate_export(tmp_path):
     assert header == ["row", "col", "re", "im"]
     parsed = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in rows]
     assert parsed == [(0, 0, 1.0, 0.0), (1, 0, 0.0, 2.0), (1, 1, 3.0, 0.0)]
+
+
+def _per_cell_line(row):
+    # the writer's reference: each cell formatted and joined one at a time
+    def fmt(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (bool, np.bool_)):
+            return "true" if v else "false"
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".17g")
+
+    return ",".join(fmt(v) for v in row)
+
+
+def test_table_writer_matches_per_cell_formatting(tmp_path):
+    floats = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e308,
+              -1.7976931348623157e308, 0.1, 1.0 / 3.0, 2.0, np.float64(-2.5e-300)]
+    n = len(floats)
+    columns = [
+        floats,
+        np.array(floats[::-1]),
+        list(range(-3, n - 3)),
+        np.arange(n, dtype=np.int64) * 10**17,
+        np.arange(n, dtype=np.uint32),
+        [i % 2 == 0 for i in range(n)],
+        np.arange(n) % 3 == 0,
+        [f"s{i}" for i in range(n)],
+    ]
+    path = str(tmp_path / "table.csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    cli._write_table(path, header, columns)
+    expected = [",".join(header)] + [_per_cell_line(row) for row in zip(*columns)]
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join(expected) + "\n").encode()
+    for v in floats + [7, np.int64(-7), True, np.bool_(False), "word"]:
+        assert cli._fmt(v) == _per_cell_line([v])
+    cli._write_table(path, ["a", "b"], [[], []])
+    with open(path, "rb") as fh:
+        assert fh.read() == b"a,b\n"
+    assert not os.path.exists(path + ".tmp")
+
+
+def test_exports_are_atomic_with_lf_line_endings(tmp_path):
+    mesh = build_mesh(Rectangle(0.0, 1.0, 0.0, 1.0), 2, lambda x, y: np.isclose(y, 0.0))
+    export_mesh(mesh, str(tmp_path))
+    export_matrix_coo(str(tmp_path / "mat.csv"), np.array([[1.0, 0.0], [2.0j, complex(-0.0, 3.0)]]))
+    for name in ("nodes.csv", "elements.csv", "facets.csv", "mat.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+    assert sorted(os.listdir(tmp_path)) == ["elements.csv", "facets.csv", "mat.csv", "nodes.csv"]
+    assert (tmp_path / "mat.csv").read_text().splitlines()[1:] == [
+        "0,0,1,0", "1,0,0,2", "1,1,-0,3",
+    ]
 
 
 def test_repeated_runs_identical_in_process(tmp_path):

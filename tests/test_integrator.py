@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ncparab.assembly import assemble_load
 from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
 from ncparab.integrator import (
+    LOAD_BLOCK,
     GalerkinSystem,
     build_galerkin_system,
     discretize,
@@ -259,27 +260,48 @@ def test_nodal_step_is_the_full_basis_galerkin_solution(name, resolution, steps,
     modal = solve_evolution(spec, forms, basis, basis.size, steps, theta)
     expected = basis.vectors @ modal.coefficients[-1]
     nodal = solve_nodal(spec, forms, steps, theta)
-    assert nodal.shape == (steps + 1, forms.N)
-    assert np.array_equal(nodal[0], modal.initial)
-    diff = nodal[-1] - expected
+    assert nodal.shape == (forms.N,)
+    diff = nodal - expected
     err = np.sqrt(np.real(np.vdot(diff, forms.mass @ diff)))
     ref = np.sqrt(np.real(np.vdot(expected, forms.mass @ expected)))
     assert err <= 1e-9 * ref
 
 
 def test_nodal_step_matches_a_direct_sparse_solve():
+    # the final state after 1..6 steps against the dense theta recurrence
     spec = get_preset("forced1d").build()
     forms, _ = discretize(spec, 20, 0)
-    theta, steps = 0.5, 6
-    states = solve_nodal(spec, forms, steps, theta)
-    dt = spec.final_time / steps
+    theta = 0.5
     A = (forms.k_plus + forms.first_order).toarray()
     M = forms.mass.toarray()
-    times = np.linspace(0.0, spec.final_time, steps + 1)
-    F = assemble_load(forms.mesh, spec.source, times)
-    for m in range(steps):
-        b = (M / dt - (1.0 - theta) * A) @ states[m] + theta * F[m + 1] + (1.0 - theta) * F[m]
-        assert np.allclose(np.linalg.solve(M / dt + theta * A, b), states[m + 1], rtol=1e-12)
+    for steps in range(1, 7):
+        dt = spec.final_time / steps
+        times = np.linspace(0.0, spec.final_time, steps + 1)
+        F = assemble_load(forms.mesh, spec.source, times)
+        u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
+        for m in range(steps):
+            b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
+            u = np.linalg.solve(M / dt + theta * A, b)
+        assert np.allclose(solve_nodal(spec, forms, steps, theta), u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("steps, calls", [(1, 1), (63, 1), (64, 2), (2000, 32)])
+def test_source_is_called_once_per_load_block(steps, calls):
+    # ceil((steps + 1) / LOAD_BLOCK) calls, each with a whole block of times
+    spec = get_preset("forced1d").build()
+    forms, basis = discretize(spec, 20, 4)
+    widths = []
+
+    def counting(x, t):
+        widths.append(np.shape(t)[-1])
+        return spec.source(x, t)
+
+    solve_evolution(dataclasses.replace(spec, source=counting), forms, basis, 4, steps)
+    assert len(widths) == calls == -(-(steps + 1) // LOAD_BLOCK)
+    assert sum(widths) == steps + 1
+    widths.clear()
+    solve_nodal(dataclasses.replace(spec, source=counting), forms, steps)
+    assert len(widths) == calls and sum(widths) == steps + 1
 
 
 def test_nodal_step_refuses_indefinite_or_singular_forms():
