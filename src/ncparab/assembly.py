@@ -11,13 +11,19 @@ eliminating the nodes pinned by the degenerate boundary set:
 * ``first_order`` -- the non-symmetric form pairing the directional
   derivatives D_l against the test function, plus the delta_a0 weight.
 
+The coefficients may be complex, so the element matrices are computed in
+complex arithmetic; a matrix whose imaginary parts all come out exactly 0
+is stored real (float64), so that real data are factored, solved and
+eigensolved in real arithmetic. The mass matrix is always real.
+
 Quadrature is 2-point Gauss on segments and the 3-point edge-midpoint rule
 on triangles, both exact for quadratic integrands, hence exact whenever the
 coefficients are elementwise constant.
 
 Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
-block of times costs one source evaluation and one sparse product.
+block of times costs one source evaluation and one sparse product. The
+operator is real; the loads are real or complex like the source values.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import scipy.sparse.linalg as spla
 from .errors import ConstraintOnAllDofs, SingularKPlus
 from .meshing import Mesh
 from .problem import FactorizedPrincipal, ProblemSpec
+from .spectral import solver
 
 _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
@@ -110,6 +117,15 @@ def _scatter_matrix(conn: np.ndarray, data: np.ndarray, size: int) -> sp.csr_mat
     ).tocsr()
 
 
+def real_if_exact(a):
+    """``a`` (an array or a sparse matrix) in real storage when it is complex
+    with imaginary parts exactly 0, otherwise ``a`` itself."""
+    values = a.data if sp.issparse(a) else a
+    if not np.iscomplexobj(values) or np.any(values.imag):
+        return a
+    return a.real.copy()  # a contiguous copy; .real alone is a strided view
+
+
 def _robin_ratio(spec: ProblemSpec, coords) -> np.ndarray:
     # b00 comes from problem.split_zero_order, which refuses b1 = 0
     b00 = np.real(np.asarray(spec.boundary_b00(*coords), dtype=complex))
@@ -120,7 +136,8 @@ def _robin_ratio(spec: ProblemSpec, coords) -> np.ndarray:
 def assemble_plus_form(
     mesh: Mesh, spec: ProblemSpec, factorized: FactorizedPrincipal
 ) -> sp.csr_matrix:
-    """Energy-product matrix over all nodes (unreduced), Hermitian PSD."""
+    """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
+    real when its entries are."""
     n = mesh.num_nodes
     grads, _ = _element_geometry(mesh)
     pts, wts, phi = _element_quadrature(mesh)
@@ -143,8 +160,8 @@ def assemble_plus_form(
         for q in range(fpts.shape[1]):
             ratio = _robin_ratio(spec, _coords(fpts[:, q, :]))
             fdata += (fwts[:, q] * ratio)[:, None, None] * np.outer(fphi[q], fphi[q])
-        K = K + _scatter_matrix(facets, fdata.astype(complex), n)
-    return (K + K.conj().T) * 0.5
+        K = K + _scatter_matrix(facets, fdata, n)
+    return real_if_exact((K + K.conj().T) * 0.5)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -161,7 +178,8 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def assemble_first_order(
     mesh: Mesh, spec: ProblemSpec, factorized: FactorizedPrincipal
 ) -> sp.csr_matrix:
-    """Matrix of the lower-order form over all nodes (non-symmetric)."""
+    """Matrix of the lower-order form over all nodes (non-symmetric); real
+    when its entries are."""
     n = mesh.num_nodes
     grads, _ = _element_geometry(mesh)
     pts, wts, phi = _element_quadrature(mesh)
@@ -180,7 +198,7 @@ def assemble_first_order(
         if spec.zero_order_delta_a0 is not None:
             da0 = np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex)
             data += (wts[:, q] * da0)[:, None, None] * np.outer(phi[q], phi[q])
-    return _scatter_matrix(mesh.elements, data, n)
+    return real_if_exact(_scatter_matrix(mesh.elements, data, n))
 
 
 @dataclass(frozen=True)
@@ -191,7 +209,7 @@ class LoadOperator:
     only the free rows kept."""
 
     coords: tuple  # per-axis coordinates of the E*Q quadrature points
-    matrix: sp.csr_matrix  # (free nodes, E*Q), complex like the source values
+    matrix: sp.csr_matrix  # (free nodes, E*Q), real
 
 
 def load_operator(mesh: Mesh) -> LoadOperator:
@@ -210,7 +228,7 @@ def load_operator(mesh: Mesh) -> LoadOperator:
         ).tocsr()
         mesh._load_operator = LoadOperator(
             coords=_coords(pts.reshape(n_elem * n_quad, dim)),
-            matrix=P[free_nodes(mesh)].astype(complex),
+            matrix=P[free_nodes(mesh)],
         )
     return mesh._load_operator
 
@@ -222,15 +240,15 @@ def assemble_load(mesh: Mesh, f: Optional[Callable], times: Sequence[float]) -> 
     ``f`` is called once for the whole block, with the quadrature-point
     coordinates as columns and the times as a row, so its values are an
     (E*Q, len(times)) array; the block is one sparse product with the mesh's
-    load operator.
+    load operator. The loads are real when the source values are.
     """
     op = load_operator(mesh)
     times = np.asarray(times, dtype=float)
     if f is None:
-        return np.zeros((len(times), op.matrix.shape[0]), dtype=complex)
-    values = f(*(c[:, None] for c in op.coords), times[None, :])
-    values = np.broadcast_to(np.asarray(values, dtype=complex), (op.matrix.shape[1], len(times)))
-    return (op.matrix @ values).T
+        return np.zeros((len(times), op.matrix.shape[0]))
+    values = np.asarray(f(*(c[:, None] for c in op.coords), times[None, :]))
+    values = values.astype(np.result_type(values, float), copy=False)
+    return (op.matrix @ np.broadcast_to(values, (op.matrix.shape[1], len(times)))).T
 
 
 def free_nodes(mesh: Mesh) -> np.ndarray:
@@ -274,27 +292,28 @@ class AssembledForms:
     k_plus: sp.csr_matrix
     mass: sp.csr_matrix
     first_order: sp.csr_matrix
-    _k_factor: object = field(default=None, repr=False)
+    _k_solve: object = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
         return len(self.dofmap.free)
 
     def k_plus_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # factored complex like the right sides; assemble_forms already
-        # stores K+ complex, so astype copies nothing there
-        if self._k_factor is None:
+        # K+ is factored once, in its own dtype and in minimum-degree order
+        # on A^T + A; a real factor takes complex right sides through solver
+        if self._k_solve is None:
             try:
-                self._k_factor = spla.splu(self.k_plus.tocsc().astype(complex, copy=False))
+                lu = spla.splu(self.k_plus.tocsc(), permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:
                 raise SingularKPlus(str(exc)) from exc
-        return self._k_factor.solve(np.asarray(rhs, dtype=complex))
+            self._k_solve = solver(lu)
+        return self._k_solve(rhs)
 
 
 def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:
     """Discrete dual norms sqrt(F* K+^-1 F) of the rows of a block of reduced
     loads, from one multi-right-hand-side solve with the factored K+."""
-    F = np.atleast_2d(np.asarray(F, dtype=complex))
+    F = np.atleast_2d(np.asarray(F))
     X = forms.k_plus_solve(F.T)
     vals = np.real(np.einsum("ti,it->t", F.conj(), X))
     return np.sqrt(np.maximum(vals, 0.0))

@@ -200,7 +200,7 @@ def _source_from_name(name: str, dim: int):
     if key == "sine_cos":
         if dim != 1:
             raise ConfigError("source preset 'sine_cos' requires a 1D domain")
-        return lambda x, t: np.sin(np.pi * x) * np.cos(4.0 * t) + 0.0j
+        return lambda x, t: np.sin(np.pi * x) * np.cos(4.0 * t)
     raise ConfigError(f"unknown source preset {name!r}")
 
 

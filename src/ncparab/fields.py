@@ -10,7 +10,9 @@ Conventions used throughout the package:
   ``f(x, y, t)``, where ``t`` is an array that broadcasts against the
   coordinates: the loads of a block of times come from one call with the
   points as a column and the times as a row, and the result must broadcast
-  to their common shape.
+  to their common shape. Its values may be real or complex, but of the same
+  kind at every time: real values keep the loads, and with real forms the
+  whole time stepping, in real arithmetic.
 
 Named presets cover the configurations used by the shipped experiments;
 tabulated fields can be loaded from CSV for anything else.

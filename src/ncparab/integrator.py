@@ -6,8 +6,8 @@ the weak problem into a k-dimensional linear ODE system
     g_i(t) + sum_j Chat[i, j] g_j(t) + d_i g_i'(t) = Fhat_i(t),
 
 where ``Chat`` pairs the lower-order form against the basis and
-``d_i`` is the squared L2 norm of the i-th basis vector. The system is
-complex and solved natively in complex arithmetic with a one-parameter
+``d_i`` is the squared L2 norm of the i-th basis vector. The system may be
+complex, and it is stepped in complex arithmetic with a one-parameter
 implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
 backward Euler). The coefficients do not depend on time, so the step matrix
 is factored once and each step applies a constant propagator. The source is
@@ -19,7 +19,9 @@ system is the nodal system M u' + (K+ + C) u = F written in another basis.
 ``solve_nodal`` steps that system directly with the same theta step over the
 sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C) and one
 sparse product per step, with no eigensolve and no dense N x N array, and
-keeps only the current state. The convergence studies take this path.
+keeps only the current state and one block of loads. It runs in real
+arithmetic when the pair, the initial data and the loads are real. The
+convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -28,6 +30,7 @@ data, which the trajectory then carries for the checks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -36,7 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm
+from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
 from .errors import SingularStepMatrix, TimeOffGrid
 from .meshing import build_mesh
 from .problem import (
@@ -48,8 +51,9 @@ from .problem import (
 from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
 
 # Grid times per source call: bounds the source values of one call to
-# (E*Q, LOAD_BLOCK) and the full-size loads that solve_evolution holds at
-# once to (LOAD_BLOCK, N). The energy-identity check walks the same blocks.
+# (E*Q, LOAD_BLOCK) and the full-size loads that solve_evolution and
+# solve_nodal hold at once to (LOAD_BLOCK, N). The energy-identity check
+# walks the same blocks.
 LOAD_BLOCK = 64
 
 # Sample points per axis at which the principal factorization is checked;
@@ -176,29 +180,23 @@ def evolve_theta(
     ``system`` gives the pair (D, A): a GalerkinSystem its dense modal pair
     (diag d, I + Chat), or a sparse nodal pair (M, K+ + C) is passed as is.
     ``loads`` holds F at the steps + 1 grid times, or None for a
-    source-free problem.
+    source-free problem: a (steps + 1, n) array, or for a sparse pair also
+    any iterable of its consecutive row blocks.
 
     A dense pair is stepped with the constant propagator P = lhs^-1 rhs and
-    the increments lhs^-1 q_m, all from one factorization; a sparse pair
-    with one sparse factor of lhs and one solve per step, carrying a single
-    state, so no n x n array and no (steps + 1, n) array of states is formed.
+    the increments lhs^-1 q_m, all from one factorization; a sparse pair by
+    ``_step_sparse``.
     """
     D, A = system.theta_pair() if isinstance(system, GalerkinSystem) else system
-    solve = _factor(D / dt + theta * A)
-    rhs = D / dt - (1.0 - theta) * A
+    lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
     del D, A
+    if sp.issparse(rhs):
+        return _step_sparse(lhs, rhs, g0, theta, steps, loads)
+    solve = _factor(lhs)
+    del lhs
     increments = None
     if loads is not None:
         increments = theta * loads[1:] + (1.0 - theta) * loads[:-1]
-
-    if sp.issparse(rhs):
-        g = np.asarray(g0, dtype=complex)
-        for m in range(steps):
-            b = rhs @ g
-            if increments is not None:
-                b += increments[m]
-            g = solve(b)
-        return g
     coeffs = np.zeros((steps + 1, len(g0)), dtype=complex)
     coeffs[0] = g0
     prop = solve(rhs)
@@ -209,6 +207,37 @@ def evolve_theta(
     for m in range(steps):
         coeffs[m + 1] += prop @ coeffs[m]
     return coeffs
+
+
+def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads) -> np.ndarray:
+    """The theta recurrence lhs g_{m+1} = rhs g_m + q_m over a sparse pair,
+    carrying one state: one sparse factor of lhs, one product and one solve
+    per step. The loads come one row block at a time, and the increments
+    q_m of a block need only it and the last load of the previous one.
+
+    The state dtype is picked once, from the pair, g0 and the first load
+    block, and lhs is factored in it, so real data step in real arithmetic.
+    The loads must then keep that dtype: a source is real or complex at
+    every time.
+    """
+    blocks = (np.atleast_2d(F) for F in (() if loads is None else loads))
+    first = next(blocks, None)
+    dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))
+    solve = _factor(lhs.astype(dtype, copy=False))
+    g = np.asarray(g0, dtype=dtype)
+    if first is None:
+        for _ in range(steps):
+            g = solve(rhs @ g)
+        return g
+    last = first[0]
+    for F in itertools.chain([first[1:]], blocks):
+        ext = np.concatenate([last[None], F])
+        for q in theta * ext[1:] + (1.0 - theta) * ext[:-1]:
+            b = rhs @ g
+            b += q
+            g = solve(b)
+        last = ext[-1]
+    return g
 
 
 def _load_blocks(source: Callable, forms: AssembledForms, times: np.ndarray):
@@ -232,11 +261,12 @@ def _modal_loads(source: Callable, forms: AssembledForms, H: np.ndarray, times: 
 
 
 def _initial_vector(spec: ProblemSpec, forms: AssembledForms) -> np.ndarray:
-    """Reduced nodal initial vector u0, zero without initial data."""
+    """Reduced nodal initial vector u0, zero without initial data; real
+    when its values are."""
     if spec.initial is None:
-        return np.zeros(forms.N, dtype=complex)
+        return np.zeros(forms.N)
     coords = tuple(forms.mesh.nodes[:, i] for i in range(forms.mesh.dim))
-    return forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex))
+    return real_if_exact(forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex)))
 
 
 def solve_evolution(
@@ -298,7 +328,8 @@ def solve_nodal(
     ``evolve_theta`` over the nodal pair (M, K+ + C), started from the nodal
     u0, which the full basis would reproduce exactly. Without the eigenbasis
     the definiteness of M and K+ is checked by their factors, as the
-    eigensolver would (``NotSPD``).
+    eigensolver would (``NotSPD``). The loads are stepped through block by
+    block, so at most LOAD_BLOCK of them are held at once.
     """
     definite_factor(forms.mass, "mass matrix")
     definite_factor(forms.k_plus, "energy matrix K+")
@@ -306,7 +337,7 @@ def solve_nodal(
     loads = None
     if spec.source is not None:
         times = np.linspace(0.0, T, time_steps + 1)
-        loads = np.concatenate([F for _, F in _load_blocks(spec.source, forms, times)])
+        loads = (F for _, F in _load_blocks(spec.source, forms, times))
     pair = (forms.mass, forms.k_plus + forms.first_order)
     u0 = _initial_vector(spec, forms)
     return evolve_theta(pair, u0, theta, T / time_steps, time_steps, loads)

@@ -101,7 +101,7 @@ def build_drift1d() -> ProblemSpec:
 
 
 def _forcing(x, t):
-    return np.sin(np.pi * x) * np.cos(4.0 * t) + 0.0j
+    return np.sin(np.pi * x) * np.cos(4.0 * t)
 
 
 def build_forced1d() -> ProblemSpec:

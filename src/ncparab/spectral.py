@@ -5,8 +5,9 @@ normalized so that each is a unit vector of the energy product, which makes
 them orthonormal there and orthogonal (with norms 1/lambda) in L2. A basis
 of a few pairs comes from shift-invert Lanczos on the sparse pencil; a basis
 of a sizeable share of the spectrum from one dense generalized LAPACK call.
-Both kernels fix signs deterministically so repeated runs emit identical
-output.
+A pencil with real entries, which real coefficients give, stays in real
+arithmetic in both kernels and has real eigenvectors. Both kernels fix
+signs deterministically so repeated runs emit identical output.
 """
 
 from __future__ import annotations
@@ -85,11 +86,16 @@ def definite_factor(mat, name: str):
 
     Elimination in a symmetric order has real positive pivots and no row
     exchanges exactly when the matrix is positive definite, so the factor
-    doubles as the definiteness check.
+    doubles as the definiteness check. The order is minimum degree on
+    A^T + A, which suits the symmetric pattern of finite element matrices
+    (on the disk pencil it cuts the fill from 79k to 49k entries).
     """
     try:
         lu = spla.splu(
-            sp.csc_matrix(mat), diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            sp.csc_matrix(mat),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         raise NotSPD(f"{name} is singular: {exc}") from exc
@@ -98,8 +104,28 @@ def definite_factor(mat, name: str):
     return lu
 
 
+def solver(lu):
+    """The solve of a sparse LU, extended to complex right sides when the
+    factor is real: their real and imaginary parts go through one call as
+    extra columns."""
+    if lu.U.dtype.kind == "c":
+        return lu.solve
+
+    def solve(rhs):
+        rhs = np.asarray(rhs)
+        if not np.iscomplexobj(rhs):
+            return lu.solve(rhs)
+        cols = rhs.reshape(len(rhs), -1)
+        x = lu.solve(np.hstack([cols.real, cols.imag]))
+        n = cols.shape[1]
+        return (x[:, :n] + 1j * x[:, n:]).reshape(rhs.shape)
+
+    return solve
+
+
 def _shift_invert(K, M, count: int):
-    """``count`` pairs nearest a negative shift sigma, by ARPACK.
+    """``count`` pairs nearest a negative shift sigma, by ARPACK: real
+    symmetric Lanczos for a real pencil, its complex routine otherwise.
 
     With M definite and K+ semidefinite, K+ - sigma M is definite for every
     sigma < 0 and the pairs nearest sigma are the smallest. |sigma| is

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -5,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncparab import fields
+from ncparab import assembly, fields
 from ncparab.config import _source_from_name
 from ncparab.assembly import (
     AssembledForms,
@@ -336,8 +338,8 @@ def test_constraining_everything_raises():
 
 
 def _forms_with(K):
-    """Forms holding only a sparse complex K+, as assembled, enough for
-    ``dual_norm``."""
+    """Forms holding only a sparse complex K+, as the disk assembles it,
+    enough for ``dual_norm``."""
     return AssembledForms(
         mesh=None, dofmap=None, k_plus=sp.csr_matrix(K, dtype=complex), mass=None, first_order=None
     )
@@ -366,9 +368,21 @@ def test_dual_norm_matches_monte_carlo_sup():
 
 
 def test_dual_norm_real_k_plus():
-    # a K+ stored real is factored complex like the loads
+    # a K+ stored real is factored real and takes complex loads through that
+    # factor, with the same results as a complex factor of the same matrix
     forms = AssembledForms(None, None, sp.csr_matrix(np.eye(4)), None, None)
     assert np.allclose(dual_norm(np.array([3.0, 4.0j, 0.0, 0.0]), forms), [5.0], rtol=1e-15)
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 6))
+    K = B @ B.T + 6.0 * np.eye(6)
+    real = AssembledForms(None, None, sp.csr_matrix(K), None, None)
+    cplx = _forms_with(K)
+    F = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    for rhs in (F.T, F[0], F[0].real, F.T.real):
+        x = real.k_plus_solve(rhs)
+        assert x.shape == rhs.shape and x.dtype == rhs.dtype
+        assert np.allclose(x, cplx.k_plus_solve(rhs), rtol=1e-13, atol=0.0)
+    assert np.allclose(dual_norm(F, real), dual_norm(F, cplx), rtol=1e-13, atol=0.0)
 
 
 def test_dual_norm_singular_raises():
@@ -456,3 +470,80 @@ def test_free_nodes_complement_constrained():
     mesh = build_mesh(Interval(0.0, 1.0), 5, sel)
     assert list(free_nodes(mesh)) == [0, 1, 2, 3, 4]
     assert list(mesh.dirichlet_nodes()) == [5]
+
+
+# (domain, lowest and highest resolution) for the dtype property
+DTYPE_DOMAINS = {
+    "interval": (Interval(0.0, 1.0), 2, 30),
+    "rectangle": (Rectangle(0.0, 1.0, 0.0, 2.0), 2, 8),
+    "disk": (UnitDiskPolygon(12), 2, 4),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(DTYPE_DOMAINS)).flatmap(
+        lambda name: st.tuples(st.just(name), st.integers(*DTYPE_DOMAINS[name][1:]))
+    ),
+    st.sampled_from(["real", "complex", "paper_disk"]),
+    st.sampled_from(["none", "real", "varying", "complex"]),
+    st.sampled_from(["real", "complex"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_forms_are_real_exactly_when_their_complex_assembly_is(
+    case, principal, drift, delta_a0, constrained, seed
+):
+    name, resolution = case
+    domain = DTYPE_DOMAINS[name][0]
+    dim = domain.dim
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((dim, dim))
+    if principal == "complex":
+        B = B + 1j * rng.standard_normal((dim, dim))
+    A = B @ B.conj().T + 0.1 * np.eye(dim)
+    if principal == "paper_disk" and dim == 2:
+        A = fields.DEGENERATE_DISK_MATRIX
+
+    def value(kind):
+        if kind == "complex":
+            return complex(*rng.standard_normal(2))
+        return float(rng.standard_normal())
+
+    if drift == "none":
+        first_order = []
+    elif drift == "varying":
+        first_order = [lambda *x, a=value("real"): a * (1.0 + x[0] ** 2) for _ in range(dim)]
+    else:
+        first_order = [fields.constant_scalar(value(drift)) for _ in range(dim)]
+    selector = (lambda *x: np.isclose(x[0], x[0].min())) if constrained else None
+    spec = _interval_spec(
+        domain=domain,
+        principal=fields.constant_matrix(A),
+        first_order=first_order,
+        zero_order_a00=fields.constant_scalar(abs(value("real"))),
+        zero_order_delta_a0=fields.constant_scalar(value(delta_a0)),
+        boundary_b00=fields.constant_scalar(1.0),
+        dirichlet_selector=selector,
+    )
+    mesh = build_mesh(domain, resolution, selector)
+    fz = factorize_principal(spec, sample_interior_points(domain, 4))
+    with mock.patch.object(assembly, "real_if_exact", lambda a: a):
+        reference = assemble_plus_form(mesh, spec, fz), assemble_first_order(mesh, spec, fz)
+    forms = assemble_forms(mesh, spec, fz)
+    for got, reduced, ref in zip(
+        (assemble_plus_form(mesh, spec, fz), assemble_first_order(mesh, spec, fz)),
+        (forms.k_plus, forms.first_order),
+        reference,
+    ):
+        assert ref.dtype == np.complex128
+        real = not np.any(ref.data.imag)
+        assert got.dtype == reduced.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(got.toarray(), ref.toarray().real if real else ref.toarray())
+    assert assemble_mass(mesh).dtype == forms.mass.dtype == np.float64
+    # a complex Hermitian principal part (the paper's disk matrix among them)
+    # and complex lower-order coefficients keep their forms complex
+    if dim == 2 and principal != "real":
+        assert forms.k_plus.dtype == np.complex128
+    if drift == "complex" or delta_a0 == "complex":
+        assert forms.first_order.dtype == np.complex128

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from ncparab import cli
+from ncparab import cli, integrator
 from ncparab.cli import export_matrix_coo, export_mesh, main
 from ncparab.config import RunConfig, build_problem, parse_domain
 from ncparab.errors import ConfigError
@@ -298,6 +298,32 @@ def test_cli_convergence_eigs_mode_second_order(tmp_path):
     _, rows = _read_csv(os.path.join(out, "convergence.csv"))
     orders = [float(r[3]) for r in rows[1:]]
     assert all(abs(o - 2.0) <= 0.3 for o in orders)
+
+
+@pytest.mark.parametrize(
+    "mode, built", [("space_time", [10, 10, 20, 40]), ("time", [200] * 3), ("eigs", [10, 20, 40])]
+)
+def test_cli_convergence_builds_each_level_mesh_once(tmp_path, monkeypatch, mode, built):
+    # space_time builds the coarsest mesh once more for dt; every level reads
+    # h from the mesh it solves on
+    calls = []
+
+    def counting(domain, resolution, *args):
+        calls.append(resolution)
+        return build_mesh(domain, resolution, *args)
+
+    monkeypatch.setattr(cli, "build_mesh", counting)
+    monkeypatch.setattr(integrator, "build_mesh", counting)
+    cfg = _write_cfg(
+        tmp_path,
+        f"problem.preset = heat1d\nconvergence.mode = {mode}\nconvergence.levels = 3\n"
+        + ("" if mode == "time" else "mesh.resolution = 10\n"),
+    )
+    out = str(tmp_path / "out")
+    assert main(["convergence", "--config", cfg, "--out", out]) == 0
+    assert calls == built
+    _, rows = _read_csv(os.path.join(out, "convergence.csv"))
+    assert [float(r[0]) for r in rows] == [1.0 / r for r in built[-3:]]
 
 
 def test_cli_convergence_parallel_matches_serial(tmp_path):

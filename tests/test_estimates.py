@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from ncparab import fields
 from ncparab.estimates import (
@@ -10,7 +14,7 @@ from ncparab.estimates import (
     compute_constants,
 )
 from ncparab.integrator import build_galerkin_system, discretize, solve_evolution
-from ncparab.presets import build_forced1d
+from ncparab.presets import build_forced1d, get_preset
 from ncparab.problem import Interval, ProblemSpec
 from tests.conftest import build_pipeline
 
@@ -160,6 +164,46 @@ def test_right_side_independent_of_basis_size():
 def test_cauchy_bound_on_drift_preset():
     spec, mesh, forms, basis, k = build_pipeline("drift1d", resolution=25, k=10)
     c1, c2 = compute_constants(spec)
-    worst, ok = check_cauchy_bound(forms, c1, c2, n_vectors=200, seed=0)
+    worst, ok = check_cauchy_bound(forms, c1, c2)
     assert ok
     assert worst <= (c1 + c2) * (1.0 + 1e-9)
+
+
+def _dense_cauchy(forms):
+    """The largest singular value of L^-1 C L^-* with K+ + M = L L*, the
+    smallest c with |v* C u| <= c |u|_E |v|_E, from dense factors."""
+    L = np.linalg.cholesky((forms.k_plus + forms.mass).toarray())
+    X = sla.solve_triangular(L, forms.first_order.toarray(), lower=True)
+    X = sla.solve_triangular(L, X.conj().T, lower=True).conj().T
+    return float(np.linalg.svd(X, compute_uv=False)[0])
+
+
+def test_exact_cauchy_constant_matches_dense_svd():
+    drift, _ = discretize(get_preset("drift1d").build(), 40, 0)
+    rng = np.random.default_rng(5)
+    n = drift.N
+    C = sp.random(n, n, density=0.1, random_state=rng, format="csr")
+    C = C + 1j * sp.random(n, n, density=0.1, random_state=rng, format="csr")
+    random_c = dataclasses.replace(drift, first_order=C.tocsr())
+    small, _ = discretize(get_preset("drift1d").build(), 3, 0)  # N = 2
+    for forms in (drift, random_c, small):
+        ratio, _ = check_cauchy_bound(forms, 1.0, 0.0)
+        assert ratio == pytest.approx(_dense_cauchy(forms), rel=1e-10, abs=0.0)
+    # N = 1: the closed form |C| / (K+ + M)
+    (one, _) = discretize(get_preset("drift1d").build(), 2, 0)
+    assert one.N == 1
+    expected = abs(one.first_order[0, 0]) / (one.k_plus[0, 0] + one.mass[0, 0])
+    assert check_cauchy_bound(one, 1.0, 0.0)[0] == pytest.approx(expected, rel=1e-14)
+    # C = 0: the constant is 0 and any c passes
+    heat, _ = discretize(get_preset("heat1d").build(), 20, 0)
+    assert heat.first_order.count_nonzero() == 0
+    assert check_cauchy_bound(heat, 0.0, 0.0) == (0.0, True)
+
+
+def test_exact_cauchy_check_fails_where_a_random_sample_passed():
+    # drift1d at resolution 50 against c = 0.01: the largest ratio over 200
+    # random vector pairs was 0.0012 and passed, the exact constant fails
+    forms, _ = discretize(get_preset("drift1d").build(), 50, 0)
+    ratio, ok = check_cauchy_bound(forms, 0.01, 0.0)
+    assert ratio == pytest.approx(0.0855, abs=5e-4)
+    assert not ok

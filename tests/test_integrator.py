@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,44 @@ def test_nodal_step_matches_a_direct_sparse_solve():
             b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
             u = np.linalg.solve(M / dt + theta * A, b)
         assert np.allclose(solve_nodal(spec, forms, steps, theta), u, rtol=1e-12)
+
+
+def test_nodal_loads_stream_block_by_block():
+    # 150 steps span three load blocks, the last one partial; the state is
+    # real on forced1d (real pair, u0 and loads) and complex on drift1d
+    theta, steps = 0.5, 150
+    for name, dtype in (("forced1d", np.float64), ("drift1d", np.complex128)):
+        spec = get_preset(name).build()
+        forms, _ = discretize(spec, 20, 0)
+        dt = spec.final_time / steps
+        A = (forms.k_plus + forms.first_order).toarray()
+        M = forms.mass.toarray()
+        F = np.zeros((steps + 1, forms.N))
+        if spec.source is not None:
+            F = assemble_load(forms.mesh, spec.source, np.linspace(0.0, spec.final_time, steps + 1))
+        u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
+        for m in range(steps):
+            b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
+            u = np.linalg.solve(M / dt + theta * A, b)
+        nodal = solve_nodal(spec, forms, steps, theta)
+        assert nodal.dtype == dtype
+        assert np.max(np.abs(nodal - u)) <= 1e-12 * np.max(np.abs(u))
+
+
+def test_nodal_stepping_holds_one_load_block():
+    # the loads of 4000 steps are never held at once: the peak stays below
+    # the size of one (steps, N) array of them
+    spec = get_preset("forced1d").build()
+    forms, _ = discretize(spec, 200, 0)
+    steps = 4000
+    solve_nodal(spec, forms, 1)  # builds the mesh's load operator
+    tracemalloc.start()
+    try:
+        solve_nodal(spec, forms, steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < steps * forms.N * np.dtype(np.float64).itemsize
 
 
 @pytest.mark.parametrize("steps, calls", [(1, 1), (63, 1), (64, 2), (2000, 32)])

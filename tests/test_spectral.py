@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,21 @@ def test_sparse_and_dense_kernels_agree(case):
     again = generalized_eigenbasis(forms.k_plus, forms.mass, k)
     assert np.array_equal(small.eigenvalues, again.eigenvalues)
     assert np.array_equal(small.vectors, again.vectors)
+
+
+@pytest.mark.parametrize(
+    "name, resolution, count",
+    [("heat1d", 80, 6), ("forced1d", 60, 5), ("robin_rect", 10, 8), ("heat1d", 20, 10)],
+)
+def test_real_pencil_matches_dense_eigh(name, resolution, count):
+    # real coefficients give a real pencil, solved in real arithmetic by
+    # both kernels (the last case takes the dense one)
+    forms = build_pipeline(name, resolution=resolution, k=1)[2]
+    assert forms.k_plus.dtype == forms.mass.dtype == np.float64
+    basis = generalized_eigenbasis(forms.k_plus, forms.mass, count)
+    assert basis.vectors.dtype == np.float64
+    dense = sla.eigh(forms.k_plus.toarray(), forms.mass.toarray(), eigvals_only=True)[:count]
+    assert np.max(np.abs(basis.eigenvalues - dense) / dense) <= 1e-10
 
 
 def test_generalized_dirichlet_laplacian_converges_to_squares():
