@@ -11,7 +11,7 @@ import numpy as np
 
 from ncparab.meshing import build_mesh
 from ncparab.presets import build_disk
-from ncparab.problem import UnitDiskPolygon, factorize_principal, sample_interior_points
+from ncparab.problem import UnitDiskPolygon
 from ncparab.sharpness import discrete_series_energy, find_divergence_epsilon
 
 
@@ -29,8 +29,7 @@ def main():
     spec = build_disk()
     spec.domain = UnitDiskPolygon(128)
     mesh = build_mesh(spec.domain, 32, spec.dirichlet_selector)
-    factorized = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-    value = discrete_series_energy(mesh, spec, factorized, eps, K)
+    value = discrete_series_energy(mesh, spec, eps, K)
     analytic = 2.0 * np.pi * float(np.sum((np.arange(K + 1) + 1.0) ** (-1.0 - eps)))
     print(
         f"\ncross-validation (eps = {eps}, {K + 1} terms): "

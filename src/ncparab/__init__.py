@@ -30,7 +30,6 @@ from .integrator import (
 )
 from .meshing import Mesh, build_mesh
 from .problem import (
-    FactorizedPrincipal,
     Interval,
     ProblemSpec,
     Rectangle,

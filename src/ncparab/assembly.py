@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConstraintOnAllDofs, SingularKPlus
 from .meshing import Mesh
-from .problem import FactorizedPrincipal, ProblemSpec
+from .problem import ProblemSpec, factorize_principal
 from .spectral import solver
 
 _GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
@@ -133,20 +133,18 @@ def _robin_ratio(spec: ProblemSpec, coords) -> np.ndarray:
     return b00 / b1
 
 
-def assemble_plus_form(
-    mesh: Mesh, spec: ProblemSpec, factorized: FactorizedPrincipal
-) -> sp.csr_matrix:
+def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
     real when its entries are."""
     n = mesh.num_nodes
+    factor = factorize_principal(spec)
     grads, _ = _element_geometry(mesh)
     pts, wts, phi = _element_quadrature(mesh)
     ndof = mesh.elements.shape[1]
     data = np.zeros((len(mesh.elements), ndof, ndof), dtype=complex)
     for q in range(pts.shape[1]):
         coords = _coords(pts[:, q, :])
-        D = factorized.factor(*coords)
-        B = D @ grads
+        B = factor(*coords) @ grads
         data += wts[:, q, None, None] * np.einsum("eli,elj->eij", B.conj(), B)
         if spec.zero_order_a00 is not None:
             a00 = np.real(np.asarray(spec.zero_order_a00(*coords)))
@@ -175,12 +173,11 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return _scatter_matrix(mesh.elements, data, mesh.num_nodes)
 
 
-def assemble_first_order(
-    mesh: Mesh, spec: ProblemSpec, factorized: FactorizedPrincipal
-) -> sp.csr_matrix:
+def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     """Matrix of the lower-order form over all nodes (non-symmetric); real
     when its entries are."""
     n = mesh.num_nodes
+    factor = factorize_principal(spec)
     grads, _ = _element_geometry(mesh)
     pts, wts, phi = _element_quadrature(mesh)
     ndof = mesh.elements.shape[1]
@@ -189,8 +186,7 @@ def assemble_first_order(
     for q in range(pts.shape[1]):
         coords = _coords(pts[:, q, :])
         if coeffs:
-            D = factorized.factor(*coords)
-            B = D @ grads
+            B = factor(*coords) @ grads
             drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
             for l, a_l in enumerate(coeffs):
                 drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
@@ -319,18 +315,16 @@ def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:
     return np.sqrt(np.maximum(vals, 0.0))
 
 
-def assemble_forms(
-    mesh: Mesh, spec: ProblemSpec, factorized: FactorizedPrincipal
-) -> AssembledForms:
+def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
     """Assemble and reduce all matrices for one problem."""
     constrained = mesh.dirichlet_nodes()
     free = free_nodes(mesh)
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
     dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=constrained)
-    K = apply_S_constraints(assemble_plus_form(mesh, spec, factorized), constrained)
+    K = apply_S_constraints(assemble_plus_form(mesh, spec), constrained)
     M = apply_S_constraints(assemble_mass(mesh), constrained)
-    C = apply_S_constraints(assemble_first_order(mesh, spec, factorized), constrained)
+    C = apply_S_constraints(assemble_first_order(mesh, spec), constrained)
     return AssembledForms(
         mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C
     )

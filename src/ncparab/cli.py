@@ -19,7 +19,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import RunConfig, build_problem, named_preset
 from .errors import ConfigError, NcparabError, NoOracle
@@ -39,7 +38,7 @@ from .integrator import (
 )
 from .meshing import Mesh, build_mesh
 from .presets import get_preset
-from .sharpness import find_divergence_epsilon, series_hs_lower_bound, series_plus_norm
+from .sharpness import series_hs_lower_bound, series_plus_norm, witness_epsilon
 
 
 # %-format of a table column by numpy dtype kind; bools are written as
@@ -102,14 +101,13 @@ def export_mesh(mesh: Mesh, out_dir: str) -> None:
 
 
 def export_matrix_coo(path: str, matrix) -> None:
-    """Write a matrix in coordinate text format (row, col, re, im), row-major."""
-    coo = sp.coo_matrix(matrix)
-    order = np.lexsort((coo.col, coo.row))
-    data = coo.data[order]
+    """Write every entry of a dense matrix in coordinate text format
+    (row, col, re, im), row-major, exact zeros included."""
+    matrix = np.asarray(matrix)
+    rows, cols = np.indices(matrix.shape)
+    data = matrix.ravel()
     _write_table(
-        path,
-        ["row", "col", "re", "im"],
-        [coo.row[order], coo.col[order], np.real(data), np.imag(data)],
+        path, ["row", "col", "re", "im"], [rows.ravel(), cols.ravel(), data.real, data.imag]
     )
 
 
@@ -307,8 +305,7 @@ def run_sharpness(cfg: RunConfig, out_dir: str) -> int:
     if cfg.sharpness_epsilon > 0.0:
         epsilon = cfg.sharpness_epsilon
     else:
-        epsilon = (2.0 * cfg.sharpness_s - 1.0) / 2.0
-        find_divergence_epsilon(cfg.sharpness_s, terms=min(terms, 100_000))
+        epsilon = witness_epsilon(cfg.sharpness_s)
     rows = []
     consistent = True
     for n in sorted({max(terms // 100, 10), max(terms // 10, 100), terms}):

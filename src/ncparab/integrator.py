@@ -42,12 +42,7 @@ import scipy.sparse.linalg as spla
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
 from .errors import SingularStepMatrix, TimeOffGrid
 from .meshing import build_mesh
-from .problem import (
-    ProblemSpec,
-    factorize_principal,
-    sample_interior_points,
-    validate_coefficients,
-)
+from .problem import ProblemSpec, validate_coefficients
 from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
 
 # Grid times per source call: bounds the source values of one call to
@@ -55,10 +50,6 @@ from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
 # solve_nodal hold at once to (LOAD_BLOCK, N). The energy-identity check
 # walks the same blocks.
 LOAD_BLOCK = 64
-
-# Sample points per axis at which the principal factorization is checked;
-# they only set FactorizedPrincipal.residual_bound, not the assembled forms.
-FACTOR_SAMPLE_DENSITY = 16
 
 
 @dataclass
@@ -114,8 +105,7 @@ def discretize(
     """
     validate_coefficients(spec)
     mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    samples = sample_interior_points(spec.domain, FACTOR_SAMPLE_DENSITY)
-    forms = assemble_forms(mesh, spec, factorize_principal(spec, samples))
+    forms = assemble_forms(mesh, spec)
     if k == 0:
         return forms, None
     count = forms.N if k is None else min(k, forms.N)

@@ -2,8 +2,8 @@
 
 P1 meshes only: segments on an interval, structured triangulations of a
 rectangle, and a ring-wise triangulation of the unit disk approximated by an
-inscribed regular polygon. Boundary facets carry outward unit normals,
-measures, and a Dirichlet tag decided by a midpoint predicate.
+inscribed regular polygon. Boundary facets carry their measures and a
+Dirichlet tag decided by a midpoint predicate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_facets: np.ndarray
-    facet_normals: np.ndarray
     facet_measures: np.ndarray
     facet_dirichlet: np.ndarray
     size: Optional[float] = None
@@ -57,15 +56,6 @@ class Mesh:
         """Nodes on the closure of the constrained set (sorted, unique)."""
         tagged = self.boundary_facets[self.facet_dirichlet]
         return np.unique(tagged.ravel()) if len(tagged) else np.array([], dtype=int)
-
-    def element_measures(self) -> np.ndarray:
-        if self.dim == 1:
-            return np.abs(np.diff(self.nodes[self.elements][:, :, 0], axis=1))[:, 0]
-        p = self.nodes[self.elements]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
 
 
 def build_mesh(domain: Domain, resolution: int, s_selector: Optional[Callable] = None) -> Mesh:
@@ -97,96 +87,58 @@ def _interval_mesh(domain: Interval, resolution: int) -> Mesh:
     nodes = np.linspace(domain.a, domain.b, resolution + 1)[:, None]
     elements = np.stack([np.arange(resolution), np.arange(1, resolution + 1)], axis=1)
     facets = np.array([[0], [resolution]])
-    normals = np.array([[-1.0], [1.0]])
-    measures = np.ones(2)
     size = (domain.b - domain.a) / resolution
-    return Mesh(1, nodes, elements, facets, normals, measures, np.zeros(2, dtype=bool), size)
+    return Mesh(1, nodes, elements, facets, np.ones(2), np.zeros(2, dtype=bool), size)
+
+
+def _edges(*lines: np.ndarray) -> np.ndarray:
+    """The consecutive node pairs along each line of node indices, the i-th
+    pair of every line before the (i+1)-th pair of any line."""
+    return np.stack([np.stack([v[:-1], v[1:]], axis=1) for v in lines], axis=1).reshape(-1, 2)
+
+
+def _plane_mesh(nodes, elements, facets, size=None) -> Mesh:
+    measures = np.linalg.norm(nodes[facets[:, 1]] - nodes[facets[:, 0]], axis=1)
+    dirichlet = np.zeros(len(facets), dtype=bool)
+    return Mesh(2, nodes, elements, facets, measures, dirichlet, size)
 
 
 def _rectangle_mesh(domain: Rectangle, resolution: int) -> Mesh:
+    """Each grid cell split along its diagonal from (x_i, y_j) to
+    (x_i+1, y_j+1); cells in row-major (i, j) order."""
     n = resolution
     xs = np.linspace(domain.ax, domain.bx, n + 1)
     ys = np.linspace(domain.ay, domain.by, n + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def idx(i, j):
-        return i * (n + 1) + j
-
-    elements = []
-    for i in range(n):
-        for j in range(n):
-            v00, v10 = idx(i, j), idx(i + 1, j)
-            v01, v11 = idx(i, j + 1), idx(i + 1, j + 1)
-            elements.append((v00, v10, v11))
-            elements.append((v00, v11, v01))
-    elements = np.array(elements)
-
-    facets, normals = [], []
-    for i in range(n):  # bottom (y = ay) and top (y = by)
-        facets.append((idx(i, 0), idx(i + 1, 0)))
-        normals.append((0.0, -1.0))
-        facets.append((idx(i, n), idx(i + 1, n)))
-        normals.append((0.0, 1.0))
-    for j in range(n):  # left (x = ax) and right (x = bx)
-        facets.append((idx(0, j), idx(0, j + 1)))
-        normals.append((-1.0, 0.0))
-        facets.append((idx(n, j), idx(n, j + 1)))
-        normals.append((1.0, 0.0))
-    facets = np.array(facets)
-    normals = np.array(normals)
-    measures = np.linalg.norm(nodes[facets[:, 1]] - nodes[facets[:, 0]], axis=1)
+    grid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # node (x_i, y_j)
+    v00, v10 = grid[:-1, :-1].ravel(), grid[1:, :-1].ravel()
+    v01, v11 = grid[:-1, 1:].ravel(), grid[1:, 1:].ravel()
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    # bottom and top facets interleaved, then left and right
+    facets = np.vstack([_edges(grid[:, 0], grid[:, n]), _edges(grid[0], grid[n])])
     size = float(np.hypot((domain.bx - domain.ax) / n, (domain.by - domain.ay) / n))
-    dirichlet = np.zeros(len(facets), dtype=bool)
-    return Mesh(2, nodes, elements, facets, normals, measures, dirichlet, size)
+    return _plane_mesh(nodes, elements, facets, size)
 
 
 def _disk_mesh(domain: UnitDiskPolygon, resolution: int) -> Mesh:
     """Ring-wise triangulation: polygon vertices on concentric circles,
-    a fan around the center, quads split into triangles between rings."""
+    a fan around the center, quads split into triangles between rings.
+    Angles increase counterclockwise, so every triangle is positive."""
     k = domain.segments
     if k < 3:
         raise InvalidDomain("disk polygon needs at least 3 segments")
     rings = resolution
     angles = 2.0 * np.pi * np.arange(k) / k
-    nodes = [np.zeros((1, 2))]
-    for i in range(1, rings + 1):
-        r = i / rings
-        nodes.append(np.stack([r * np.cos(angles), r * np.sin(angles)], axis=1))
-    nodes = np.vstack(nodes)
+    radii = (np.arange(1, rings + 1) / rings)[:, None]
+    ring_nodes = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=2)
+    nodes = np.vstack([np.zeros((1, 2)), ring_nodes.reshape(-1, 2)])
 
-    def ring_idx(i, j):
-        return 1 + (i - 1) * k + (j % k)
-
-    elements = []
-    for j in range(k):  # center fan
-        elements.append((0, ring_idx(1, j), ring_idx(1, j + 1)))
-    for i in range(1, rings):
-        for j in range(k):
-            a, b = ring_idx(i, j), ring_idx(i, j + 1)
-            c, d = ring_idx(i + 1, j), ring_idx(i + 1, j + 1)
-            elements.append((a, d, b))
-            elements.append((a, c, d))
-    elements = _orient_positive(nodes, np.array(elements))
-
-    facets = np.array([(ring_idx(rings, j), ring_idx(rings, j + 1)) for j in range(k)])
-    edges = nodes[facets[:, 1]] - nodes[facets[:, 0]]
-    measures = np.linalg.norm(edges, axis=1)
-    normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / measures[:, None]
-    # Outward means pointing away from the centroid at the origin.
-    mids = 0.5 * (nodes[facets[:, 0]] + nodes[facets[:, 1]])
-    flip = np.sum(normals * mids, axis=1) < 0
-    normals[flip] *= -1.0
-    return Mesh(2, nodes, elements, facets, normals, measures, np.zeros(k, dtype=bool))
-
-
-def _orient_positive(nodes: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    p = nodes[elements]
-    area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    out = elements.copy()
-    neg = area2 < 0
-    out[neg, 1], out[neg, 2] = elements[neg, 2], elements[neg, 1]
-    return out
-
+    ring = 1 + np.arange(rings * k).reshape(rings, k)  # node (ring i+1, angle j)
+    nxt = np.roll(ring, -1, axis=1)  # its neighbour at angle j+1
+    fan = np.stack([np.zeros(k, dtype=ring.dtype), ring[0], nxt[0]], axis=1)
+    a, b, c, d = ring[:-1], nxt[:-1], ring[1:], nxt[1:]
+    quads = np.stack([a, d, b, a, c, d], axis=2).reshape(-1, 3)
+    facets = np.stack([ring[-1], nxt[-1]], axis=1)
+    return _plane_mesh(nodes, np.vstack([fan, quads]), facets)

@@ -1,5 +1,5 @@
 """Continuous problem data: coefficients, their validation, and the
-factorization of the principal part.
+pointwise factor of the principal part.
 
 The problem is a complex-valued second-order parabolic equation on a
 cylinder ``domain x (0, T)`` with boundary conditions of Robin type that may
@@ -26,7 +26,6 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
-FACTORIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -91,33 +90,14 @@ class ValidationReport:
     ellipticity_m: float
     min_complex_eigenvalue: float
     coercive: bool
-    hermitian_ok: bool
-    elliptic_ok: bool
-    psd_ok: bool
     a00_nonnegative: bool
     robin_ratio_nonnegative: bool
     final_time_positive: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.hermitian_ok
-            and self.elliptic_ok
-            and self.psd_ok
-            and self.a00_nonnegative
-            and self.robin_ratio_nonnegative
-            and self.final_time_positive
-        )
-
-
-@dataclass
-class FactorizedPrincipal:
-    """Pointwise factor D(x) with D*D = A, rows paired with the first-order
-    coefficient list."""
-
-    factor: Callable
-    residual_bound: float
-    rows: int
+        # violations of the principal part raise instead of lowering a flag
+        return self.a00_nonnegative and self.robin_ratio_nonnegative and self.final_time_positive
 
 
 def sample_interior_points(domain: Domain, density: int) -> np.ndarray:
@@ -215,9 +195,6 @@ def validate_coefficients(spec: ProblemSpec, sample_density: int = 32) -> Valida
         ellipticity_m=m,
         min_complex_eigenvalue=min_complex,
         coercive=min_complex > PSD_TOL,
-        hermitian_ok=True,
-        elliptic_ok=True,
-        psd_ok=True,
         a00_nonnegative=a00_ok,
         robin_ratio_nonnegative=robin_ok,
         final_time_positive=spec.final_time > 0.0,
@@ -268,23 +245,13 @@ def hermitian_sqrt_psd(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray
     return (V * np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
-def factorize_principal(spec: ProblemSpec, sample_points: np.ndarray) -> FactorizedPrincipal:
-    """Pointwise Hermitian square root D(x) of the principal matrix.
-
-    The returned field satisfies D(x)* D(x) = A(x) up to
-    ``FACTORIZATION_TOL``; the residual over the given sample points is
-    recorded in the result.
-    """
+def factorize_principal(spec: ProblemSpec) -> Callable:
+    """The field D(*coords) = sqrt(A(*coords)), the Hermitian PSD square root
+    of the principal matrix, so D* D = A up to eigh roundoff (eigenvalues in
+    [-PSD_TOL, 0) are clipped to zero)."""
     principal = spec.principal
 
     def factor(*coords):
         return hermitian_sqrt_psd(np.asarray(principal(*coords), dtype=complex))
 
-    pts = np.asarray(sample_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    coords = _coords(pts)
-    A = np.asarray(principal(*coords), dtype=complex)
-    D = factor(*coords)
-    residual = float(np.max(np.abs(D.conj().swapaxes(-1, -2) @ D - A)))
-    return FactorizedPrincipal(factor=factor, residual_bound=residual, rows=spec.dim)
+    return factor

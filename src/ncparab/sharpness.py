@@ -32,7 +32,6 @@ class SeriesLowerBound:
     partial_sum: float
     diverges: bool
     growth_observed: bool
-    growth_increment: float  # partial sum increment from N to 2N
 
 
 def _power_sum(exponent: float, start: int, stop: int) -> float:
@@ -95,19 +94,21 @@ def series_hs_lower_bound(s: float, epsilon: float, terms: int) -> SeriesLowerBo
         partial_sum=partial,
         diverges=diverges,
         growth_observed=increment >= 0.4 * predicted and increment > 0.0,
-        growth_increment=increment,
     )
 
 
-def find_divergence_epsilon(s: float, terms: int = 100_000) -> dict:
-    """Witness epsilon for a given s in (1/2, 1): finite A, divergent B.
-
-    Returns the midpoint epsilon = (2s - 1)/2 together with the evaluated
-    partial sums and verdicts.
-    """
+def witness_epsilon(s: float) -> float:
+    """The midpoint epsilon = (2s - 1)/2 of (0, 2s - 1), for which A is
+    finite and B diverges; s must lie in the open interval (1/2, 1)."""
     if not (0.5 < s < 1.0):
         raise SOutOfRange("s must lie in the open interval (1/2, 1)")
-    epsilon = (2.0 * s - 1.0) / 2.0
+    return (2.0 * s - 1.0) / 2.0
+
+
+def find_divergence_epsilon(s: float, terms: int = 100_000) -> dict:
+    """Witness epsilon for a given s in (1/2, 1) together with the evaluated
+    partial sums and verdicts."""
+    epsilon = witness_epsilon(s)
     partial_a, tail_a = series_plus_norm(epsilon, terms)
     lower = series_hs_lower_bound(s, epsilon, terms)
     return {
@@ -134,7 +135,7 @@ def truncated_series_coefficients(epsilon: float, K: int) -> np.ndarray:
     return scale / weights
 
 
-def discrete_series_energy(mesh, spec, factorized, epsilon: float, K: int) -> float:
+def discrete_series_energy(mesh, spec, epsilon: float, K: int) -> float:
     """Discrete Bochner energy norm of the truncated series on a disk mesh.
 
     Interpolates z^k at the nodes, forms the Gram matrix of the energy
@@ -145,7 +146,7 @@ def discrete_series_energy(mesh, spec, factorized, epsilon: float, K: int) -> fl
 
     z = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
     W = np.stack([z**k for k in range(K + 1)], axis=1)
-    K_full = assemble_plus_form(mesh, spec, factorized)
+    K_full = assemble_plus_form(mesh, spec)
     gram = W.conj().T @ (K_full @ W)
     G = truncated_series_coefficients(epsilon, K)
     return float(np.real(np.sum(G * gram)))

@@ -29,8 +29,6 @@ from ncparab.presets import PRESETS, build_disk
 from ncparab.problem import (
     ProblemSpec,
     UnitDiskPolygon,
-    factorize_principal,
-    sample_interior_points,
     validate_coefficients,
 )
 from ncparab.sharpness import (
@@ -174,7 +172,6 @@ def test_criterion_5_noncoercive_degeneracy():
         disk_spec = build_disk()
         disk_spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(disk_spec.domain, rings, disk_spec.dirichlet_selector)
-        fz = factorize_principal(disk_spec, np.zeros((1, 2)))
         principal_only = ProblemSpec(
             domain=disk_spec.domain,
             final_time=1.0,
@@ -182,8 +179,8 @@ def test_criterion_5_noncoercive_degeneracy():
             boundary_b1=fields.constant_scalar(1.0),
             boundary_b00=fields.constant_scalar(0.0),
         )
-        P = assemble_plus_form(mesh, principal_only, fz)
-        K = assemble_plus_form(mesh, disk_spec, fz)
+        P = assemble_plus_form(mesh, principal_only)
+        K = assemble_plus_form(mesh, disk_spec)
         z = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
         hs.append(2.0 * np.pi / segments)
         for name, w in (("z", z), ("z2", z**2)):
@@ -221,8 +218,7 @@ def test_criterion_6_sharpness_example():
     spec = build_disk()
     spec.domain = UnitDiskPolygon(128)
     mesh = build_mesh(spec.domain, 32, spec.dirichlet_selector)
-    fz = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-    value = discrete_series_energy(mesh, spec, fz, eps, K)
+    value = discrete_series_energy(mesh, spec, eps, K)
     cross_rel = abs(value - analytic) / analytic
     elapsed = time.time() - start
     ok = bracket_ok and witnesses_ok and cross_rel < 0.05 and elapsed < 60.0

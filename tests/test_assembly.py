@@ -29,8 +29,6 @@ from ncparab.problem import (
     ProblemSpec,
     Rectangle,
     UnitDiskPolygon,
-    factorize_principal,
-    sample_interior_points,
 )
 
 
@@ -50,18 +48,16 @@ def _interval_spec(**overrides):
     return ProblemSpec(**kwargs)
 
 
-def _pipeline(spec, resolution):
-    mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
-    fz = factorize_principal(spec, sample_interior_points(spec.domain, 4))
-    return mesh, fz
+def _mesh(spec, resolution):
+    return build_mesh(spec.domain, resolution, spec.dirichlet_selector)
 
 
 def test_1d_dirichlet_stiffness_matches_hand_assembly():
     n = 6
     h = 1.0 / n
     spec = _interval_spec()
-    mesh, fz = _pipeline(spec, n)
-    forms = assemble_forms(mesh, spec, fz)
+    mesh = _mesh(spec, n)
+    forms = assemble_forms(mesh, spec)
     expected = (
         np.diag(2.0 * np.ones(n - 1))
         - np.diag(np.ones(n - 2), 1)
@@ -78,16 +74,16 @@ def test_zero_principal_gives_mass():
         zero_order_a00=fields.constant_scalar(1.0),
         dirichlet_selector=None,
     )
-    mesh, fz = _pipeline(spec, 5)
-    K = assemble_plus_form(mesh, spec, fz)
+    mesh = _mesh(spec, 5)
+    K = assemble_plus_form(mesh, spec)
     M = assemble_mass(mesh)
     assert np.allclose(K.toarray(), M.toarray(), atol=1e-14)
 
 
 def test_disk_preset_is_principal_plus_boundary_mass():
     spec = build_disk()
-    mesh, fz = _pipeline(spec, 4)
-    K = assemble_plus_form(mesh, spec, fz).toarray()
+    mesh = _mesh(spec, 4)
+    K = assemble_plus_form(mesh, spec).toarray()
     principal_only = ProblemSpec(
         domain=spec.domain,
         final_time=1.0,
@@ -102,10 +98,8 @@ def test_disk_preset_is_principal_plus_boundary_mass():
         boundary_b1=spec.boundary_b1,
         boundary_b00=spec.boundary_b00,
     )
-    P = assemble_plus_form(mesh, principal_only, fz).toarray()
-    B = assemble_plus_form(
-        mesh, boundary_only, factorize_principal(boundary_only, np.zeros((1, 2)))
-    ).toarray()
+    P = assemble_plus_form(mesh, principal_only).toarray()
+    B = assemble_plus_form(mesh, boundary_only).toarray()
     assert np.allclose(K, P + B, atol=1e-13)
     assert np.max(np.abs(B.imag)) == 0.0
 
@@ -135,16 +129,16 @@ def test_mass_total_rectangle_area_two():
 
 def test_first_order_zero_coefficients():
     spec = _interval_spec(dirichlet_selector=None)
-    mesh, fz = _pipeline(spec, 4)
-    C = assemble_first_order(mesh, spec, fz)
+    mesh = _mesh(spec, 4)
+    C = assemble_first_order(mesh, spec)
     assert C.nnz == 0 or np.max(np.abs(C.toarray())) == 0.0
 
 
 def test_first_order_constant_delta_a0_is_scaled_mass():
     c = 0.7 - 0.3j
     spec = _interval_spec(zero_order_delta_a0=fields.constant_scalar(c), dirichlet_selector=None)
-    mesh, fz = _pipeline(spec, 4)
-    C = assemble_first_order(mesh, spec, fz).toarray()
+    mesh = _mesh(spec, 4)
+    C = assemble_first_order(mesh, spec).toarray()
     M = assemble_mass(mesh).toarray()
     assert np.allclose(C, c * M, atol=1e-14)
 
@@ -152,8 +146,8 @@ def test_first_order_constant_delta_a0_is_scaled_mass():
 def test_convection_matches_hand_assembly():
     # P1 convection on 3 elements: element block [[-1/2, 1/2], [-1/2, 1/2]].
     spec = _interval_spec(first_order=[fields.constant_scalar(1.0)], dirichlet_selector=None)
-    mesh, fz = _pipeline(spec, 3)
-    C = assemble_first_order(mesh, spec, fz).toarray()
+    mesh = _mesh(spec, 3)
+    C = assemble_first_order(mesh, spec).toarray()
     block = np.array([[-0.5, 0.5], [-0.5, 0.5]])
     expected = np.zeros((4, 4), dtype=complex)
     for e in range(3):
@@ -238,7 +232,7 @@ def test_blocked_load_is_exact_for_affine_sources(case, constrained, n_times, se
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
-    forms = assemble_forms(mesh, spec, factorize_principal(spec, sample_interior_points(domain, 4)))
+    forms = assemble_forms(mesh, spec)
     times = np.sort(rng.uniform(0.0, 2.0, n_times))
 
     F = assemble_load(mesh, f, times)
@@ -310,8 +304,8 @@ def test_apply_constraints_removes_endpoints():
 
 def test_reduce_then_expand_is_identity_on_free_dofs():
     spec = _interval_spec()
-    mesh, fz = _pipeline(spec, 5)
-    forms = assemble_forms(mesh, spec, fz)
+    mesh = _mesh(spec, 5)
+    forms = assemble_forms(mesh, spec)
     v = np.arange(forms.N, dtype=complex) + 1.0j
     assert np.allclose(forms.dofmap.reduce(forms.dofmap.expand(v)), v)
     full = forms.dofmap.expand(v)
@@ -327,14 +321,12 @@ def test_constraining_everything_raises():
         nodes,
         elements,
         facets,
-        np.array([[-1.0], [1.0], [1.0]]),
         np.ones(3),
         np.ones(3, dtype=bool),
     )
     spec = _interval_spec(dirichlet_selector=None)
-    fz = factorize_principal(spec, np.array([[0.5]]))
     with pytest.raises(ConstraintOnAllDofs):
-        assemble_forms(mesh, spec, fz)
+        assemble_forms(mesh, spec)
 
 
 def _forms_with(K):
@@ -403,8 +395,8 @@ def test_discrete_cauchy_bound_random_vectors():
         first_order=[fields.constant_scalar(0.5)],
         zero_order_delta_a0=fields.constant_scalar(-0.2j),
     )
-    mesh, fz = _pipeline(spec, 20)
-    forms = assemble_forms(mesh, spec, fz)
+    mesh = _mesh(spec, 20)
+    forms = assemble_forms(mesh, spec)
     c = 0.5 + 0.2  # c1 + c2 for these constants
     rng = np.random.default_rng(11)
     K, M, C = forms.k_plus.toarray(), forms.mass.toarray(), forms.first_order.toarray()
@@ -424,8 +416,8 @@ def test_pencil_eigenvalues_grow_with_constraints():
     spectra = []
     for sel in selectors:
         spec = _interval_spec(zero_order_a00=fields.constant_scalar(1.0), dirichlet_selector=sel)
-        mesh, fz = _pipeline(spec, 12)
-        forms = assemble_forms(mesh, spec, fz)
+        mesh = _mesh(spec, 12)
+        forms = assemble_forms(mesh, spec)
         vals = sla.eigh(
             forms.k_plus.toarray(), forms.mass.toarray(), eigvals_only=True
         )
@@ -444,10 +436,10 @@ def test_coercive_case_dominates_h1_form():
         boundary_b00=fields.constant_scalar(1.0),
         dirichlet_selector=None,
     )
-    mesh, fz = _pipeline(spec, 10)
-    K = assemble_plus_form(mesh, spec, fz).toarray()
+    mesh = _mesh(spec, 10)
+    K = assemble_plus_form(mesh, spec).toarray()
     stiffness_only = _interval_spec(dirichlet_selector=None)
-    S = assemble_plus_form(mesh, stiffness_only, fz).toarray()
+    S = assemble_plus_form(mesh, stiffness_only).toarray()
     M = assemble_mass(mesh).toarray()
     assert np.min(np.linalg.eigvalsh(K - (S + M))) >= -1e-12
 
@@ -458,8 +450,8 @@ def test_l2_embedding_constant_finite():
             spec = _interval_spec(dirichlet_selector=lambda x: np.ones(np.shape(x), bool))
         else:
             spec = builder()
-        mesh, fz = _pipeline(spec, res)
-        forms = assemble_forms(mesh, spec, fz)
+        mesh = _mesh(spec, res)
+        forms = assemble_forms(mesh, spec)
         vals = sla.eigh(forms.mass.toarray(), forms.k_plus.toarray(), eigvals_only=True)
         c_sq = float(np.max(vals))
         assert np.isfinite(c_sq) and c_sq > 0.0
@@ -527,12 +519,11 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
-    fz = factorize_principal(spec, sample_interior_points(domain, 4))
     with mock.patch.object(assembly, "real_if_exact", lambda a: a):
-        reference = assemble_plus_form(mesh, spec, fz), assemble_first_order(mesh, spec, fz)
-    forms = assemble_forms(mesh, spec, fz)
+        reference = assemble_plus_form(mesh, spec), assemble_first_order(mesh, spec)
+    forms = assemble_forms(mesh, spec)
     for got, reduced, ref in zip(
-        (assemble_plus_form(mesh, spec, fz), assemble_first_order(mesh, spec, fz)),
+        (assemble_plus_form(mesh, spec), assemble_first_order(mesh, spec)),
         (forms.k_plus, forms.first_order),
         reference,
     ):

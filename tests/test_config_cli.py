@@ -416,7 +416,18 @@ def test_matrix_coordinate_export(tmp_path):
     header, rows = _read_csv(path)
     assert header == ["row", "col", "re", "im"]
     parsed = [(int(r[0]), int(r[1]), float(r[2]), float(r[3])) for r in rows]
-    assert parsed == [(0, 0, 1.0, 0.0), (1, 0, 0.0, 2.0), (1, 1, 3.0, 0.0)]
+    assert parsed == [(0, 0, 1.0, 0.0), (0, 1, 0.0, 0.0), (1, 0, 0.0, 2.0), (1, 1, 3.0, 0.0)]
+
+
+def test_cli_eigs_vectors_writes_every_entry(tmp_path):
+    # the entry set is fixed by the block's shape: N k pairs in row-major
+    # order, whatever entries come out exactly zero (zero1d: N = 31, k = 16)
+    cfg = _write_cfg(tmp_path, "problem.preset = zero1d\n")
+    out = str(tmp_path / "out")
+    assert main(["eigs", "--config", cfg, "--out", out, "--vectors"]) == 0
+    _, rows = _read_csv(os.path.join(out, "eigenvectors.csv"))
+    pairs = [(int(r[0]), int(r[1])) for r in rows]
+    assert pairs == [(i, j) for i in range(31) for j in range(16)]
 
 
 def _per_cell_line(row):
@@ -470,7 +481,7 @@ def test_exports_are_atomic_with_lf_line_endings(tmp_path):
         assert b"\r" not in data and data.endswith(b"\n")
     assert sorted(os.listdir(tmp_path)) == ["elements.csv", "facets.csv", "mat.csv", "nodes.csv"]
     assert (tmp_path / "mat.csv").read_text().splitlines()[1:] == [
-        "0,0,1,0", "1,0,0,2", "1,1,-0,3",
+        "0,0,1,0", "0,1,0,0", "1,0,0,2", "1,1,-0,3",
     ]
 
 

@@ -11,7 +11,6 @@ from ncparab.errors import (
     NotPositiveSemidefinite,
 )
 from ncparab.problem import (
-    FACTORIZATION_TOL,
     PSD_TOL,
     Interval,
     ProblemSpec,
@@ -145,29 +144,30 @@ def test_split_recombines(a0_val, b0_val, b1_val):
     assert float(b00(x)[0]) / b1_val >= 0.0
 
 
+def _factor_at(spec, *point):
+    """The factor field of ``spec`` and the principal matrix at one point."""
+    coords = tuple(np.array([c]) for c in point)
+    return factorize_principal(spec)(*coords)[0], spec.principal(*coords)[0]
+
+
 def test_factorize_identity():
-    fz = factorize_principal(_spec_with_principal(np.eye(2)), np.zeros((1, 2)))
-    D = fz.factor(np.array([0.0]), np.array([0.0]))[0]
+    D, A = _factor_at(_spec_with_principal(np.eye(2)), 0.0, 0.0)
     assert np.allclose(D, np.eye(2))
-    assert fz.residual_bound <= FACTORIZATION_TOL
+    assert np.allclose(D.conj().T @ D, A, rtol=0.0, atol=1e-12)
 
 
 def test_factorize_disk_matrix():
     # The disk matrix A satisfies A^2 = 2A, so its PSD square root is A/sqrt(2).
     assert np.allclose(DISK_MATRIX @ DISK_MATRIX, 2.0 * DISK_MATRIX)
-    spec = _spec_with_principal(DISK_MATRIX)
-    fz = factorize_principal(spec, sample_interior_points(spec.domain, 4))
-    D = fz.factor(np.array([0.1]), np.array([0.2]))[0]
+    D, A = _factor_at(_spec_with_principal(DISK_MATRIX), 0.1, 0.2)
     assert np.allclose(D, DISK_MATRIX / np.sqrt(2.0), atol=1e-12)
-    assert np.allclose(D.conj().T @ D, DISK_MATRIX, atol=FACTORIZATION_TOL)
-    assert fz.residual_bound <= FACTORIZATION_TOL
+    assert np.allclose(D.conj().T @ D, A, rtol=0.0, atol=1e-12)
 
 
 def test_factorize_diagonal_psd():
-    spec = _spec_with_principal(np.diag([4.0, 0.0]))
-    fz = factorize_principal(spec, np.zeros((1, 2)))
-    D = fz.factor(np.array([0.0]), np.array([0.0]))[0]
+    D, A = _factor_at(_spec_with_principal(np.diag([4.0, 0.0])), 0.0, 0.0)
     assert np.allclose(D, np.diag([2.0, 0.0]))
+    assert np.allclose(D.conj().T @ D, A, rtol=0.0, atol=1e-12)
 
 
 def test_factorize_indefinite_raises():
@@ -194,7 +194,7 @@ def test_quadratic_form_matches_factorization(seed):
     gv = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     lhs = np.vdot(gv, A @ gu)
     rhs = np.vdot(D @ gv, D @ gu)
-    tol = FACTORIZATION_TOL * max(1.0, np.linalg.norm(gu) * np.linalg.norm(gv)) * np.linalg.norm(A)
+    tol = PSD_TOL * max(1.0, np.linalg.norm(gu) * np.linalg.norm(gv)) * np.linalg.norm(A)
     assert abs(lhs - rhs) <= tol
 
 

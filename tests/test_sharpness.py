@@ -7,17 +7,14 @@ from scipy.special import zeta
 from ncparab.errors import SOutOfRange
 from ncparab.meshing import build_mesh
 from ncparab.presets import build_disk
-from ncparab.problem import (
-    UnitDiskPolygon,
-    factorize_principal,
-    sample_interior_points,
-)
+from ncparab.problem import UnitDiskPolygon
 from ncparab.sharpness import (
     discrete_series_energy,
     find_divergence_epsilon,
     series_hs_lower_bound,
     series_plus_norm,
     truncated_series_coefficients,
+    witness_epsilon,
 )
 
 
@@ -92,7 +89,7 @@ def test_lower_bound_s_one_large_epsilon_converges():
 def test_find_divergence_epsilon_midpoint_formula():
     for s, expected in ((0.75, 0.25), (0.6, 0.1), (0.9, 0.4)):
         result = find_divergence_epsilon(s, terms=50_000)
-        assert result["epsilon"] == pytest.approx(expected)
+        assert result["epsilon"] == witness_epsilon(s) == pytest.approx(expected)
         assert result["B_diverges"]
         assert np.isfinite(result["partial_A"] + result["tail_A"])
         assert result["B_growth_observed"]
@@ -102,6 +99,8 @@ def test_find_divergence_epsilon_rejects_out_of_range():
     for s in (0.4, 0.5, 1.0, 1.2):
         with pytest.raises(SOutOfRange):
             find_divergence_epsilon(s)
+        with pytest.raises(SOutOfRange):
+            witness_epsilon(s)
     with pytest.raises(SOutOfRange):
         series_hs_lower_bound(1.1, 0.5, 100)
 
@@ -124,8 +123,7 @@ def test_discrete_energy_matches_series_within_tolerance():
         spec = build_disk()
         spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(spec.domain, rings, spec.dirichlet_selector)
-        fz = factorize_principal(spec, sample_interior_points(spec.domain, 8))
-        value = discrete_series_energy(mesh, spec, fz, eps, K)
+        value = discrete_series_energy(mesh, spec, eps, K)
         rels.append(abs(value - analytic) / analytic)
     assert all(rel < 0.05 for rel in rels)
     assert rels[1] < rels[0] + 0.01
