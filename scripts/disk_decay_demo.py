@@ -18,12 +18,12 @@ from ncparab.problem import validate_coefficients
 def main():
     preset = get_preset("disk")
     spec = preset.build()
-    report = validate_coefficients(spec)
+    forms, basis = discretize(spec, preset.default_resolution, preset.default_k)
+    report = validate_coefficients(spec, forms.mesh)
     print(f"ellipticity constant m = {report.ellipticity_m}")
     print(f"smallest complex-form eigenvalue = {report.min_complex_eigenvalue}")
     print(f"coercive: {report.coercive}")
 
-    forms, basis = discretize(spec, preset.default_resolution, preset.default_k)
     print(f"\nmesh: {forms.mesh.num_nodes} nodes, {len(forms.mesh.elements)} triangles")
     print(f"first pencil eigenvalues: {np.round(basis.eigenvalues[:5], 4)}")
 
@@ -32,7 +32,7 @@ def main():
     print(f"\n|u(0)|_L2 = {l2[0]:.6f}  ->  |u(T)|_L2 = {l2[-1]:.6f}")
     print(f"monotone decay: {bool(np.all(np.diff(l2) <= 1e-12))}")
 
-    est = apriori_bounds(trajectory, *compute_constants(spec))
+    est = apriori_bounds(trajectory, *compute_constants(spec, forms.mesh))
     print(f"\nsup bound:    {est.sup_lhs:.6f} <= {est.sup_rhs:.6f}  ({est.sup_ok})")
     print(f"energy bound: {est.energy_lhs:.6f} <= {est.energy_rhs:.6f}  ({est.energy_ok})")
     min_eig, ok = check_uniqueness_condition(trajectory.system.interaction)

@@ -16,9 +16,9 @@ complex arithmetic; a matrix whose imaginary parts all come out exactly 0
 is stored real (float64), so that real data are factored, solved and
 eigensolved in real arithmetic. The mass matrix is always real.
 
-Quadrature is 2-point Gauss on segments and the 3-point edge-midpoint rule
-on triangles, both exact for quadratic integrands, hence exact whenever the
-coefficients are elementwise constant.
+Every form reads the geometry and the quadrature points of its mesh from
+the one table the mesh keeps (``Mesh.quadrature``). A constant principal
+matrix is factored once, and its element matrices formed once.
 
 Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
@@ -36,76 +36,22 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConstraintOnAllDofs, SingularKPlus
-from .meshing import Mesh
+from .fields import axes
+from .meshing import Mesh, Quadrature
 from .problem import ProblemSpec, factorize_principal
 from .spectral import solver
 
-_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
-
-def _element_geometry(mesh: Mesh):
-    """Per-element constant gradients (E, dim, ndof) and measures (E,)."""
-    p = mesh.nodes[mesh.elements]
-    if mesh.dim == 1:
-        h = p[:, 1, 0] - p[:, 0, 0]
-        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, None, :]
-        return grads, np.abs(h)
-    J = np.stack(
-        [p[:, 1, :] - p[:, 0, :], p[:, 2, :] - p[:, 0, :]], axis=2
-    )  # columns are edge vectors
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    inv_t = (
-        np.stack(
-            [
-                np.stack([J[:, 1, 1], -J[:, 1, 0]], axis=1),
-                np.stack([-J[:, 0, 1], J[:, 0, 0]], axis=1),
-            ],
-            axis=1,
-        )
-        / det[:, None, None]
-    )
-    ref = np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    grads = inv_t @ ref
-    return grads, 0.5 * np.abs(det)
-
-
-def _element_quadrature(mesh: Mesh):
-    """Quadrature points (E, Q, dim), weights (E, Q) including measure,
-    and P1 values (Q, ndof)."""
-    p = mesh.nodes[mesh.elements]
-    if mesh.dim == 1:
-        s = np.array(_GAUSS2)
-        pts = p[:, None, 0, :] + s[None, :, None] * (p[:, None, 1, :] - p[:, None, 0, :])
-        h = np.abs(p[:, 1, 0] - p[:, 0, 0])
-        wts = 0.5 * h[:, None] * np.ones((1, 2))
-        phi = np.stack([1.0 - s, s], axis=1)
-        return pts, wts, phi
-    bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-    pts = np.einsum("qa,ead->eqd", bary, p)
-    _, area = _element_geometry(mesh)
-    wts = area[:, None] * np.full((1, 3), 1.0 / 3.0)
-    return pts, wts, bary
-
-
-def _facet_quadrature(mesh: Mesh, facet_idx: np.ndarray):
-    """Quadrature on boundary facets: points (F, Qb, dim), weights (F, Qb)
-    including measure, P1 facet values (Qb, nfdof)."""
-    facets = mesh.boundary_facets[facet_idx]
-    p = mesh.nodes[facets]
-    if mesh.dim == 1:
-        pts = p[:, None, 0, :]
-        wts = mesh.facet_measures[facet_idx][:, None]
-        phi = np.ones((1, 1))
-        return facets, pts, wts, phi
-    s = np.array(_GAUSS2)
-    pts = p[:, None, 0, :] + s[None, :, None] * (p[:, None, 1, :] - p[:, None, 0, :])
-    wts = 0.5 * mesh.facet_measures[facet_idx][:, None] * np.ones((1, 2))
-    phi = np.stack([1.0 - s, s], axis=1)
-    return facets, pts, wts, phi
-
-
-def _coords(pts: np.ndarray):
-    return tuple(pts[..., i] for i in range(pts.shape[-1]))
+def _per_point(quad: Quadrature, factor: Callable, form: Callable):
+    """``form(B)`` for the rows B = D grads of the principal factor at each
+    element quadrature point, in quadrature order, one point at a time. A
+    constant factor (one with a ``value``) gives the same B at every point,
+    so B and ``form(B)`` are computed once."""
+    n_quad = quad.points.shape[1]
+    D = getattr(factor, "value", None)
+    if D is not None:
+        return [form(D @ quad.grads)] * n_quad
+    return (form(factor(*axes(quad.points[:, q])) @ quad.grads) for q in range(n_quad))
 
 
 def _scatter_matrix(conn: np.ndarray, data: np.ndarray, size: int) -> sp.csr_matrix:
@@ -126,37 +72,32 @@ def real_if_exact(a):
     return a.real.copy()  # a contiguous copy; .real alone is a strided view
 
 
-def _robin_ratio(spec: ProblemSpec, coords) -> np.ndarray:
-    # b00 comes from problem.split_zero_order, which refuses b1 = 0
-    b00 = np.real(np.asarray(spec.boundary_b00(*coords), dtype=complex))
-    b1 = np.real(np.asarray(spec.boundary_b1(*coords), dtype=complex))
-    return b00 / b1
-
-
-def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
+def assemble_plus_form(mesh: Mesh, spec: ProblemSpec, factor: Callable = None) -> sp.csr_matrix:
     """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
-    real when its entries are."""
+    real when its entries are. ``factor`` defaults to ``factorize_principal(spec)``."""
     n = mesh.num_nodes
-    factor = factorize_principal(spec)
-    grads, _ = _element_geometry(mesh)
-    pts, wts, phi = _element_quadrature(mesh)
+    quad = mesh.quadrature
     ndof = mesh.elements.shape[1]
     data = np.zeros((len(mesh.elements), ndof, ndof), dtype=complex)
-    for q in range(pts.shape[1]):
-        coords = _coords(pts[:, q, :])
-        B = factor(*coords) @ grads
-        data += wts[:, q, None, None] * np.einsum("eli,elj->eij", B.conj(), B)
+    grams = _per_point(
+        quad, factor or factorize_principal(spec), lambda B: np.einsum("eli,elj->eij", B.conj(), B)
+    )
+    for q, X in enumerate(grams):
+        data += quad.weights[:, q, None, None] * X
         if spec.zero_order_a00 is not None:
-            a00 = np.real(np.asarray(spec.zero_order_a00(*coords)))
-            data += (wts[:, q] * a00)[:, None, None] * np.outer(phi[q], phi[q])
+            a00 = np.real(np.asarray(spec.zero_order_a00(*axes(quad.points[:, q]))))
+            data += (quad.weights[:, q] * a00)[:, None, None] * np.outer(quad.phi[q], quad.phi[q])
     K = _scatter_matrix(mesh.elements, data, n)
 
-    robin = np.nonzero(~mesh.facet_dirichlet)[0]
-    if len(robin) and spec.boundary_b00 is not None:
-        facets, fpts, fwts, fphi = _facet_quadrature(mesh, robin)
+    robin = ~mesh.facet_dirichlet
+    if robin.any() and spec.boundary_b00 is not None:
+        facets = mesh.boundary_facets[robin]
+        fpts, fwts, fphi = quad.facet_points[robin], quad.facet_weights[robin], quad.facet_phi
         fdata = np.zeros((len(facets), facets.shape[1], facets.shape[1]))
         for q in range(fpts.shape[1]):
-            ratio = _robin_ratio(spec, _coords(fpts[:, q, :]))
+            # b00 comes from problem.split_zero_order, which refuses b1 = 0
+            coords = axes(fpts[:, q, :])
+            ratio = np.real(spec.boundary_b00(*coords)) / np.real(spec.boundary_b1(*coords))
             fdata += (fwts[:, q] * ratio)[:, None, None] * np.outer(fphi[q], fphi[q])
         K = K + _scatter_matrix(facets, fdata, n)
     return real_if_exact((K + K.conj().T) * 0.5)
@@ -164,7 +105,7 @@ def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """L2 mass matrix over all nodes, from the exact P1 element mass."""
-    _, measures = _element_geometry(mesh)
+    measures = mesh.quadrature.measures
     if mesh.dim == 1:
         pattern = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     else:
@@ -173,27 +114,28 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return _scatter_matrix(mesh.elements, data, mesh.num_nodes)
 
 
-def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
+def assemble_first_order(mesh: Mesh, spec: ProblemSpec, factor: Callable = None) -> sp.csr_matrix:
     """Matrix of the lower-order form over all nodes (non-symmetric); real
-    when its entries are."""
+    when its entries are. ``factor`` defaults to ``factorize_principal(spec)``."""
     n = mesh.num_nodes
-    factor = factorize_principal(spec)
-    grads, _ = _element_geometry(mesh)
-    pts, wts, phi = _element_quadrature(mesh)
+    quad = mesh.quadrature
     ndof = mesh.elements.shape[1]
     data = np.zeros((len(mesh.elements), ndof, ndof), dtype=complex)
     coeffs = list(spec.first_order or [])
-    for q in range(pts.shape[1]):
-        coords = _coords(pts[:, q, :])
+    rows = [None] * quad.points.shape[1]
+    if coeffs:
+        rows = _per_point(quad, factor or factorize_principal(spec), lambda B: B)
+    for q, B in enumerate(rows):
+        coords = axes(quad.points[:, q])
+        wts, phi = quad.weights[:, q], quad.phi[q]
         if coeffs:
-            B = factor(*coords) @ grads
             drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
             for l, a_l in enumerate(coeffs):
                 drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
-            data += wts[:, q, None, None] * phi[q][None, :, None] * drift[:, None, :]
+            data += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
         if spec.zero_order_delta_a0 is not None:
             da0 = np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex)
-            data += (wts[:, q] * da0)[:, None, None] * np.outer(phi[q], phi[q])
+            data += (wts * da0)[:, None, None] * np.outer(phi, phi)
     return real_if_exact(_scatter_matrix(mesh.elements, data, n))
 
 
@@ -211,19 +153,19 @@ class LoadOperator:
 def load_operator(mesh: Mesh) -> LoadOperator:
     """The mesh's load operator, built on first use and kept on the mesh."""
     if mesh._load_operator is None:
-        pts, wts, phi = _element_quadrature(mesh)
-        n_elem, n_quad, dim = pts.shape
+        quad = mesh.quadrature
+        n_elem, n_quad, dim = quad.points.shape
         ndof = mesh.elements.shape[1]
         shape = (n_elem, n_quad, ndof)
         rows = np.broadcast_to(mesh.elements[:, None, :], shape)
         cols = np.broadcast_to(np.arange(n_elem * n_quad).reshape(n_elem, n_quad, 1), shape)
-        data = wts[:, :, None] * phi[None, :, :]
+        data = quad.weights[:, :, None] * quad.phi[None, :, :]
         P = sp.coo_matrix(
             (data.ravel(), (rows.ravel(), cols.ravel())),
             shape=(mesh.num_nodes, n_elem * n_quad),
         ).tocsr()
         mesh._load_operator = LoadOperator(
-            coords=_coords(pts.reshape(n_elem * n_quad, dim)),
+            coords=axes(quad.points.reshape(n_elem * n_quad, dim)),
             matrix=P[free_nodes(mesh)],
         )
     return mesh._load_operator
@@ -322,9 +264,10 @@ def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
     dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=constrained)
-    K = apply_S_constraints(assemble_plus_form(mesh, spec), constrained)
+    factor = factorize_principal(spec)
+    K = apply_S_constraints(assemble_plus_form(mesh, spec, factor), constrained)
     M = apply_S_constraints(assemble_mass(mesh), constrained)
-    C = apply_S_constraints(assemble_first_order(mesh, spec), constrained)
+    C = apply_S_constraints(assemble_first_order(mesh, spec, factor), constrained)
     return AssembledForms(
         mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C
     )

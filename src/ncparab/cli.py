@@ -36,6 +36,7 @@ from .integrator import (
     solve_evolution,
     solve_nodal,
 )
+from .fields import axes
 from .meshing import Mesh, build_mesh
 from .presets import get_preset
 from .sharpness import series_hs_lower_bound, series_plus_norm, witness_epsilon
@@ -114,7 +115,7 @@ def export_matrix_coo(path: str, matrix) -> None:
 def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
     rows: list[list] = []
     ok = True
-    c1, c2 = compute_constants(spec)
+    c1, c2 = compute_constants(spec, trajectory.forms.mesh)
     rows += [["c1", _fmt(c1)], ["c2", _fmt(c2)]]
     if cfg.checks_bounds:
         report = apriori_bounds(trajectory, c1, c2)
@@ -232,7 +233,7 @@ def _nodal_level(preset_name: str, resolution: int, steps: int, theta: float):
     forms, _ = discretize(spec, resolution, 0)
     numeric = solve_nodal(spec, forms, steps, theta)
     mesh = forms.mesh
-    coords = tuple(mesh.nodes[forms.dofmap.free, i] for i in range(mesh.dim))
+    coords = axes(mesh.nodes[forms.dofmap.free])
     exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
     diff = numeric - exact
     M = forms.mass

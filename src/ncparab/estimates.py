@@ -7,7 +7,8 @@ integral of the squared energy norm, both with right side
     (|u0|_L2^2 + int_0^T |f|_-^2 dt) * exp((2 c2 + 2 c1^2) T),
 
 where c1 controls the directional-derivative coefficients and c2 the
-zero-order remainder. The right side does not depend on the basis size.
+zero-order remainder, both maxima over the mesh's quadrature points. The
+right side does not depend on the basis size.
 Verification on a computed trajectory uses trapezoidal quadrature of the
 norm traces and an explicit slack for quadrature and projection error;
 violations are reported, not raised, so near-degenerate configurations can
@@ -25,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence
 from .integrator import GalerkinTrajectory
-from .problem import ProblemSpec, sample_interior_points
+from .fields import axes
+from .problem import ProblemSpec
 from .spectral import definite_factor, solver
 
 UNIQUENESS_TOL = 1e-10
@@ -49,22 +51,24 @@ class EstimateReport:
         return self.sup_ok and self.energy_ok
 
 
-def compute_constants(spec: ProblemSpec, sample_density: int = 32) -> tuple[float, float]:
-    """Constants (c1, c2) from coefficient sup norms by dense sampling.
+def compute_constants(spec: ProblemSpec, mesh) -> tuple[float, float]:
+    """Constants (c1, c2) from coefficient maxima over the element
+    quadrature points of ``mesh``.
 
-    c1 is the Euclidean norm of the per-direction sups of the first-order
-    coefficients (their directional derivatives are dominated by the energy
-    norm); c2 is the sup of |delta_a0|.
+    c1 is the Euclidean norm of the per-direction maxima of |a_l| (their
+    directional derivatives are dominated by the energy norm); c2 is the
+    maximum of |delta_a0|. The discrete forms see the coefficients only at
+    these points, and the rules integrate products of P1 functions exactly
+    with positive weights, so the maxima bound the discrete forms exactly:
+    never an underestimate, and attained by the coefficients the forms use.
     """
-    pts = sample_interior_points(spec.domain, sample_density)
-    coords = tuple(pts[:, i] for i in range(pts.shape[1]))
-    sup_sq = 0.0
-    for a_l in spec.first_order or []:
-        sup_sq += float(np.max(np.abs(np.asarray(a_l(*coords), dtype=complex)))) ** 2
-    c1 = float(np.sqrt(sup_sq))
-    c2 = 0.0
-    if spec.zero_order_delta_a0 is not None:
-        c2 = float(np.max(np.abs(np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex))))
+    coords = axes(mesh.quadrature.points)
+
+    def sup(f):
+        return float(np.max(np.abs(np.asarray(f(*coords), dtype=complex))))
+
+    c1 = float(np.sqrt(sum(sup(a_l) ** 2 for a_l in spec.first_order or [])))
+    c2 = 0.0 if spec.zero_order_delta_a0 is None else sup(spec.zero_order_delta_a0)
     return c1, c2
 
 

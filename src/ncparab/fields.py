@@ -29,6 +29,9 @@ from .errors import ConfigError
 # Matrix with real ellipticity constant 1 whose complex Hermitian form is
 # degenerate (eigenvalues 0 and 2): annihilates holomorphic directions.
 DEGENERATE_DISK_MATRIX = np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex)
+# Query points per block of a 2D table's nearest-sample search, which bounds
+# its (points, samples) distance array whatever the number of points.
+TABLE_BLOCK = 4096
 
 
 def constant_scalar(value):
@@ -42,14 +45,23 @@ def constant_scalar(value):
 
 
 def constant_matrix(mat):
-    """Constant n-by-n matrix field of any arity."""
+    """Constant n-by-n matrix field of any arity. Its ``value`` is the
+    matrix, so a consumer can check or factor it once instead of at every
+    point."""
     mat = np.asarray(mat, dtype=complex)
 
     def field(*coords):
         shape = np.shape(coords[0])
         return np.broadcast_to(mat, shape + mat.shape)
 
+    field.value = mat
     return field
+
+
+def axes(points):
+    """The per-axis coordinate arrays of points of shape (..., dim): the
+    arguments of a field at those points."""
+    return tuple(points[..., i] for i in range(points.shape[-1]))
 
 
 def tabulated_scalar(path):
@@ -88,9 +100,9 @@ def tabulated_scalar(path):
         def field(x, y):
             x = np.asarray(x, dtype=float)
             q = np.stack([np.ravel(x), np.ravel(y)], axis=1)
-            d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-            out = vals[np.argmin(d2, axis=1)]
-            return out.reshape(x.shape)
+            blocks = np.array_split(q, len(q) // TABLE_BLOCK + 1)  # of TABLE_BLOCK points at most
+            nearest = [np.argmin(((b[:, None] - pts) ** 2).sum(axis=2), axis=1) for b in blocks]
+            return vals[np.concatenate(nearest)].reshape(x.shape)
 
         return field
     raise ConfigError(f"unsupported CSV field header {header!r} in {path}")

@@ -41,6 +41,7 @@ import scipy.sparse.linalg as spla
 
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
 from .errors import SingularStepMatrix, TimeOffGrid
+from .fields import axes
 from .meshing import build_mesh
 from .problem import ProblemSpec, validate_coefficients
 from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
@@ -100,11 +101,13 @@ def discretize(
     first min(k, N) pairs of their energy basis (all N pairs for k = None,
     no basis and no eigensolve for k = 0).
 
-    Each stage is called through its name in this module, so a caller that
-    rebinds those names (a tracer, a test) sees every stage.
+    The coefficients are validated at the mesh's quadrature points, where
+    the forms evaluate them, so the mesh is built first. Each stage is
+    called through its name in this module, so a caller that rebinds those
+    names (a tracer, a test) sees every stage.
     """
-    validate_coefficients(spec)
     mesh = build_mesh(spec.domain, resolution, spec.dirichlet_selector)
+    validate_coefficients(spec, mesh)
     forms = assemble_forms(mesh, spec)
     if k == 0:
         return forms, None
@@ -255,8 +258,8 @@ def _initial_vector(spec: ProblemSpec, forms: AssembledForms) -> np.ndarray:
     when its values are."""
     if spec.initial is None:
         return np.zeros(forms.N)
-    coords = tuple(forms.mesh.nodes[:, i] for i in range(forms.mesh.dim))
-    return real_if_exact(forms.dofmap.reduce(np.asarray(spec.initial(*coords), dtype=complex)))
+    values = np.asarray(spec.initial(*axes(forms.mesh.nodes)), dtype=complex)
+    return real_if_exact(forms.dofmap.reduce(values))
 
 
 def solve_evolution(

@@ -4,17 +4,43 @@ P1 meshes only: segments on an interval, structured triangulations of a
 rectangle, and a ring-wise triangulation of the unit disk approximated by an
 inscribed regular polygon. Boundary facets carry their measures and a
 Dirichlet tag decided by a midpoint predicate.
+
+Each mesh builds its geometry and quadrature once (``Mesh.quadrature``):
+2-point Gauss on segments and edge midpoints on triangles, exact for
+quadratic integrands. The forms, the loads, the validation and the
+constants c1, c2 see the coefficients at these points only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidDomain
+from .fields import axes
 from .problem import Domain, Interval, Rectangle, UnitDiskPolygon
+
+_GAUSS2 = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
+# barycentric coordinates of the edge midpoints, also the P1 values there
+_MIDPOINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+@dataclass(frozen=True)
+class Quadrature:
+    """Element geometry and quadrature of one mesh; the weights include the
+    measures. Facet rules cover every boundary facet, Dirichlet or not."""
+
+    grads: np.ndarray  # (E, dim, dim+1), constant P1 gradients per element
+    measures: np.ndarray  # (E,), element lengths or areas
+    points: np.ndarray  # (E, Q, dim)
+    weights: np.ndarray  # (E, Q)
+    phi: np.ndarray  # (Q, dim+1), P1 values at the points
+    facet_points: np.ndarray  # (F, Qb, dim)
+    facet_weights: np.ndarray  # (F, Qb)
+    facet_phi: np.ndarray  # (Qb, dim), P1 facet values at the points
 
 
 @dataclass
@@ -49,13 +75,45 @@ class Mesh:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def facet_midpoints(self) -> np.ndarray:
-        return self.nodes[self.boundary_facets].mean(axis=1)
+    @cached_property
+    def quadrature(self) -> Quadrature:
+        """Geometry and quadrature, built on first use and kept."""
+        return build_quadrature(self)
 
     def dirichlet_nodes(self) -> np.ndarray:
         """Nodes on the closure of the constrained set (sorted, unique)."""
         tagged = self.boundary_facets[self.facet_dirichlet]
         return np.unique(tagged.ravel()) if len(tagged) else np.array([], dtype=int)
+
+
+def _gauss_segments(p: np.ndarray, measures: np.ndarray):
+    """2-point Gauss rule on segments p (S, 2, dim): points (S, 2, dim),
+    weights (S, 2) and P1 values (2, 2)."""
+    s = np.array(_GAUSS2)
+    pts = p[:, None, 0, :] + s[None, :, None] * (p[:, None, 1, :] - p[:, None, 0, :])
+    return pts, 0.5 * measures[:, None] * np.ones((1, 2)), np.stack([1.0 - s, s], axis=1)
+
+
+def build_quadrature(mesh: Mesh) -> Quadrature:
+    """The element geometry and the element and facet quadrature of a mesh."""
+    p = mesh.nodes[mesh.elements]
+    facet_p = mesh.nodes[mesh.boundary_facets]
+    if mesh.dim == 1:
+        h = p[:, 1, 0] - p[:, 0, 0]
+        grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, None, :]
+        measures = np.abs(h)
+        rule = _gauss_segments(p, measures)
+        facet_rule = (facet_p[:, None, 0, :], mesh.facet_measures[:, None], np.ones((1, 1)))
+        return Quadrature(grads, measures, *rule, *facet_rule)
+    J = np.stack([p[:, 1, :] - p[:, 0, :], p[:, 2, :] - p[:, 0, :]], axis=2)  # edge columns
+    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+    adj_t = np.stack([J[:, 1, 1], -J[:, 1, 0], -J[:, 0, 1], J[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    grads = (adj_t / det[:, None, None]) @ np.array([[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    measures = 0.5 * np.abs(det)
+    points = np.einsum("qa,ead->eqd", _MIDPOINTS, p)
+    weights = measures[:, None] * np.full((1, 3), 1.0 / 3.0)
+    facet_rule = _gauss_segments(facet_p, mesh.facet_measures)
+    return Quadrature(grads, measures, points, weights, _MIDPOINTS, *facet_rule)
 
 
 def build_mesh(domain: Domain, resolution: int, s_selector: Optional[Callable] = None) -> Mesh:
@@ -76,9 +134,8 @@ def build_mesh(domain: Domain, resolution: int, s_selector: Optional[Callable] =
         raise InvalidDomain(f"unsupported domain {domain!r}")
 
     if s_selector is not None:
-        mids = mesh.facet_midpoints()
-        coords = tuple(mids[:, i] for i in range(mesh.dim))
-        sel = np.asarray(s_selector(*coords), dtype=bool)
+        mids = mesh.nodes[mesh.boundary_facets].mean(axis=1)
+        sel = np.asarray(s_selector(*axes(mids)), dtype=bool)
         mesh.facet_dirichlet = np.broadcast_to(sel, (len(mids),)).copy()
     return mesh
 

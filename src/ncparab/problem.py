@@ -7,6 +7,8 @@ degenerate (b1 = 0) on a constrained subset S of the boundary. The principal
 matrix is Hermitian, positive semidefinite over complex directions, and
 uniformly elliptic over real directions; it need not be coercive over
 complex directions, which is the regime this package is built to explore.
+The coefficients are validated at the quadrature points of a mesh, where
+the discrete forms see them.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import numpy as np
 
 from .errors import (
     DivisionByZeroB1,
-    InvalidDomain,
     NonHermitian,
     NotElliptic,
     NotPositiveSemidefinite,
 )
+from .fields import axes, constant_matrix
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -100,58 +102,21 @@ class ValidationReport:
         return self.a00_nonnegative and self.robin_ratio_nonnegative and self.final_time_positive
 
 
-def sample_interior_points(domain: Domain, density: int) -> np.ndarray:
-    """Deterministic sample grid over the closed domain, shape (P, dim)."""
-    if density < 2:
-        raise ValueError("sample density must be at least 2 per axis")
-    if isinstance(domain, Interval):
-        return np.linspace(domain.a, domain.b, density)[:, None]
-    if isinstance(domain, Rectangle):
-        xs = np.linspace(domain.ax, domain.bx, density)
-        ys = np.linspace(domain.ay, domain.by, density)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=1)
-    if isinstance(domain, UnitDiskPolygon):
-        radii = np.linspace(0.0, 1.0, density)
-        angles = 2.0 * np.pi * np.arange(density) / density
-        R, T = np.meshgrid(radii[1:], angles, indexing="ij")
-        pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=1)
-        return np.vstack([[[0.0, 0.0]], pts])
-    raise InvalidDomain(f"unsupported domain {domain!r}")
-
-
-def sample_boundary_points(domain: Domain, density: int) -> np.ndarray:
-    """Sample points on the boundary, shape (P, dim)."""
-    if isinstance(domain, Interval):
-        return np.array([[domain.a], [domain.b]])
-    if isinstance(domain, Rectangle):
-        t = np.linspace(0.0, 1.0, density)
-        bottom = np.stack([domain.ax + t * (domain.bx - domain.ax), np.full_like(t, domain.ay)], axis=1)
-        top = np.stack([domain.ax + t * (domain.bx - domain.ax), np.full_like(t, domain.by)], axis=1)
-        left = np.stack([np.full_like(t, domain.ax), domain.ay + t * (domain.by - domain.ay)], axis=1)
-        right = np.stack([np.full_like(t, domain.bx), domain.ay + t * (domain.by - domain.ay)], axis=1)
-        return np.vstack([bottom, right, top, left])
-    if isinstance(domain, UnitDiskPolygon):
-        k = max(domain.segments, density)
-        angles = 2.0 * np.pi * np.arange(k) / k
-        return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    raise InvalidDomain(f"unsupported domain {domain!r}")
-
-
-def _coords(points: np.ndarray):
-    return tuple(points[:, i] for i in range(points.shape[1]))
-
-
-def validate_coefficients(spec: ProblemSpec, sample_density: int = 32) -> ValidationReport:
-    """Check the structural assumptions on the coefficients by sampling.
+def validate_coefficients(spec: ProblemSpec, mesh) -> ValidationReport:
+    """Check the structural assumptions on the coefficients at the
+    quadrature points of ``mesh`` (``mesh.quadrature``), the only points
+    where the discrete forms see them: the principal matrix and a00 at the
+    element points, b1 and b00 at the points of the Robin facets. A constant
+    principal matrix (a field with a ``value``) is checked once.
 
     Raises :class:`NonHermitian`, :class:`NotElliptic` or
     :class:`NotPositiveSemidefinite` on hard violations of the principal
     part; softer sign conditions only lower flags in the report.
     """
-    pts = sample_interior_points(spec.domain, sample_density)
-    coords = _coords(pts)
-    A = np.asarray(spec.principal(*coords), dtype=complex)
+    quad = mesh.quadrature
+    coords = axes(quad.points)
+    A = getattr(spec.principal, "value", None)
+    A = np.asarray(spec.principal(*coords) if A is None else A, dtype=complex)
 
     herm_residual = float(np.max(np.abs(A - A.conj().swapaxes(-1, -2))))
     if herm_residual > HERMITIAN_TOL:
@@ -175,20 +140,14 @@ def validate_coefficients(spec: ProblemSpec, sample_density: int = 32) -> Valida
         a00_ok = bool(np.min(np.real(spec.zero_order_a00(*coords))) >= -1e-12)
 
     robin_ok = True
-    bpts = sample_boundary_points(spec.domain, sample_density)
-    if spec.boundary_b1 is not None and spec.boundary_b00 is not None:
-        bcoords = _coords(bpts)
-        off_s = np.ones(len(bpts), dtype=bool)
-        if spec.dirichlet_selector is not None:
-            off_s = ~np.asarray(spec.dirichlet_selector(*bcoords), dtype=bool)
-        if off_s.any():
-            robin = tuple(c[off_s] for c in bcoords)
-            b1v = np.real(spec.boundary_b1(*robin))
-            b00v = np.real(spec.boundary_b00(*robin))
-            if np.any(b1v == 0.0):
-                robin_ok = False
-            else:
-                robin_ok = bool(np.min(b00v / b1v) >= -1e-12)
+    robin = quad.facet_points[~mesh.facet_dirichlet]
+    if len(robin) and spec.boundary_b1 is not None and spec.boundary_b00 is not None:
+        bcoords = axes(robin)
+        b1v = np.real(spec.boundary_b1(*bcoords))
+        if np.any(b1v == 0.0):
+            robin_ok = False
+        else:
+            robin_ok = bool(np.min(np.real(spec.boundary_b00(*bcoords)) / b1v) >= -1e-12)
 
     return ValidationReport(
         hermitian_residual=herm_residual,
@@ -248,8 +207,13 @@ def hermitian_sqrt_psd(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray
 def factorize_principal(spec: ProblemSpec) -> Callable:
     """The field D(*coords) = sqrt(A(*coords)), the Hermitian PSD square root
     of the principal matrix, so D* D = A up to eigh roundoff (eigenvalues in
-    [-PSD_TOL, 0) are clipped to zero)."""
+    [-PSD_TOL, 0) are clipped to zero). A constant principal matrix (a field
+    with a ``value``) is factored here, once, into a constant field whose
+    ``value`` is D."""
     principal = spec.principal
+    value = getattr(principal, "value", None)
+    if value is not None:
+        return constant_matrix(hermitian_sqrt_psd(value))
 
     def factor(*coords):
         return hermitian_sqrt_psd(np.asarray(principal(*coords), dtype=complex))

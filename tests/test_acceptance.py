@@ -105,7 +105,7 @@ def test_criterion_3_apriori_bounds_all_presets(preset_pipelines):
     ok = True
     details = []
     for name, (spec, forms, basis, k, k2, steps) in preset_pipelines.items():
-        c1, c2 = compute_constants(spec)
+        c1, c2 = compute_constants(spec, forms.mesh)
         reports = []
         for kk in (k, k2):
             traj = solve_evolution(spec, forms, basis, kk, steps, 0.5)
@@ -161,7 +161,7 @@ def test_criterion_4_uniqueness_twin_solves():
 
 def test_criterion_5_noncoercive_degeneracy():
     spec = build_disk()
-    report = validate_coefficients(spec)
+    report = validate_coefficients(spec, build_mesh(spec.domain, 6, spec.dirichlet_selector))
     matrix_ok = (
         abs(report.min_complex_eigenvalue) <= 1e-10
         and abs(report.ellipticity_m - 1.0) <= 1e-10

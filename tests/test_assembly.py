@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncparab import assembly, fields
+from ncparab import assembly, fields, meshing, problem
 from ncparab.config import _source_from_name
 from ncparab.assembly import (
     AssembledForms,
@@ -22,6 +22,8 @@ from ncparab.assembly import (
     free_nodes,
 )
 from ncparab.errors import ConstraintOnAllDofs, SingularKPlus
+from ncparab.estimates import compute_constants
+from ncparab.integrator import discretize
 from ncparab.meshing import Mesh, build_mesh
 from ncparab.presets import _forcing, build_disk
 from ncparab.problem import (
@@ -538,3 +540,111 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
         assert forms.k_plus.dtype == np.complex128
     if drift == "complex" or delta_a0 == "complex":
         assert forms.first_order.dtype == np.complex128
+
+
+# (domain, principal presets, lowest and highest resolution) for the
+# invariants of assembly
+FORM_DOMAINS = {
+    "interval": (Interval(0.0, 1.0), ("identity", "diag(2.5)"), 2, 12),
+    "rectangle": (Rectangle(0.0, 1.0, 0.0, 2.0), ("identity", "paper_disk", "diag(3,0.5)"), 2, 5),
+    "disk": (UnitDiskPolygon(10), ("identity", "paper_disk", "diag(0.5,2)"), 2, 3),
+}
+# constant and coordinate-dependent versions of a00 (>= 0), delta_a0 and a
+# drift coefficient; None leaves the coefficient out
+FORM_COEFFICIENTS = {
+    "a00": (None, fields.constant_scalar(0.7), lambda *x: 1.0 + x[0] ** 2),
+    "delta_a0": (None, fields.constant_scalar(-0.3 + 0.4j), lambda *x: (0.5 - 1.0j) * x[-1]),
+    "drift": (None, fields.constant_scalar(0.5 - 0.2j), lambda *x: 0.3 + np.sin(x[0])),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(FORM_DOMAINS)).flatmap(
+        lambda name: st.tuples(
+            st.just(name),
+            st.sampled_from(FORM_DOMAINS[name][1]),
+            st.integers(*FORM_DOMAINS[name][2:]),
+        )
+    ),
+    st.tuples(*(st.sampled_from(range(3)) for _ in FORM_COEFFICIENTS)),
+    st.booleans(),
+)
+def test_assembly_invariants(case, kinds, constrained):
+    name, principal, resolution = case
+    domain = FORM_DOMAINS[name][0]
+    a00, delta_a0, drift = (FORM_COEFFICIENTS[key][i] for key, i in zip(FORM_COEFFICIENTS, kinds))
+    selector = (lambda *x: x[0] < 0.2) if constrained else None
+    spec = _interval_spec(
+        domain=domain,
+        principal=fields.matrix_field_from_name(principal, domain.dim),
+        first_order=[] if drift is None else [drift] * domain.dim,
+        zero_order_a00=a00,
+        zero_order_delta_a0=delta_a0,
+        boundary_b00=fields.constant_scalar(0.5),
+        dirichlet_selector=selector,
+    )
+    mesh = build_mesh(domain, resolution, selector)
+    K = assemble_plus_form(mesh, spec)
+    C = assemble_first_order(mesh, spec)
+
+    # K+ is Hermitian (exactly, by construction) and positive semidefinite
+    dense = K.toarray()
+    assert np.array_equal(dense, dense.conj().T)
+    eigs = np.linalg.eigvalsh(dense)
+    assert eigs[0] >= -1e-12 * eigs[-1]
+
+    # constraint elimination keeps exactly the full forms' entries between
+    # free nodes, P^T A P with P the injection of the free nodes
+    forms = assemble_forms(mesh, spec)
+    free = free_nodes(mesh)
+    assert not np.isin(free, mesh.dirichlet_nodes()).any()
+    assert len(free) + len(mesh.dirichlet_nodes()) == mesh.num_nodes
+    shape = (mesh.num_nodes, len(free))
+    P = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))), shape)
+    M = assemble_mass(mesh)
+    for reduced, full in ((forms.k_plus, K), (forms.mass, M), (forms.first_order, C)):
+        assert reduced.dtype == full.dtype
+        assert np.array_equal(reduced.toarray(), (P.T @ full @ P).toarray())
+
+    # the constant principal matrix, factored once through its value, gives
+    # the same bits as the per-point factor of a field without a value
+    assert spec.principal.value is not None
+    per_point = ProblemSpec(**{**spec.__dict__, "principal": lambda *x: spec.principal(*x)})
+    for constant, general in (
+        (K, assemble_plus_form(mesh, per_point)),
+        (C, assemble_first_order(mesh, per_point)),
+    ):
+        assert constant.dtype == general.dtype
+        assert np.array_equal(constant.toarray(), general.toarray())
+
+
+def test_constant_principal_factored_once_and_geometry_built_once(monkeypatch):
+    counts = {"sqrt": 0, "quadrature": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    sqrt = problem.hermitian_sqrt_psd
+    monkeypatch.setattr(problem, "hermitian_sqrt_psd", counting("sqrt", sqrt))
+    monkeypatch.setattr(
+        meshing, "build_quadrature", counting("quadrature", meshing.build_quadrature)
+    )
+    spec = build_disk()
+    # a drift makes the lower-order form read the factor too
+    spec.first_order = [fields.constant_scalar(0.3), fields.constant_scalar(0.1j)]
+    forms, basis = discretize(spec, 4, 5)
+    compute_constants(spec, forms.mesh)
+    assemble_load(forms.mesh, lambda x, y, t: x * t, [0.0, 0.5])
+    assert counts == {"sqrt": 1, "quadrature": 1}
+    # a field without a value is factored at every quadrature point of
+    # both forms
+    counts.update(sqrt=0, quadrature=0)
+    principal = spec.principal
+    spec.principal = lambda *x: principal(*x)
+    discretize(spec, 4, 0)
+    assert counts == {"sqrt": 2 * 3, "quadrature": 1}

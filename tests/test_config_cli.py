@@ -601,3 +601,18 @@ def test_cli_convergence_computes_no_eigenbasis(tmp_path, monkeypatch, mode):
         "mesh.resolution = 20\ntime.steps = 10\n",
     )
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 64])
+@pytest.mark.parametrize("command", ["eigs", "solve"])
+def test_cli_singular_k_plus_exits_3(tmp_path, command, resolution, capsys):
+    # b0 = -3 leaves b00 = 0 and a0 = 0 leaves a00 = 0, so K+ is the pure
+    # Neumann stiffness and constants have zero energy; roundoff puts its
+    # smallest pencil eigenvalue near +-1e-12, on either side of 0
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+        f"problem.b0 = -3\nproblem.a0 = 0\nmesh.resolution = {resolution}\n",
+    )
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "NotSPD" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from ncparab.estimates import (
     compute_constants,
 )
 from ncparab.integrator import build_galerkin_system, discretize, solve_evolution
+from ncparab.meshing import build_mesh
 from ncparab.presets import build_forced1d, get_preset
 from ncparab.problem import Interval, ProblemSpec
 from tests.conftest import build_pipeline
@@ -29,17 +30,22 @@ def _constants_spec(first_order=(), delta_a0=0.0):
     )
 
 
+def _constants(**kwargs):
+    spec = _constants_spec(**kwargs)
+    return compute_constants(spec, build_mesh(spec.domain, 4))
+
+
 def test_constants_zero():
-    assert compute_constants(_constants_spec()) == (0.0, 0.0)
+    assert _constants() == (0.0, 0.0)
 
 
 def test_constants_modulus_of_delta_a0():
-    _, c2 = compute_constants(_constants_spec(delta_a0=-2.0 + 1.0j))
+    _, c2 = _constants(delta_a0=-2.0 + 1.0j)
     assert c2 == pytest.approx(np.sqrt(5.0))
 
 
 def test_constants_euclidean_norm_of_sups():
-    c1, _ = compute_constants(_constants_spec(first_order=(3.0, 4.0)))
+    c1, _ = _constants(first_order=(3.0, 4.0))
     assert c1 == pytest.approx(5.0)
 
 
@@ -54,7 +60,7 @@ def test_bounds_zero_data_pass():
 def test_bounds_heat_sup_attained_at_zero():
     spec, mesh, forms, basis, k = build_pipeline("heat1d", resolution=50, k=20)
     trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)
-    c1, c2 = compute_constants(spec)
+    c1, c2 = compute_constants(spec, mesh)
     assert (c1, c2) == (0.0, 0.0)
     report = apriori_bounds(trajectory, c1, c2)
     # heat semigroup decays, so the sup sits at t = 0 and the factor is 1
@@ -66,7 +72,7 @@ def test_bounds_heat_sup_attained_at_zero():
 def test_bounds_growth_case_holds_with_exponential_factor():
     spec, mesh, forms, basis, k = build_pipeline("growth1d", resolution=40, k=15)
     trajectory = solve_evolution(spec, forms, basis, k, 200, 0.5)
-    c1, c2 = compute_constants(spec)
+    c1, c2 = compute_constants(spec, mesh)
     assert (c1, c2) == (0.0, 5.0)
     report = apriori_bounds(trajectory, c1, c2)
     assert report.gronwall_factor == pytest.approx(np.exp(10.0 * spec.final_time))
@@ -145,14 +151,14 @@ def test_right_side_non_decreasing_in_final_time():
         spec = ProblemSpec(**{**base.__dict__, "final_time": T})
         forms, basis = discretize(spec, 30, 10)
         trajectory = solve_evolution(spec, forms, basis, 10, int(100 * T / 0.1), 0.5)
-        report = apriori_bounds(trajectory, *compute_constants(spec))
+        report = apriori_bounds(trajectory, *compute_constants(spec, forms.mesh))
         rhs_values.append(report.sup_rhs)
     assert rhs_values[0] <= rhs_values[1] <= rhs_values[2]
 
 
 def test_right_side_independent_of_basis_size():
-    spec, _, forms, basis, _ = build_pipeline("forced1d", resolution=30, k=20)
-    c1, c2 = compute_constants(spec)
+    spec, mesh, forms, basis, _ = build_pipeline("forced1d", resolution=30, k=20)
+    c1, c2 = compute_constants(spec, mesh)
     reports = []
     for k in (10, 20):
         trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)
@@ -163,7 +169,7 @@ def test_right_side_independent_of_basis_size():
 
 def test_cauchy_bound_on_drift_preset():
     spec, mesh, forms, basis, k = build_pipeline("drift1d", resolution=25, k=10)
-    c1, c2 = compute_constants(spec)
+    c1, c2 = compute_constants(spec, mesh)
     worst, ok = check_cauchy_bound(forms, c1, c2)
     assert ok
     assert worst <= (c1 + c2) * (1.0 + 1e-9)
@@ -207,3 +213,21 @@ def test_exact_cauchy_check_fails_where_a_random_sample_passed():
     ratio, ok = check_cauchy_bound(forms, 0.01, 0.0)
     assert ratio == pytest.approx(0.0855, abs=5e-4)
     assert not ok
+
+
+def test_constants_see_a_spike_between_sample_points():
+    # delta_a0 = -400 on a band of width 0.012, narrower than the 1/31
+    # spacing of a 32-point grid, which read c2 = 0 here; the forms see the
+    # spike at their quadrature points, so the maxima there are the exact
+    # constants of the discrete problem.
+    spec = get_preset("heat1d").build()
+    spec.zero_order_delta_a0 = lambda x: np.where(np.abs(x - 0.31) < 0.006, -400.0 + 0j, 0j)
+    forms, _ = discretize(spec, 400, 0)
+    c1, c2 = compute_constants(spec, forms.mesh)
+    points = forms.mesh.quadrature.points[..., 0]
+    assert c1 == 0.0
+    assert c2 == np.max(np.abs(spec.zero_order_delta_a0(points))) == 400.0
+    ratio, ok = check_cauchy_bound(forms, c1, c2)
+    assert ok
+    # the assembled C holds the spike: without it the exact check fails
+    assert ratio > 0.5 and not check_cauchy_bound(forms, c1, 0.0)[1]

@@ -51,6 +51,12 @@ def test_tabulated_scalar_2d_nearest(tmp_path):
     f = fields.tabulated_scalar(str(path))
     vals = f(np.array([0.1, 0.9]), np.array([0.0, 1.0]))
     assert np.allclose(vals, [1.0, 5.0 - 1.0j])
+    # more points than one search block, in any shape, and no points at all
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(-1.0, 2.0, (2, 3, fields.TABLE_BLOCK))
+    expected = np.where(x + y < 1.0, 1.0 + 0j, 5.0 - 1.0j)  # nearer to (0, 0)
+    assert np.array_equal(f(x, y), expected)
+    assert f(np.zeros(0), np.zeros(0)).shape == (0,)
 
 
 def test_tabulated_scalar_rejects_bad_header(tmp_path):

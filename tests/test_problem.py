@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import fields
+from ncparab.meshing import build_mesh
 from ncparab.errors import (
     DivisionByZeroB1,
     NonHermitian,
@@ -17,7 +18,6 @@ from ncparab.problem import (
     UnitDiskPolygon,
     factorize_principal,
     hermitian_sqrt_psd,
-    sample_interior_points,
     split_zero_order,
     validate_coefficients,
 )
@@ -38,8 +38,12 @@ def _spec_with_principal(mat, domain=None):
     )
 
 
+def _validate(spec):
+    return validate_coefficients(spec, build_mesh(spec.domain, 4))
+
+
 def test_validate_identity():
-    report = validate_coefficients(_spec_with_principal(np.eye(2)))
+    report = _validate(_spec_with_principal(np.eye(2)))
     assert report.ellipticity_m == pytest.approx(1.0)
     assert report.min_complex_eigenvalue == pytest.approx(1.0)
     assert report.hermitian_residual == 0.0
@@ -50,7 +54,7 @@ def test_validate_identity():
 def test_validate_degenerate_disk_matrix():
     # Real quadratic form is |xi|^2 (imaginary entries cancel for real xi)
     # while the complex Hermitian form has eigenvalues 0 and 2.
-    report = validate_coefficients(_spec_with_principal(DISK_MATRIX))
+    report = _validate(_spec_with_principal(DISK_MATRIX))
     assert report.ellipticity_m == pytest.approx(1.0, abs=1e-10)
     assert report.min_complex_eigenvalue == pytest.approx(0.0, abs=1e-10)
     assert not report.coercive
@@ -62,23 +66,23 @@ def test_validate_indefinite_matrix_raises():
     mat = np.array([[1.0, 2.0j], [-2.0j, 1.0]])
     assert sorted(np.linalg.eigvalsh(mat)) == pytest.approx([-1.0, 3.0])
     with pytest.raises(NotPositiveSemidefinite):
-        validate_coefficients(_spec_with_principal(mat))
+        _validate(_spec_with_principal(mat))
 
 
 def test_validate_non_hermitian_raises():
     with pytest.raises(NonHermitian):
-        validate_coefficients(_spec_with_principal([[1.0, 1.0], [0.0, 1.0]]))
+        _validate(_spec_with_principal([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_validate_not_elliptic_raises():
     with pytest.raises(NotElliptic):
-        validate_coefficients(_spec_with_principal([[0.0]]))
+        _validate(_spec_with_principal([[0.0]]))
 
 
 def test_validate_flags_negative_a00():
     spec = _spec_with_principal(np.eye(1))
     spec.zero_order_a00 = fields.constant_scalar(-1.0)
-    report = validate_coefficients(spec)
+    report = _validate(spec)
     assert not report.a00_nonnegative
     assert not report.passed
 
@@ -202,9 +206,41 @@ def test_quadratic_form_matches_factorization(seed):
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_hermitian_form_real_and_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    pts = sample_interior_points(UnitDiskPolygon(16), 5)
-    A = fields.constant_matrix(DISK_MATRIX)(pts[:, 0], pts[:, 1])
+    pts = build_mesh(UnitDiskPolygon(16), 5).quadrature.points
+    A = fields.constant_matrix(DISK_MATRIX)(*fields.axes(pts))
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    vals = np.einsum("i,pij,j->p", w.conj(), A, w)
+    vals = np.einsum("i,...ij,j->...", w.conj(), A, w)
     assert np.max(np.abs(vals.imag)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
     assert np.min(vals.real) >= -PSD_TOL
+
+
+def test_validate_reads_the_quadrature_points():
+    # a negative a00 on a band narrower than the element size shows at the
+    # Gauss points of the elements it covers, where the forms read it
+    spec = _spec_with_principal(np.eye(1))
+    spec.zero_order_a00 = lambda x: np.where(np.abs(x - 0.31) < 0.006, -1.0, 1.0)
+    mesh = build_mesh(spec.domain, 400)
+    assert np.any(np.abs(mesh.quadrature.points - 0.31) < 0.006)
+    assert not validate_coefficients(spec, mesh).a00_nonnegative
+
+
+def test_validate_checks_a_constant_matrix_once():
+    principal = fields.constant_matrix(DISK_MATRIX)
+
+    def value_only(*coords):
+        raise AssertionError("a constant matrix is checked through its value")
+
+    value_only.value = principal.value
+    report = _validate(_spec_with_principal(DISK_MATRIX))
+    spec = _spec_with_principal(DISK_MATRIX)
+    spec.principal = value_only
+    assert _validate(spec) == report
+
+
+def test_validate_robin_ratio_only_off_the_constrained_set():
+    # b1 vanishes on the left end only: fine where that end is pinned
+    spec = _spec_with_principal(np.eye(1))
+    spec.boundary_b1 = lambda x: np.where(x < 0.5, 0.0, 1.0)
+    assert not validate_coefficients(spec, build_mesh(spec.domain, 4)).robin_ratio_nonnegative
+    pinned = build_mesh(spec.domain, 4, lambda x: x < 0.5)
+    assert validate_coefficients(spec, pinned).robin_ratio_nonnegative

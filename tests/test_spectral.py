@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ncparab import spectral
 from ncparab.errors import NoConvergence, NotSPD
+from ncparab.presets import PRESETS
 from ncparab.spectral import (
     EIG_TOL,
     ORTHO_TOL,
@@ -213,3 +214,24 @@ def test_generalized_eigenbasis_rejects_indefinite_pencil():
         K[-1, -1] = -1.0
         with pytest.raises(NotSPD):
             generalized_eigenbasis(K, np.eye(n), count)
+
+
+def test_eigenvalue_at_roundoff_level_is_rejected():
+    # floor = NULL_FLOOR * eps * tr K / tr M = 100 * eps * (1 + lam) / 2
+    for lam, singular in ((1e-16, True), (0.0, True), (1e-12, False)):
+        K, M = np.diag([lam, 1.0]), np.eye(2)
+        if singular:
+            with pytest.raises(NotSPD, match="roundoff floor"):
+                generalized_eigenbasis(K, M, 2)
+        else:
+            assert generalized_eigenbasis(K, M, 2).eigenvalues[0] == pytest.approx(lam)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_smallest_eigenvalue_far_above_null_floor(preset):
+    spec, _, forms, basis, _ = build_pipeline(preset, k=1)
+    K, M = forms.k_plus, forms.mass
+    floor = spectral.NULL_FLOOR * np.finfo(float).eps * K.diagonal().sum() / M.diagonal().sum()
+    # the smallest of them is the disk's, about 1.58
+    assert basis.eigenvalues[0] >= 1.5
+    assert basis.eigenvalues[0] > 1e9 * floor.real
