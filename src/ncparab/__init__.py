@@ -3,7 +3,6 @@ problems with degenerate (non-coercive) Robin boundary conditions."""
 
 from .assembly import (
     AssembledForms,
-    apply_S_constraints,
     assemble_first_order,
     assemble_forms,
     assemble_load,

@@ -1,7 +1,7 @@
 """P1 finite element assembly of the discrete forms.
 
-Three global matrices are built over all mesh nodes and then reduced by
-eliminating the nodes pinned by the degenerate boundary set:
+Three matrices are built on the free nodes, the nodes outside the
+degenerate boundary set S:
 
 * ``k_plus`` -- the energy inner product: the principal part assembled
   through the pointwise factor D (so it is Hermitian PSD by construction,
@@ -9,7 +9,8 @@ eliminating the nodes pinned by the degenerate boundary set:
   weight, plus the Robin boundary mass with weight b00/b1;
 * ``mass``   -- the L2 mass matrix, exact for P1;
 * ``first_order`` -- the non-symmetric form pairing the directional
-  derivatives D_l against the test function, plus the delta_a0 weight.
+  derivatives D_l against the test function, plus the delta_a0 weight. With
+  no drift and a constant delta_a0 of 0 it is the empty matrix.
 
 The coefficients may be complex, so the element matrices are computed in
 complex arithmetic; a matrix whose imaginary parts all come out exactly 0
@@ -17,8 +18,17 @@ is stored real (float64), so that real data are factored, solved and
 eigensolved in real arithmetic. The mass matrix is always real.
 
 Every form reads the geometry and the quadrature points of its mesh from
-the one table the mesh keeps (``Mesh.quadrature``). A constant principal
-matrix is factored once, and its element matrices formed once.
+the one table the mesh keeps (``Mesh.quadrature``). The principal factor is
+evaluated once per quadrature point for both forms that read it; a constant
+principal matrix is factored once, and its element matrices formed once.
+
+Every form lands in its matrix through one scatter plan per mesh
+(``scatter_plan``): the CSR pattern of the free block and the position in
+its data array of every element and Robin-facet entry. A form is then one
+``np.bincount`` per real component of its element data, duplicates summed
+in element order, so K+ is exactly Hermitian and a reduced form equals
+P^T A P of the full one bit for bit. The full-node forms come from the same
+code through a plan that keeps every node.
 
 Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
@@ -29,6 +39,7 @@ operator is real; the loads are real or complex like the source values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,25 +53,155 @@ from .problem import ProblemSpec, factorize_principal
 from .spectral import solver
 
 
-def _per_point(quad: Quadrature, factor: Callable, form: Callable):
-    """``form(B)`` for the rows B = D grads of the principal factor at each
-    element quadrature point, in quadrature order, one point at a time. A
-    constant factor (one with a ``value``) gives the same B at every point,
-    so B and ``form(B)`` are computed once."""
+@dataclass(frozen=True)
+class ScatterPlan:
+    """CSR pattern of one block of a mesh's P1 forms, the rows and columns
+    of the nodes it keeps, and where each element-matrix entry and each
+    Robin-facet entry lands in its data array: ``element_slots[e, a, b]`` is
+    the position of entry (a, b) of element e, ``facet_slots`` the same for
+    the facets outside S, and -1 marks an entry with a node outside the block."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    element_slots: np.ndarray  # (E, ndof, ndof)
+    facet_slots: np.ndarray  # (Robin facets, fdof, fdof)
+
+    @property
+    def size(self) -> int:
+        return len(self.indptr) - 1
+
+    def _sum(self, slots: np.ndarray, values: np.ndarray) -> np.ndarray:
+        # bin 0 collects the dropped entries (slot -1)
+        nnz = len(self.indices)
+        return np.bincount(slots.ravel() + 1, values.ravel(), minlength=nnz + 1)[1:]
+
+    def scatter(self, element_data: np.ndarray, facet_data: Optional[np.ndarray] = None):
+        """The block's matrix of element (and Robin-facet) data; complex data
+        take one bincount for the real and one for the imaginary part."""
+        parts = [(self.element_slots, element_data)]
+        if facet_data is not None:
+            parts.append((self.facet_slots, facet_data))
+        dtype = np.result_type(*(d for _, d in parts))
+        data = np.empty(len(self.indices), dtype=dtype)
+        for component in ("real", "imag") if dtype.kind == "c" else ("real",):
+            total = sum(self._sum(slots, getattr(d, component)) for slots, d in parts)
+            setattr(data, component, total)
+        shape = (self.size, self.size)
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
+
+
+def build_scatter_plan(mesh: Mesh, keep: np.ndarray) -> ScatterPlan:
+    """The scatter plan of the block of the (sorted) nodes ``keep``: one
+    unique over the element node pairs gives the pattern and every element
+    slot; facets are element edges (or nodes, in 1D), so their slots are
+    found in the same pattern."""
+    n = len(keep)
+    local = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    local[keep] = np.arange(n)
+
+    def keys(conn):  # row * n + col of each node pair, -1 outside the block
+        idx = local[conn]
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        return np.where((rows >= 0) & (cols >= 0), rows * n + cols, -1)
+
+    element_keys = keys(mesh.elements)
+    # np.unique(element_keys, return_inverse=True) through a stable sort,
+    # several times faster on these keys, which come in runs
+    flat = element_keys.ravel()
+    order = np.argsort(flat, kind="stable")
+    ranked = flat[order]
+    first = np.concatenate([[len(ranked) > 0], ranked[1:] != ranked[:-1]])
+    pattern = ranked[first]
+    slots = np.empty_like(flat)
+    slots[order] = np.cumsum(first) - 1
+    if len(pattern) and pattern[0] < 0:  # the key of the dropped entries
+        pattern, slots = pattern[1:], slots - 1
+    facet_keys = keys(mesh.boundary_facets[~mesh.facet_dirichlet])
+    facet_slots = np.where(facet_keys >= 0, np.searchsorted(pattern, facet_keys), -1)
+    index = np.int32 if max(len(pattern), n) < 2**31 else np.int64
+    counts = np.bincount(pattern // n, minlength=n)
+    return ScatterPlan(
+        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(index),
+        indices=(pattern % n).astype(index),
+        element_slots=slots.reshape(element_keys.shape),
+        facet_slots=facet_slots,
+    )
+
+
+def scatter_plan(mesh: Mesh, constrained: bool = True) -> ScatterPlan:
+    """The mesh's plan of the free block (``constrained``) or of all nodes,
+    built on first use and kept on the mesh."""
+    plans = mesh._scatter_plans
+    if constrained not in plans:
+        keep = free_nodes(mesh) if constrained else np.arange(mesh.num_nodes)
+        plans[constrained] = build_scatter_plan(mesh, keep)
+    return plans[constrained]
+
+
+def _gram(B: np.ndarray) -> np.ndarray:
+    """B* B per element, summed one row of B at a time, so the result is
+    exactly Hermitian."""
+    return sum(B[:, l, :, None].conj() * B[:, l, None, :] for l in range(B.shape[1]))
+
+
+def _per_point(quad: Quadrature, factor: Callable, gram: bool):
+    """(B, B* B) for the rows B = D grads of the principal factor at each
+    element quadrature point, in quadrature order, one point at a time; the
+    Gram matrices only if ``gram``. A constant factor (one with a ``value``)
+    gives the same B at every point, so both are computed once, in real
+    arithmetic when the factor's imaginary part is exactly 0."""
     n_quad = quad.points.shape[1]
+
+    def pair(B):
+        return B, _gram(B) if gram else None
+
     D = getattr(factor, "value", None)
     if D is not None:
-        return [form(D @ quad.grads)] * n_quad
-    return (form(factor(*axes(quad.points[:, q])) @ quad.grads) for q in range(n_quad))
+        return repeat(pair(real_if_exact(D) @ quad.grads), n_quad)
+    return (pair(factor(*axes(quad.points[:, q])) @ quad.grads) for q in range(n_quad))
 
 
-def _scatter_matrix(conn: np.ndarray, data: np.ndarray, size: int) -> sp.csr_matrix:
-    ndof = conn.shape[1]
-    rows = np.repeat(conn[:, :, None], ndof, axis=2)
-    cols = np.repeat(conn[:, None, :], ndof, axis=1)
-    return sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)
-    ).tocsr()
+def _lower_order_vanishes(spec: ProblemSpec) -> bool:
+    """No drift and no delta_a0, or a constant delta_a0 of 0."""
+    delta_a0 = spec.zero_order_delta_a0
+    return not spec.first_order and (delta_a0 is None or getattr(delta_a0, "value", None) == 0)
+
+
+def _element_data(mesh: Mesh, spec: ProblemSpec, plus: bool, lower: bool):
+    """Element matrices of K+ (its element part) and of the lower-order
+    form, each only if asked for (None otherwise), from one walk over the
+    element quadrature points that evaluates the principal factor
+    (``factorize_principal(spec)``) once per point for both."""
+    quad = mesh.quadrature
+    n_quad = quad.points.shape[1]
+    ndof = mesh.elements.shape[1]
+    coeffs = list(spec.first_order or []) if lower else []
+    shape = (len(mesh.elements), ndof, ndof)
+    K = None
+    C = np.zeros(shape, dtype=complex) if lower else None
+    points = repeat((None, None), n_quad)
+    if plus or coeffs:
+        points = _per_point(quad, factorize_principal(spec), plus)
+    for q, (B, gram) in enumerate(points):
+        coords = axes(quad.points[:, q])
+        wts, phi = quad.weights[:, q], quad.phi[q]
+        if plus:
+            if K is None:  # of the Gram matrices' type: real for a real factor
+                K = np.zeros(shape, dtype=gram.dtype)
+            K += wts[:, None, None] * gram
+            if spec.zero_order_a00 is not None:
+                a00 = np.real(np.asarray(spec.zero_order_a00(*coords)))
+                K += (wts * a00)[:, None, None] * np.outer(phi, phi)
+        if lower:
+            if coeffs:
+                drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
+                for l, a_l in enumerate(coeffs):
+                    drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
+                C += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
+            if spec.zero_order_delta_a0 is not None:
+                da0 = np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex)
+                C += (wts * da0)[:, None, None] * np.outer(phi, phi)
+    return K, C
 
 
 def real_if_exact(a):
@@ -72,71 +213,60 @@ def real_if_exact(a):
     return a.real.copy()  # a contiguous copy; .real alone is a strided view
 
 
-def assemble_plus_form(mesh: Mesh, spec: ProblemSpec, factor: Callable = None) -> sp.csr_matrix:
-    """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
-    real when its entries are. ``factor`` defaults to ``factorize_principal(spec)``."""
-    n = mesh.num_nodes
-    quad = mesh.quadrature
-    ndof = mesh.elements.shape[1]
-    data = np.zeros((len(mesh.elements), ndof, ndof), dtype=complex)
-    grams = _per_point(
-        quad, factor or factorize_principal(spec), lambda B: np.einsum("eli,elj->eij", B.conj(), B)
-    )
-    for q, X in enumerate(grams):
-        data += quad.weights[:, q, None, None] * X
-        if spec.zero_order_a00 is not None:
-            a00 = np.real(np.asarray(spec.zero_order_a00(*axes(quad.points[:, q]))))
-            data += (quad.weights[:, q] * a00)[:, None, None] * np.outer(quad.phi[q], quad.phi[q])
-    K = _scatter_matrix(mesh.elements, data, n)
-
+def _plus_matrix(mesh: Mesh, spec: ProblemSpec, plan: ScatterPlan, data: np.ndarray):
+    """K+ on the plan's block from its element data plus the Robin term."""
     robin = ~mesh.facet_dirichlet
+    fdata = None
     if robin.any() and spec.boundary_b00 is not None:
-        facets = mesh.boundary_facets[robin]
+        quad = mesh.quadrature
         fpts, fwts, fphi = quad.facet_points[robin], quad.facet_weights[robin], quad.facet_phi
-        fdata = np.zeros((len(facets), facets.shape[1], facets.shape[1]))
+        fdof = mesh.boundary_facets.shape[1]
+        fdata = np.zeros((len(fpts), fdof, fdof))
         for q in range(fpts.shape[1]):
             # b00 comes from problem.split_zero_order, which refuses b1 = 0
             coords = axes(fpts[:, q, :])
             ratio = np.real(spec.boundary_b00(*coords)) / np.real(spec.boundary_b1(*coords))
             fdata += (fwts[:, q] * ratio)[:, None, None] * np.outer(fphi[q], fphi[q])
-        K = K + _scatter_matrix(facets, fdata, n)
-    return real_if_exact((K + K.conj().T) * 0.5)
+    K = plan.scatter(data, fdata)
+    # exact zeros (the couplings across the right angles of a structured
+    # grid) are dropped, so the sparse factors see only the nonzero pattern
+    K.eliminate_zeros()
+    return real_if_exact(K)
 
 
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """L2 mass matrix over all nodes, from the exact P1 element mass."""
+def _lower_matrix(plan: ScatterPlan, data: Optional[np.ndarray]) -> sp.csr_matrix:
+    """The lower-order form on the plan's block; None data (a form that
+    vanishes identically) give the empty matrix."""
+    if data is None:
+        return sp.csr_matrix((plan.size, plan.size))
+    return real_if_exact(plan.scatter(data))
+
+
+def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
+    """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
+    real when its entries are."""
+    K, _ = _element_data(mesh, spec, plus=True, lower=False)
+    return _plus_matrix(mesh, spec, scatter_plan(mesh, constrained=False), K)
+
+
+def assemble_mass(mesh: Mesh, plan: Optional[ScatterPlan] = None) -> sp.csr_matrix:
+    """L2 mass matrix from the exact P1 element mass, over all nodes or on
+    the block of ``plan``."""
     measures = mesh.quadrature.measures
     if mesh.dim == 1:
         pattern = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     else:
         pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    data = measures[:, None, None] * pattern
-    return _scatter_matrix(mesh.elements, data, mesh.num_nodes)
+    plan = plan or scatter_plan(mesh, constrained=False)
+    return plan.scatter(measures[:, None, None] * pattern)
 
 
-def assemble_first_order(mesh: Mesh, spec: ProblemSpec, factor: Callable = None) -> sp.csr_matrix:
+def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     """Matrix of the lower-order form over all nodes (non-symmetric); real
-    when its entries are. ``factor`` defaults to ``factorize_principal(spec)``."""
-    n = mesh.num_nodes
-    quad = mesh.quadrature
-    ndof = mesh.elements.shape[1]
-    data = np.zeros((len(mesh.elements), ndof, ndof), dtype=complex)
-    coeffs = list(spec.first_order or [])
-    rows = [None] * quad.points.shape[1]
-    if coeffs:
-        rows = _per_point(quad, factor or factorize_principal(spec), lambda B: B)
-    for q, B in enumerate(rows):
-        coords = axes(quad.points[:, q])
-        wts, phi = quad.weights[:, q], quad.phi[q]
-        if coeffs:
-            drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
-            for l, a_l in enumerate(coeffs):
-                drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
-            data += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
-        if spec.zero_order_delta_a0 is not None:
-            da0 = np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex)
-            data += (wts * da0)[:, None, None] * np.outer(phi, phi)
-    return real_if_exact(_scatter_matrix(mesh.elements, data, n))
+    when its entries are, empty when the form vanishes identically."""
+    lower = not _lower_order_vanishes(spec)
+    _, C = _element_data(mesh, spec, plus=False, lower=lower)
+    return _lower_matrix(scatter_plan(mesh, constrained=False), C)
 
 
 @dataclass(frozen=True)
@@ -196,14 +326,6 @@ def free_nodes(mesh: Mesh) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def apply_S_constraints(matrix: sp.spmatrix, constrained_dofs: np.ndarray) -> sp.csr_matrix:
-    """Drop the rows and columns of a sparse matrix at the constrained dofs."""
-    mask = np.ones(matrix.shape[0], dtype=bool)
-    mask[np.asarray(constrained_dofs, dtype=int)] = False
-    keep = np.nonzero(mask)[0]
-    return matrix.tocsr()[keep][:, keep]
-
-
 @dataclass
 class DofMap:
     """Free/constrained node bookkeeping for one mesh."""
@@ -258,17 +380,17 @@ def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:
 
 
 def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
-    """Assemble and reduce all matrices for one problem."""
-    constrained = mesh.dirichlet_nodes()
+    """Assemble all matrices for one problem on the free nodes."""
     free = free_nodes(mesh)
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
-    dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=constrained)
-    factor = factorize_principal(spec)
-    K = apply_S_constraints(assemble_plus_form(mesh, spec, factor), constrained)
-    M = apply_S_constraints(assemble_mass(mesh), constrained)
-    C = apply_S_constraints(assemble_first_order(mesh, spec, factor), constrained)
+    dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=mesh.dirichlet_nodes())
+    plan = scatter_plan(mesh)
+    K, C = _element_data(mesh, spec, plus=True, lower=not _lower_order_vanishes(spec))
     return AssembledForms(
-        mesh=mesh, dofmap=dofmap, k_plus=K, mass=M, first_order=C
+        mesh=mesh,
+        dofmap=dofmap,
+        k_plus=_plus_matrix(mesh, spec, plan, K),
+        mass=assemble_mass(mesh, plan),
+        first_order=_lower_matrix(plan, C),
     )
-

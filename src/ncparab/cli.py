@@ -7,7 +7,9 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
 3 numerical failure, 4 internal error (any other exception; its traceback
 goes to stderr). Every output file, the mesh and matrix exports included,
 goes through one table writer: written atomically with LF line endings and
-floats with 17 significant digits, so identical runs are byte-identical.
+floats with 17 significant digits, so identical runs are byte-identical. It
+formats and writes a fixed number of rows at a time, so a table never
+exists as one string.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -45,6 +46,8 @@ from .sharpness import series_hs_lower_bound, series_plus_norm, witness_epsilon
 # %-format of a table column by numpy dtype kind; bools are written as
 # true/false strings. 17 significant digits round-trip every float.
 _FORMATS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# Rows formatted and written at a time.
+TABLE_ROWS = 256
 
 
 def _cells(column) -> tuple[str, list]:
@@ -61,19 +64,25 @@ def _fmt(v) -> str:
     return fmt % value
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write_blocks(path: str, header: list[str], blocks) -> None:
+    """Write a CSV table from an iterable of blocks, each a list of
+    equal-length columns, one %-format call per row. The table goes to
+    ``path + ".tmp"`` block by block and then replaces ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "w", newline="") as fh:
-        fh.write(text)
+        fh.write(",".join(header) + "\n")
+        for columns in blocks:
+            formats, values = zip(*map(_cells, columns))
+            line = ",".join(formats) + "\n"
+            fh.write("".join(line % row for row in zip(*values)))
     os.replace(tmp, path)
 
 
 def _write_table(path: str, header: list[str], columns: list) -> None:
-    """Write equal-length columns as a CSV table, one %-format call per row."""
-    formats, values = zip(*map(_cells, columns))
-    line = ",".join(formats) + "\n"
-    rows = "".join(line % row for row in zip(*values))
-    _atomic_write(path, ",".join(header) + "\n" + rows)
+    """Write equal-length columns as a CSV table, ``TABLE_ROWS`` rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    starts = range(0, len(columns[0]), TABLE_ROWS)
+    _write_blocks(path, header, ([c[i : i + TABLE_ROWS] for c in columns] for i in starts))
 
 
 def export_mesh(mesh: Mesh, out_dir: str) -> None:
@@ -105,11 +114,15 @@ def export_matrix_coo(path: str, matrix) -> None:
     """Write every entry of a dense matrix in coordinate text format
     (row, col, re, im), row-major, exact zeros included."""
     matrix = np.asarray(matrix)
-    rows, cols = np.indices(matrix.shape)
     data = matrix.ravel()
-    _write_table(
-        path, ["row", "col", "re", "im"], [rows.ravel(), cols.ravel(), data.real, data.imag]
-    )
+
+    def blocks():
+        for start in range(0, data.size, TABLE_ROWS):
+            values = data[start : start + TABLE_ROWS]
+            rows, cols = np.divmod(np.arange(start, start + len(values)), matrix.shape[1])
+            yield [rows, cols, values.real, values.imag]
+
+    _write_blocks(path, ["row", "col", "re", "im"], blocks())
 
 
 def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
@@ -280,6 +293,9 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     ]
 
     if jobs > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_convergence_level, levels))
     else:

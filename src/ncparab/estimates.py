@@ -111,7 +111,13 @@ def check_uniqueness_condition(interaction, tol: float = UNIQUENESS_TOL) -> tupl
 
     Nonnegativity (up to ``tol``) is the discrete version of the sign
     condition under which the evolution problem has exactly one solution.
-    Accepts the modal matrix or the nodal one.
+    Accepts the modal matrix H* C H or the nodal one C, which agree in the
+    sign of the minimum eigenvalue only, not in its value: with all N basis
+    vectors H is invertible and the two Hermitian parts are congruent
+    (Sylvester's law of inertia); with k < N the modal matrix sees only the
+    span of H. On heat1d at resolution 400 with delta_a0 = -40 on
+    |x - 0.01| < 0.006 and 0.5 elsewhere, the nodal value is -0.095, the
+    modal one -0.0036 at k = N and +0.0019 at k = 5.
     """
     A = interaction.toarray() if sp.issparse(interaction) else np.asarray(interaction)
     herm = 0.5 * (A + A.conj().T)

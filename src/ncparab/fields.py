@@ -35,12 +35,15 @@ TABLE_BLOCK = 4096
 
 
 def constant_scalar(value):
-    """Constant scalar field of any arity."""
+    """Constant scalar field of any arity. Its ``value`` is the constant, so
+    a consumer can tell a field that vanishes identically without
+    evaluating it."""
     value = complex(value)
 
     def field(*coords):
         return np.full(np.shape(coords[0]), value)
 
+    field.value = value
     return field
 
 

@@ -12,7 +12,6 @@ from ncparab.config import _source_from_name
 from ncparab.assembly import (
     AssembledForms,
     DofMap,
-    apply_S_constraints,
     assemble_first_order,
     assemble_forms,
     assemble_load,
@@ -20,12 +19,13 @@ from ncparab.assembly import (
     assemble_plus_form,
     dual_norm,
     free_nodes,
+    scatter_plan,
 )
 from ncparab.errors import ConstraintOnAllDofs, SingularKPlus
 from ncparab.estimates import compute_constants
 from ncparab.integrator import discretize
 from ncparab.meshing import Mesh, build_mesh
-from ncparab.presets import _forcing, build_disk
+from ncparab.presets import PRESETS, _forcing, build_disk
 from ncparab.problem import (
     Interval,
     ProblemSpec,
@@ -288,17 +288,22 @@ def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
 def test_apply_constraints_identity_when_s_empty():
     mesh = build_mesh(Interval(0.0, 1.0), 4)
     M = assemble_mass(mesh)
-    reduced = apply_S_constraints(M, mesh.dirichlet_nodes())
+    reduced = assemble_mass(mesh, scatter_plan(mesh))
     assert reduced.shape == M.shape
-    assert np.allclose(reduced.toarray(), M.toarray())
+    assert np.array_equal(reduced.toarray(), M.toarray())
 
 
 def test_apply_constraints_removes_endpoints():
     sel = lambda x: np.ones(np.shape(x), dtype=bool)
     mesh = build_mesh(Interval(0.0, 1.0), 6, sel)
     M = assemble_mass(mesh)
-    reduced = apply_S_constraints(M, mesh.dirichlet_nodes())
+    plan = scatter_plan(mesh)
+    reduced = assemble_mass(mesh, plan)
     assert reduced.shape == (5, 5)
+    assert np.array_equal(reduced.toarray(), M.toarray()[1:-1, 1:-1])
+    # the entries coupling a free node to an endpoint are dropped
+    assert (plan.element_slots[[0, -1]] == -1).sum() == 6
+    assert (plan.element_slots[1:-1] >= 0).all()
     dofmap = DofMap(total=7, free=free_nodes(mesh), constrained=mesh.dirichlet_nodes())
     vec = np.arange(7, dtype=float)
     assert np.array_equal(dofmap.reduce(vec), vec[1:-1])
@@ -641,10 +646,61 @@ def test_constant_principal_factored_once_and_geometry_built_once(monkeypatch):
     compute_constants(spec, forms.mesh)
     assemble_load(forms.mesh, lambda x, y, t: x * t, [0.0, 0.5])
     assert counts == {"sqrt": 1, "quadrature": 1}
-    # a field without a value is factored at every quadrature point of
-    # both forms
     counts.update(sqrt=0, quadrature=0)
     principal = spec.principal
     spec.principal = lambda *x: principal(*x)
     discretize(spec, 4, 0)
-    assert counts == {"sqrt": 2 * 3, "quadrature": 1}
+    # a field without a value is factored once at every quadrature point,
+    # for both forms
+    assert counts == {"sqrt": 3, "quadrature": 1}
+
+
+def test_scatter_plan_built_once_per_mesh(monkeypatch):
+    calls = []
+    build = assembly.build_scatter_plan
+    monkeypatch.setattr(
+        assembly, "build_scatter_plan", lambda mesh, keep: calls.append(len(keep)) or build(mesh, keep)
+    )
+    spec = build_disk()
+    spec.dirichlet_selector = lambda x, y: y > 0.5
+    mesh = _mesh(spec, 3)
+    first = assemble_forms(mesh, spec)
+    second = assemble_forms(mesh, spec)
+    assert calls == [first.N]
+    assert scatter_plan(mesh) is scatter_plan(mesh)
+    assert np.array_equal(first.k_plus.toarray(), second.k_plus.toarray())
+    # the full-node forms go through a second plan, kept as well
+    assemble_plus_form(mesh, spec)
+    assemble_mass(mesh)
+    assert calls == [first.N, mesh.num_nodes]
+
+
+def test_constant_scalar_carries_its_value():
+    for v in (0.0, -2.5, 1.0 - 3.0j):
+        assert fields.constant_scalar(v).value == v
+
+
+def test_lower_order_form_is_empty_without_drift_and_delta_a0():
+    for name in ("heat1d", "zero1d", "forced1d", "heat2d", "disk", "robin_rect"):
+        forms, _ = discretize(PRESETS[name].build(), 4, 0)
+        assert forms.first_order.nnz == 0, name
+        assert forms.first_order.shape == (forms.N, forms.N), name
+    # drift1d and growth1d keep their forms, those of the coefficients
+    # given as coordinate functions
+    for name in ("drift1d", "growth1d"):
+        spec = PRESETS[name].build()
+        forms, _ = discretize(spec, 8, 0)
+        general = ProblemSpec(
+            **{
+                **spec.__dict__,
+                "first_order": [lambda x, a=a: a(x) for a in spec.first_order],
+                "zero_order_delta_a0": lambda x: spec.zero_order_delta_a0(x),
+            }
+        )
+        C = assemble_forms(forms.mesh, general).first_order
+        assert forms.first_order.nnz > 0 and forms.first_order.dtype == C.dtype
+        assert np.array_equal(forms.first_order.toarray(), C.toarray())
+    # a coordinate-dependent delta_a0 that evaluates to 0 is still assembled
+    spec = _interval_spec(zero_order_delta_a0=lambda x: np.zeros(np.shape(x)))
+    C = assemble_forms(_mesh(spec, 6), spec).first_order
+    assert C.nnz == 13 and not np.any(C.data)

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from ncparab.config import RunConfig, build_problem, parse_domain
 from ncparab.errors import ConfigError
 from ncparab.meshing import build_mesh
 from ncparab.problem import Interval, Rectangle, UnitDiskPolygon
+
+from tests.conftest import child_env
 
 
 def _read_csv(path):
@@ -470,6 +474,52 @@ def test_table_writer_matches_per_cell_formatting(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == b"a,b\n"
     assert not os.path.exists(path + ".tmp")
+
+
+def _one_string_table(header, columns):
+    # the writer before it streamed: the whole table formatted as one string
+    formats, values = zip(*map(cli._cells, columns))
+    line = ",".join(formats) + "\n"
+    return (",".join(header) + "\n" + "".join(line % row for row in zip(*values))).encode()
+
+
+def test_table_writer_in_blocks_matches_one_string_writer(tmp_path):
+    n = 2 * cli.TABLE_ROWS + 3
+    rng = np.random.default_rng(5)
+    columns = [
+        np.arange(n) - 7,
+        rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+        rng.random(n) < 0.5,
+        [f"w{i}" for i in range(n)],
+    ]
+    header = ["i", "x", "flag", "word"]
+    path = str(tmp_path / "table.csv")
+    cli._write_table(path, header, columns)
+    with open(path, "rb") as fh:
+        assert fh.read() == _one_string_table(header, columns)
+    empty = [np.array([], dtype=int), np.array([]), np.array([], dtype=bool), []]
+    cli._write_table(path, header, empty)
+    with open(path, "rb") as fh:
+        assert fh.read() == _one_string_table(header, empty) == b"i,x,flag,word\n"
+    # the coordinate export builds each block's indices, with the same rows
+    # as the indices of the whole matrix
+    matrix = rng.standard_normal((37, 19)) + 1j * rng.standard_normal((37, 19))
+    assert matrix.size > cli.TABLE_ROWS
+    export_matrix_coo(path, matrix)
+    rows, cols = np.indices(matrix.shape)
+    whole = [rows.ravel(), cols.ravel(), matrix.ravel().real, matrix.ravel().imag]
+    with open(path, "rb") as fh:
+        assert fh.read() == _one_string_table(["row", "col", "re", "im"], whole)
+    assert os.listdir(tmp_path) == ["table.csv"]
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, ncparab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_exports_are_atomic_with_lf_line_endings(tmp_path):
