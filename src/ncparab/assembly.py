@@ -22,13 +22,13 @@ the one table the mesh keeps (``Mesh.quadrature``). The principal factor is
 evaluated once per quadrature point for both forms that read it; a constant
 principal matrix is factored once, and its element matrices formed once.
 
-Every form lands in its matrix through one scatter plan per mesh
-(``scatter_plan``): the CSR pattern of the free block and the position in
-its data array of every element and Robin-facet entry. A form is then one
-``np.bincount`` per real component of its element data, duplicates summed
-in element order, so K+ is exactly Hermitian and a reduced form equals
-P^T A P of the full one bit for bit. The full-node forms come from the same
-code through a plan that keeps every node.
+All three forms of one assembly land in their matrices through one scatter
+plan (``build_scatter_plan``): the CSR pattern of the free block and the
+position in its data array of every element and Robin-facet entry. A form
+is then one ``np.bincount`` per real component of its element data,
+duplicates summed in element order, so K+ is exactly Hermitian and a
+reduced form equals P^T A P of the full one bit for bit. The full-node
+forms come from the same code through a plan that keeps every node.
 
 Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
@@ -86,6 +86,8 @@ class ScatterPlan:
         for component in ("real", "imag") if dtype.kind == "c" else ("real",):
             total = sum(self._sum(slots, getattr(d, component)) for slots, d in parts)
             setattr(data, component, total)
+        # each matrix owns its index arrays: the forms of one assembly share
+        # the plan, and K+ drops its exact zeros in place
         shape = (self.size, self.size)
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=shape)
 
@@ -96,7 +98,8 @@ def build_scatter_plan(mesh: Mesh, keep: np.ndarray) -> ScatterPlan:
     slot; facets are element edges (or nodes, in 1D), so their slots are
     found in the same pattern."""
     n = len(keep)
-    local = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    # the keys row * n + col in the narrowest integer type that holds them
+    local = np.full(mesh.num_nodes, -1, dtype=np.int32 if n * n < 2**31 else np.int64)
     local[keep] = np.arange(n)
 
     def keys(conn):  # row * n + col of each node pair, -1 outside the block
@@ -112,30 +115,26 @@ def build_scatter_plan(mesh: Mesh, keep: np.ndarray) -> ScatterPlan:
     ranked = flat[order]
     first = np.concatenate([[len(ranked) > 0], ranked[1:] != ranked[:-1]])
     pattern = ranked[first]
-    slots = np.empty_like(flat)
-    slots[order] = np.cumsum(first) - 1
+    index = np.int32 if max(len(flat), n) < 2**31 else np.int64
+    slots = np.empty(len(flat), dtype=index)
+    slots[order] = np.cumsum(first, dtype=index) - 1
     if len(pattern) and pattern[0] < 0:  # the key of the dropped entries
-        pattern, slots = pattern[1:], slots - 1
+        pattern = pattern[1:]
+        slots -= 1
     facet_keys = keys(mesh.boundary_facets[~mesh.facet_dirichlet])
     facet_slots = np.where(facet_keys >= 0, np.searchsorted(pattern, facet_keys), -1)
-    index = np.int32 if max(len(pattern), n) < 2**31 else np.int64
     counts = np.bincount(pattern // n, minlength=n)
     return ScatterPlan(
         indptr=np.concatenate([[0], np.cumsum(counts)]).astype(index),
         indices=(pattern % n).astype(index),
         element_slots=slots.reshape(element_keys.shape),
-        facet_slots=facet_slots,
+        facet_slots=facet_slots.astype(index),
     )
 
 
-def scatter_plan(mesh: Mesh, constrained: bool = True) -> ScatterPlan:
-    """The mesh's plan of the free block (``constrained``) or of all nodes,
-    built on first use and kept on the mesh."""
-    plans = mesh._scatter_plans
-    if constrained not in plans:
-        keep = free_nodes(mesh) if constrained else np.arange(mesh.num_nodes)
-        plans[constrained] = build_scatter_plan(mesh, keep)
-    return plans[constrained]
+def _full_plan(mesh: Mesh) -> ScatterPlan:
+    """The plan of the unreduced forms, which keeps every node."""
+    return build_scatter_plan(mesh, np.arange(mesh.num_nodes))
 
 
 def _gram(B: np.ndarray) -> np.ndarray:
@@ -246,19 +245,22 @@ def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
     real when its entries are."""
     K, _ = _element_data(mesh, spec, plus=True, lower=False)
-    return _plus_matrix(mesh, spec, scatter_plan(mesh, constrained=False), K)
+    return _plus_matrix(mesh, spec, _full_plan(mesh), K)
 
 
-def assemble_mass(mesh: Mesh, plan: Optional[ScatterPlan] = None) -> sp.csr_matrix:
-    """L2 mass matrix from the exact P1 element mass, over all nodes or on
-    the block of ``plan``."""
+def _mass_data(mesh: Mesh) -> np.ndarray:
+    """The exact P1 element mass matrices."""
     measures = mesh.quadrature.measures
     if mesh.dim == 1:
         pattern = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     else:
         pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    plan = plan or scatter_plan(mesh, constrained=False)
-    return plan.scatter(measures[:, None, None] * pattern)
+    return measures[:, None, None] * pattern
+
+
+def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
+    """L2 mass matrix over all nodes, from the exact P1 element mass."""
+    return _full_plan(mesh).scatter(_mass_data(mesh))
 
 
 def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
@@ -266,7 +268,7 @@ def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     when its entries are, empty when the form vanishes identically."""
     lower = not _lower_order_vanishes(spec)
     _, C = _element_data(mesh, spec, plus=False, lower=lower)
-    return _lower_matrix(scatter_plan(mesh, constrained=False), C)
+    return _lower_matrix(_full_plan(mesh), C)
 
 
 @dataclass(frozen=True)
@@ -385,12 +387,12 @@ def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
     dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=mesh.dirichlet_nodes())
-    plan = scatter_plan(mesh)
+    plan = build_scatter_plan(mesh, free)
     K, C = _element_data(mesh, spec, plus=True, lower=not _lower_order_vanishes(spec))
     return AssembledForms(
         mesh=mesh,
         dofmap=dofmap,
         k_plus=_plus_matrix(mesh, spec, plan, K),
-        mass=assemble_mass(mesh, plan),
+        mass=plan.scatter(_mass_data(mesh)),
         first_order=_lower_matrix(plan, C),
     )

@@ -67,14 +67,19 @@ def _fmt(v) -> str:
 def _write_blocks(path: str, header: list[str], blocks) -> None:
     """Write a CSV table from an iterable of blocks, each a list of
     equal-length columns, one %-format call per row. The table goes to
-    ``path + ".tmp"`` block by block and then replaces ``path``."""
+    ``path + ".tmp"`` block by block and then replaces ``path``; a block
+    that fails to format removes the partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            formats, values = zip(*map(_cells, columns))
-            line = ",".join(formats) + "\n"
-            fh.write("".join(line % row for row in zip(*values)))
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for columns in blocks:
+                formats, values = zip(*map(_cells, columns))
+                line = ",".join(formats) + "\n"
+                fh.write("".join(line % row for row in zip(*values)))
+    except BaseException:
+        os.unlink(tmp)
+        raise
     os.replace(tmp, path)
 
 

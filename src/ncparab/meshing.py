@@ -62,10 +62,8 @@ class Mesh:
     facet_measures: np.ndarray
     facet_dirichlet: np.ndarray
     size: Optional[float] = None
-    # Built on first use by ``assembly.load_operator`` and
-    # ``assembly.scatter_plan``; not part of the mesh.
+    # Built on first use by ``assembly.load_operator``; not part of the mesh.
     _load_operator: object = field(default=None, repr=False, compare=False)
-    _scatter_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size is None:

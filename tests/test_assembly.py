@@ -18,8 +18,8 @@ from ncparab.assembly import (
     assemble_mass,
     assemble_plus_form,
     dual_norm,
+    build_scatter_plan,
     free_nodes,
-    scatter_plan,
 )
 from ncparab.errors import ConstraintOnAllDofs, SingularKPlus
 from ncparab.estimates import compute_constants
@@ -288,7 +288,7 @@ def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
 def test_apply_constraints_identity_when_s_empty():
     mesh = build_mesh(Interval(0.0, 1.0), 4)
     M = assemble_mass(mesh)
-    reduced = assemble_mass(mesh, scatter_plan(mesh))
+    reduced = build_scatter_plan(mesh, free_nodes(mesh)).scatter(assembly._mass_data(mesh))
     assert reduced.shape == M.shape
     assert np.array_equal(reduced.toarray(), M.toarray())
 
@@ -297,8 +297,8 @@ def test_apply_constraints_removes_endpoints():
     sel = lambda x: np.ones(np.shape(x), dtype=bool)
     mesh = build_mesh(Interval(0.0, 1.0), 6, sel)
     M = assemble_mass(mesh)
-    plan = scatter_plan(mesh)
-    reduced = assemble_mass(mesh, plan)
+    plan = build_scatter_plan(mesh, free_nodes(mesh))
+    reduced = plan.scatter(assembly._mass_data(mesh))
     assert reduced.shape == (5, 5)
     assert np.array_equal(reduced.toarray(), M.toarray()[1:-1, 1:-1])
     # the entries coupling a free node to an endpoint are dropped
@@ -655,7 +655,7 @@ def test_constant_principal_factored_once_and_geometry_built_once(monkeypatch):
     assert counts == {"sqrt": 3, "quadrature": 1}
 
 
-def test_scatter_plan_built_once_per_mesh(monkeypatch):
+def test_assemble_forms_builds_one_scatter_plan(monkeypatch):
     calls = []
     build = assembly.build_scatter_plan
     monkeypatch.setattr(
@@ -663,16 +663,12 @@ def test_scatter_plan_built_once_per_mesh(monkeypatch):
     )
     spec = build_disk()
     spec.dirichlet_selector = lambda x, y: y > 0.5
+    spec.first_order = [fields.constant_scalar(0.3), fields.constant_scalar(0.1j)]
     mesh = _mesh(spec, 3)
-    first = assemble_forms(mesh, spec)
-    second = assemble_forms(mesh, spec)
-    assert calls == [first.N]
-    assert scatter_plan(mesh) is scatter_plan(mesh)
-    assert np.array_equal(first.k_plus.toarray(), second.k_plus.toarray())
-    # the full-node forms go through a second plan, kept as well
-    assemble_plus_form(mesh, spec)
-    assemble_mass(mesh)
-    assert calls == [first.N, mesh.num_nodes]
+    forms = assemble_forms(mesh, spec)
+    # K+, M and C share the plan of the free block
+    assert calls == [forms.N]
+    assert forms.first_order.nnz > 0
 
 
 def test_constant_scalar_carries_its_value():

@@ -513,6 +513,18 @@ def test_table_writer_in_blocks_matches_one_string_writer(tmp_path):
     assert os.listdir(tmp_path) == ["table.csv"]
 
 
+def test_table_writer_failure_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old\n")
+    n = 2 * cli.TABLE_ROWS
+    # a complex column has no format, so the first block fails after the header
+    columns = [np.arange(n), np.arange(n) * 1j]
+    with pytest.raises(KeyError):
+        cli._write_table(str(path), ["i", "z"], columns)
+    assert os.listdir(tmp_path) == ["table.csv"]
+    assert path.read_bytes() == b"old\n"
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, ncparab.cli; print('concurrent.futures.process' in sys.modules)"
     proc = subprocess.run(
