@@ -98,7 +98,7 @@ def build_scatter_plan(mesh: Mesh, keep: np.ndarray) -> ScatterPlan:
     slot; facets are element edges (or nodes, in 1D), so their slots are
     found in the same pattern."""
     n = len(keep)
-    # the keys row * n + col in the narrowest integer type that holds them
+    # int32 keys row * n + col where they fit, to halve the sort's arrays
     local = np.full(mesh.num_nodes, -1, dtype=np.int32 if n * n < 2**31 else np.int64)
     local[keep] = np.arange(n)
 

@@ -67,11 +67,12 @@ def _fmt(v) -> str:
 def _write_blocks(path: str, header: list[str], blocks) -> None:
     """Write a CSV table from an iterable of blocks, each a list of
     equal-length columns, one %-format call per row. The table goes to
-    ``path + ".tmp"`` block by block and then replaces ``path``; a block
-    that fails to format removes the partial file."""
+    ``path + ".tmp"`` block by block and then replaces ``path``; a failure
+    while writing removes the partial file."""
     tmp = path + ".tmp"
+    fh = open(tmp, "w", newline="")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with fh:
             fh.write(",".join(header) + "\n")
             for columns in blocks:
                 formats, values = zip(*map(_cells, columns))
