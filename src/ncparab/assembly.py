@@ -34,23 +34,25 @@ Source loads go through one sparse load operator per mesh, which maps the
 source values at all quadrature points to the reduced nodal loads, so a
 block of times costs one source evaluation and one sparse product. The
 operator is real; the loads are real or complex like the source values.
+Their dual norms solve with the Hermitian factor of K+ (``spectral.factor``),
+which the forms make on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConstraintOnAllDofs, SingularKPlus
+from .errors import ConstraintOnAllDofs
 from .fields import axes
 from .meshing import Mesh, Quadrature
 from .problem import ProblemSpec, factorize_principal
-from .spectral import solver
+from .spectral import factor
 
 
 @dataclass(frozen=True)
@@ -354,22 +356,16 @@ class AssembledForms:
     k_plus: sp.csr_matrix
     mass: sp.csr_matrix
     first_order: sp.csr_matrix
-    _k_solve: object = field(default=None, repr=False)
 
     @property
     def N(self) -> int:
         return len(self.dofmap.free)
 
-    def k_plus_solve(self, rhs: np.ndarray) -> np.ndarray:
-        # K+ is factored once, in its own dtype and in minimum-degree order
-        # on A^T + A; a real factor takes complex right sides through solver
-        if self._k_solve is None:
-            try:
-                lu = spla.splu(self.k_plus.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SingularKPlus(str(exc)) from exc
-            self._k_solve = solver(lu)
-        return self._k_solve(rhs)
+    @cached_property
+    def k_plus_solve(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve of K+, factored on first use (``NotSPD`` if it is not
+        positive definite); a copy with another K+ factors its own."""
+        return factor(self.k_plus, "energy matrix K+", hermitian=True)
 
 
 def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:

@@ -42,10 +42,6 @@ class ConstraintOnAllDofs(NumericalError):
     """Eliminating the constrained nodes leaves no free degrees of freedom."""
 
 
-class SingularKPlus(NumericalError):
-    """Energy-product matrix is singular; dual norm undefined."""
-
-
 class NotSPD(NumericalError):
     """Matrix expected to be symmetric positive definite is not."""
 

@@ -28,7 +28,7 @@ from .errors import NoConvergence
 from .integrator import GalerkinTrajectory
 from .fields import axes
 from .problem import ProblemSpec
-from .spectral import definite_factor, solver
+from .spectral import factor
 
 UNIQUENESS_TOL = 1e-10
 BOUND_SLACK = 0.02
@@ -144,34 +144,33 @@ def check_cauchy_bound(forms, c1: float, c2: float) -> tuple[float, bool]:
     |v* C u| <= c ||u||_E ||v||_E with E = K+ + M. The smallest such
     constant over the whole discrete space is the largest generalized
     singular value of C in the E-norm: sqrt(mu) for the largest mu of
-    C* E^-1 C x = mu E x. It comes from one sparse factor of E and ARPACK
-    with one wanted pair and a fixed start vector, or from a dense Cholesky
-    factor and SVD when N <= 2, below ARPACK's smallest size. Returns the
-    constant and whether it stays below c (with roundoff headroom).
+    C* E^-1 C x = mu E x. It comes from one sparse factor of E (``NotSPD``
+    if E is not positive definite) and ARPACK with one wanted pair and a
+    fixed start vector, or, when N <= 2, below ARPACK's smallest size, from
+    one dense generalized eigensolve of the pair formed with that factor.
+    Returns the constant and whether it stays below c (with roundoff
+    headroom).
     """
     C = forms.first_order
-    E = forms.k_plus + forms.mass
     n = forms.N
-    if C.count_nonzero() == 0:
-        ratio = 0.0
-    elif n <= 2:
-        L = np.linalg.cholesky(E.toarray())
-        X = sla.solve_triangular(L, C.toarray(), lower=True)
-        X = sla.solve_triangular(L, X.conj().T, lower=True)  # (L^-1 C L^-*)*
-        ratio = float(np.linalg.norm(X, 2))
-    else:
-        solve = solver(definite_factor(E, "K+ + M"))
-        dtype = np.result_type(C.dtype, E.dtype)
+    mu = 0.0
+    if C.count_nonzero():
+        E = forms.k_plus + forms.mass
+        solve = factor(E, "K+ + M", hermitian=True)
         CH = C.conj().T.tocsr()
-        normal = spla.LinearOperator((n, n), matvec=lambda x: CH @ solve(C @ x), dtype=dtype)
-        e_inv = spla.LinearOperator((n, n), matvec=solve, dtype=dtype)
-        v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
-        try:
-            (mu,) = spla.eigsh(
-                normal, 1, M=E, Minv=e_inv, which="LM", v0=v0, return_eigenvectors=False
-            )
-        except spla.ArpackError as exc:
-            raise NoConvergence(f"ARPACK: {exc}") from exc
-        ratio = float(np.sqrt(max(float(np.real(mu)), 0.0)))
+        if n <= 2:
+            mu = sla.eigh(CH @ solve(C.toarray()), E.toarray(), eigvals_only=True)[-1]
+        else:
+            dtype = np.result_type(C.dtype, E.dtype)
+            normal = spla.LinearOperator((n, n), matvec=lambda x: CH @ solve(C @ x), dtype=dtype)
+            e_inv = spla.LinearOperator((n, n), matvec=solve, dtype=dtype)
+            v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+            try:
+                (mu,) = spla.eigsh(
+                    normal, 1, M=E, Minv=e_inv, which="LM", v0=v0, return_eigenvectors=False
+                )
+            except spla.ArpackError as exc:
+                raise NoConvergence(f"ARPACK: {exc}") from exc
+    ratio = float(np.sqrt(max(float(np.real(mu)), 0.0)))
     c = c1 + c2
     return ratio, ratio <= c * (1.0 + 1e-9) + 1e-12

@@ -10,18 +10,18 @@ where ``Chat`` pairs the lower-order form against the basis and
 complex, and it is stepped in complex arithmetic with a one-parameter
 implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
 backward Euler). The coefficients do not depend on time, so the step matrix
-is factored once and each step applies a constant propagator. The source is
-called once per block of grid times; only the modal loads and the dual
-norms of each block are kept.
+is factored once, by LAPACK, and each step applies a constant propagator.
+The source is called once per block of grid times; only the modal loads and
+the dual norms of each block are kept.
 
 When the basis spans the whole finite element space (k = N), the modal
 system is the nodal system M u' + (K+ + C) u = F written in another basis.
 ``solve_nodal`` steps that system directly with the same theta step over the
-sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C) and one
-sparse product per step, with no eigensolve and no dense N x N array, and
-keeps only the current state and one block of loads. It runs in real
-arithmetic when the pair, the initial data and the loads are real. The
-convergence studies take this path.
+sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C)
+(``spectral.factor``) and one sparse product per step, with no eigensolve
+and no dense N x N array, and keeps only the current state and one block of
+loads. It runs in real arithmetic when the pair, the initial data and the
+loads are real. The convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -31,20 +31,20 @@ data, which the trajectory then carries for the checks.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
 from .errors import SingularStepMatrix, TimeOffGrid
 from .fields import axes
 from .meshing import build_mesh
 from .problem import ProblemSpec, validate_coefficients
-from .spectral import EigenBasis, definite_factor, generalized_eigenbasis
+from .spectral import EigenBasis, factor, generalized_eigenbasis
 
 # Grid times per source call: bounds the source values of one call to
 # (E*Q, LOAD_BLOCK) and the full-size loads that solve_evolution and
@@ -129,26 +129,19 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
     return (basis.vectors.conj().T @ Mu) / basis.mass_norms
 
 
-def _factor(lhs):
-    """Solver for the step matrix, dense LU or sparse SuperLU, refusing a
-    zero pivot."""
-    if sp.issparse(lhs):
-        try:
-            # finite element matrices are structurally symmetric, so a
-            # minimum-degree order on A^T + A keeps the fill low
-            lu = spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU: factor is exactly singular
-            raise SingularStepMatrix(f"implicit step matrix is singular: {exc}") from exc
-        pivots, solve = lu.U.diagonal(), lu.solve
-    else:
-        factor = sla.lu_factor(lhs, overwrite_a=True)
-        pivots = np.diag(factor[0])
-
-        def solve(b):
-            return sla.lu_solve(factor, b, overwrite_b=True)
-
-    if np.min(np.abs(pivots)) < 1e-300:
+def _dense_factor(lhs):
+    """Solver for the dense modal step matrix, one LAPACK LU, refusing a
+    pivot below 1e-300. LAPACK's warning about an exactly zero pivot is
+    silenced: the SingularStepMatrix raised here reports it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(lhs, overwrite_a=True)
+    if np.min(np.abs(np.diag(lu[0]))) < 1e-300:
         raise SingularStepMatrix("implicit step matrix is singular")
+
+    def solve(b):
+        return sla.lu_solve(lu, b, overwrite_b=True)
+
     return solve
 
 
@@ -185,7 +178,7 @@ def evolve_theta(
     del D, A
     if sp.issparse(rhs):
         return _step_sparse(lhs, rhs, g0, theta, steps, loads)
-    solve = _factor(lhs)
+    solve = _dense_factor(lhs)
     del lhs
     increments = None
     if loads is not None:
@@ -216,7 +209,7 @@ def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads) -> np.ndarray:
     blocks = (np.atleast_2d(F) for F in (() if loads is None else loads))
     first = next(blocks, None)
     dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))
-    solve = _factor(lhs.astype(dtype, copy=False))
+    solve = factor(lhs.astype(dtype, copy=False), "implicit step matrix")
     g = np.asarray(g0, dtype=dtype)
     if first is None:
         for _ in range(steps):
@@ -324,8 +317,8 @@ def solve_nodal(
     eigensolver would (``NotSPD``). The loads are stepped through block by
     block, so at most LOAD_BLOCK of them are held at once.
     """
-    definite_factor(forms.mass, "mass matrix")
-    definite_factor(forms.k_plus, "energy matrix K+")
+    factor(forms.mass, "mass matrix", hermitian=True)
+    factor(forms.k_plus, "energy matrix K+", hermitian=True)
     T = spec.final_time
     loads = None
     if spec.source is not None:

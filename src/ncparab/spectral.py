@@ -8,6 +8,11 @@ of a sizeable share of the spectrum from one dense generalized LAPACK call.
 A pencil with real entries, which real coefficients give, stays in real
 arithmetic in both kernels and has real eigenvectors. Both kernels fix
 signs deterministically so repeated runs emit identical output.
+
+Every sparse LU of the package comes from ``factor``: minimum degree on
+A^T + A, the matrix's own dtype, diagonal pivots for a Hermitian matrix, so
+that its factor is its definiteness check (``NotSPD``), and partial
+pivoting with a pivot floor for any other (``SingularStepMatrix``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NoConvergence, NotSPD
+from .errors import NoConvergence, NotSPD, SingularStepMatrix
 
 EIG_TOL = 1e-11
 ORTHO_TOL = 1e-9
@@ -86,34 +91,32 @@ def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
     return eigenvalues[order], vectors[:, order]
 
 
-def definite_factor(mat, name: str):
-    """Sparse LU of a Hermitian matrix, preferring diagonal pivots.
+def factor(mat, name: str, hermitian: bool = False):
+    """The solve of a sparse LU of ``mat``, the one sparse factor of the package.
 
-    Elimination in a symmetric order has real positive pivots and no row
-    exchanges exactly when the matrix is positive definite, so the factor
-    doubles as the definiteness check. The order is minimum degree on
-    A^T + A, which suits the symmetric pattern of finite element matrices
-    (on the disk pencil it cuts the fill from 79k to 49k entries).
+    The order is minimum degree on A^T + A, which suits the symmetric pattern
+    of finite element matrices (on the disk pencil it cuts the fill from 79k
+    to 49k entries). A Hermitian matrix is eliminated in a symmetric order
+    with diagonal pivots: the pivots are real positive and there are no row
+    exchanges exactly when it is positive definite, so the factor doubles as
+    the definiteness check (``NotSPD``). Any other matrix is factored with
+    partial pivoting and refuses a pivot below 1e-300 (``SingularStepMatrix``).
+    The factor has the matrix's dtype; a real one takes complex right sides,
+    whose real and imaginary parts go through one call as extra columns.
     """
+    A = sp.csc_matrix(mat)
+    error = NotSPD if hermitian else SingularStepMatrix
+    symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
-        lu = spla.splu(
-            sp.csc_matrix(mat),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **(symmetric if hermitian else {}))
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
-        raise NotSPD(f"{name} is singular: {exc}") from exc
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0.0)):
+        raise error(f"{name} is singular: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if hermitian and not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
         raise NotSPD(f"{name} is not positive definite")
-    return lu
-
-
-def solver(lu):
-    """The solve of a sparse LU, extended to complex right sides when the
-    factor is real: their real and imaginary parts go through one call as
-    extra columns."""
-    if lu.U.dtype.kind == "c":
+    if not hermitian and np.min(np.abs(pivots)) < 1e-300:
+        raise SingularStepMatrix(f"{name} is singular")
+    if A.dtype.kind == "c":
         return lu.solve
 
     def solve(rhs):
@@ -139,10 +142,14 @@ def _shift_invert(K, M, count: int):
     conditioned when K+ is singular, and far below the smallest eigenvalue
     on the shipped meshes, so the shifted spectrum stays well separated.
     """
-    definite_factor(M, "mass matrix")
+    factor(M, "mass matrix", hermitian=True)
     sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
-    lu = definite_factor((K - sigma * M).tocsc(), "shifted pencil K+ - sigma M")
-    solve = spla.LinearOperator(K.shape, matvec=lu.solve, dtype=lu.U.dtype)
+    shifted = K - sigma * M
+    solve = spla.LinearOperator(
+        K.shape,
+        matvec=factor(shifted, "shifted pencil K+ - sigma M", hermitian=True),
+        dtype=shifted.dtype,
+    )
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     try:
         return spla.eigsh(K, count, M, sigma=sigma, which="LM", v0=v0, OPinv=solve)

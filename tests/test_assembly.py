@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from ncparab.assembly import (
     build_scatter_plan,
     free_nodes,
 )
-from ncparab.errors import ConstraintOnAllDofs, SingularKPlus
+from ncparab.errors import ConstraintOnAllDofs, NotSPD
 from ncparab.estimates import compute_constants
 from ncparab.integrator import discretize
 from ncparab.meshing import Mesh, build_mesh
@@ -386,8 +387,19 @@ def test_dual_norm_real_k_plus():
 
 def test_dual_norm_singular_raises():
     for K in (np.zeros((2, 2)), np.array([[1.0, 1.0], [1.0, 1.0]])):
-        with pytest.raises(SingularKPlus):
+        with pytest.raises(NotSPD):
             dual_norm(np.ones(2), _forms_with(K))
+
+
+def test_dual_norm_of_a_copy_factors_its_own_k_plus():
+    # a copy with another K+ must not reuse the factor of the original
+    spec = PRESETS["forced1d"].build()
+    forms, _ = discretize(spec, 10, 0)
+    F = assemble_load(forms.mesh, spec.source, [0.1])
+    before = dual_norm(F, forms)
+    doubled = dataclasses.replace(forms, k_plus=2.0 * forms.k_plus)
+    assert np.allclose(dual_norm(F, doubled), before / np.sqrt(2.0), rtol=1e-12, atol=0.0)
+    assert np.array_equal(dual_norm(F, forms), before)
 
 
 def test_k_plus_hermitian_and_positive_definite(disk_pipeline):

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ncparab import fields
+from ncparab.errors import NotSPD
 from ncparab.estimates import (
     apriori_bounds,
     check_cauchy_bound,
@@ -204,6 +205,17 @@ def test_exact_cauchy_constant_matches_dense_svd():
     heat, _ = discretize(get_preset("heat1d").build(), 20, 0)
     assert heat.first_order.count_nonzero() == 0
     assert check_cauchy_bound(heat, 0.0, 0.0) == (0.0, True)
+
+
+def test_cauchy_check_refuses_indefinite_energy_at_any_size():
+    # E = K+ + M = -2 M is negative definite: N = 2 (the dense branch) and
+    # N = 19 (the ARPACK branch) go through the same factor of E
+    for resolution in (3, 20):
+        forms, _ = discretize(get_preset("drift1d").build(), resolution, 0)
+        assert forms.first_order.count_nonzero()
+        negative = dataclasses.replace(forms, k_plus=-3.0 * forms.mass)
+        with pytest.raises(NotSPD):
+            check_cauchy_bound(negative, 1.0, 0.0)
 
 
 def test_exact_cauchy_check_fails_where_a_random_sample_passed():

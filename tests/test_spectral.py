@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import spectral
-from ncparab.errors import NoConvergence, NotSPD
+from ncparab.errors import NoConvergence, NotSPD, SingularStepMatrix
 from ncparab.presets import PRESETS
 from ncparab.spectral import (
     EIG_TOL,
     ORTHO_TOL,
     SPARSE_SHARE,
     EigenBasis,
+    factor,
     generalized_eigenbasis,
     verify_orthogonality,
 )
@@ -235,3 +237,41 @@ def test_preset_smallest_eigenvalue_far_above_null_floor(preset):
     # the smallest of them is the disk's, about 1.58
     assert basis.eigenvalues[0] >= 1.5
     assert basis.eigenvalues[0] > 1e9 * floor.real
+
+
+def _random_sparse(rng, n: int, complex_: bool) -> np.ndarray:
+    """An n x n array with about a third of its entries nonzero."""
+    A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.35)
+    if complex_:
+        A = A + 1j * rng.standard_normal((n, n)) * (A != 0)
+    return A
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    complex_matrix=st.booleans(),
+    complex_rhs=st.booleans(),
+    columns=st.sampled_from([None, 1, 3]),
+)
+def test_factor_solves_definite_and_refuses_indefinite_or_singular(
+    n, seed, complex_matrix, complex_rhs, columns
+):
+    rng = np.random.default_rng(seed)
+    B = _random_sparse(rng, n, complex_matrix)
+    A = B.conj().T @ B + np.eye(n)  # Hermitian positive definite
+    shape = (n,) if columns is None else (n, columns)
+    rhs = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_rhs else 0.0)
+    x = factor(sp.csr_matrix(A), "A", hermitian=True)(rhs)
+    assert x.shape == rhs.shape
+    assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-10, atol=1e-12)
+    # shifted so that its smallest eigenvalue is -1
+    indefinite = A - (np.linalg.eigvalsh(A)[0] + 1.0) * np.eye(n)
+    with pytest.raises(NotSPD):
+        factor(sp.csr_matrix(indefinite), "A", hermitian=True)
+    # a zero row stays zero under any pivoting, so the matrix is exactly singular
+    singular = _random_sparse(rng, n, complex_matrix) + 2.0 * np.eye(n)
+    singular[rng.integers(n)] = 0.0
+    with pytest.raises(SingularStepMatrix):
+        factor(sp.csr_matrix(singular), "A")
