@@ -7,7 +7,9 @@ degenerate boundary set S:
   through the pointwise factor D (so it is Hermitian PSD by construction,
   also for degenerate principal matrices), plus the nonnegative zero-order
   weight, plus the Robin boundary mass with weight b00/b1;
-* ``mass``   -- the L2 mass matrix, exact for P1;
+* ``mass``   -- the L2 mass matrix, exact for P1, positive definite
+  whenever every element has a positive measure and every free node lies
+  in an element, which ``assemble_forms`` checks instead of factoring it;
 * ``first_order`` -- the non-symmetric form pairing the directional
   derivatives D_l against the test function, plus the delta_a0 weight. With
   no drift and a constant delta_a0 of 0 it is the empty matrix.
@@ -48,7 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstraintOnAllDofs
+from .errors import ConstraintOnAllDofs, NotSPD
 from .fields import axes
 from .meshing import Mesh, Quadrature
 from .problem import ProblemSpec, factorize_principal
@@ -323,6 +325,19 @@ def assemble_load(mesh: Mesh, f: Optional[Callable], times: Sequence[float]) -> 
     return (op.matrix @ np.broadcast_to(values, (op.matrix.shape[1], len(times)))).T
 
 
+def _check_mass_definite(mesh: Mesh, free: np.ndarray) -> None:
+    """Refuse a mesh whose reduced mass matrix may not be positive definite
+    (``NotSPD``). M sums |e| times a fixed positive definite pattern over
+    the elements e, so it is definite on the free nodes when every element
+    measure is positive and every free node lies in some element."""
+    if not np.all(mesh.quadrature.measures > 0.0):
+        raise NotSPD("mass matrix is not positive definite: an element has no positive measure")
+    covered = np.zeros(mesh.num_nodes, dtype=bool)
+    covered[mesh.elements] = True
+    if not np.all(covered[free]):
+        raise NotSPD("mass matrix is singular: a free node lies in no element")
+
+
 def free_nodes(mesh: Mesh) -> np.ndarray:
     constrained = mesh.dirichlet_nodes()
     mask = np.ones(mesh.num_nodes, dtype=bool)
@@ -378,10 +393,12 @@ def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:
 
 
 def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
-    """Assemble all matrices for one problem on the free nodes."""
+    """Assemble all matrices for one problem on the free nodes, after
+    checking on the mesh that the mass matrix is positive definite."""
     free = free_nodes(mesh)
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
+    _check_mass_definite(mesh, free)
     dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=mesh.dirichlet_nodes())
     plan = build_scatter_plan(mesh, free)
     K, C = _element_data(mesh, spec, plus=True, lower=not _lower_order_vanishes(spec))

@@ -21,7 +21,9 @@ sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C)
 (``spectral.factor``) and one sparse product per step, with no eigensolve
 and no dense N x N array, and keeps only the current state and one block of
 loads. It runs in real arithmetic when the pair, the initial data and the
-loads are real. The convergence studies take this path.
+loads are real. One more factor, of K+, checks that K+ is definite; M
+needs none, since assembly checks it on the mesh. The convergence studies
+take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -313,11 +315,11 @@ def solve_nodal(
     This is the Galerkin solution with k = N: the same theta step as
     ``evolve_theta`` over the nodal pair (M, K+ + C), started from the nodal
     u0, which the full basis would reproduce exactly. Without the eigenbasis
-    the definiteness of M and K+ is checked by their factors, as the
-    eigensolver would (``NotSPD``). The loads are stepped through block by
-    block, so at most LOAD_BLOCK of them are held at once.
+    the definiteness of K+ is checked by its factor, as the eigensolver's
+    roundoff floor would (``NotSPD``); M is definite by the mesh check of
+    ``assemble_forms``. The loads are stepped through block by block, so at
+    most LOAD_BLOCK of them are held at once.
     """
-    factor(forms.mass, "mass matrix", hermitian=True)
     factor(forms.k_plus, "energy matrix K+", hermitian=True)
     T = spec.final_time
     loads = None

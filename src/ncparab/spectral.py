@@ -7,7 +7,11 @@ of a few pairs comes from shift-invert Lanczos on the sparse pencil; a basis
 of a sizeable share of the spectrum from one dense generalized LAPACK call.
 A pencil with real entries, which real coefficients give, stays in real
 arithmetic in both kernels and has real eigenvectors. Both kernels fix
-signs deterministically so repeated runs emit identical output.
+signs deterministically so repeated runs emit identical output; the
+vectors are sorted, sign-fixed and scaled in place. M is taken to be
+positive definite, as ``assembly.assemble_forms`` checks on the mesh, so
+shift-invert factors only the shifted pencil, and lets it go when ARPACK
+returns.
 
 Every sparse LU of the package comes from ``factor``: minimum degree on
 A^T + A, the matrix's own dtype, diagonal pivots for a Hermitian matrix, so
@@ -61,17 +65,18 @@ class OrthogonalityReport:
     max_mass_offdiag: float  # max_{i != j} |h_i* M h_j|
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's phase so its largest-modulus entry is real
-    positive (first such index on ties)."""
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Rotate each column's phase, in place, so its largest-modulus entry is
+    real positive (first such index on ties)."""
     pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    return vectors * (np.abs(pivots) / np.where(pivots == 0.0, 1.0, pivots))
+    vectors *= np.abs(pivots) / np.where(pivots == 0.0, 1.0, pivots)
 
 
 def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
     """Order degenerate eigenvalue groups lexicographically by the
     sign-fixed vector entries, for reproducible output. The eigenvalues
-    come in ascending order."""
+    come in ascending order; when no group is reordered the inputs come back
+    as they are."""
     scale = max(1.0, float(np.max(np.abs(eigenvalues), initial=0.0)))
 
     def key(g):
@@ -88,6 +93,8 @@ def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
             j += 1
         order += sorted(range(i, j), key=key) if j - i > 1 else [i]
         i = j
+    if order == list(range(len(eigenvalues))):
+        return eigenvalues, vectors
     return eigenvalues[order], vectors[:, order]
 
 
@@ -141,20 +148,23 @@ def _shift_invert(K, M, count: int):
     order of the largest eigenvalue: enough to keep the factor well
     conditioned when K+ is singular, and far below the smallest eigenvalue
     on the shipped meshes, so the shifted spectrum stays well separated.
+
+    ARPACK reaches the factor only through ``solves``, which is emptied when
+    it returns: its complex driver holds the operator in a reference cycle,
+    which would keep the factor alive until the next cyclic collection.
     """
-    factor(M, "mass matrix", hermitian=True)
     sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
     shifted = K - sigma * M
-    solve = spla.LinearOperator(
-        K.shape,
-        matvec=factor(shifted, "shifted pencil K+ - sigma M", hermitian=True),
-        dtype=shifted.dtype,
-    )
+    solves = [factor(shifted, "shifted pencil K+ - sigma M", hermitian=True)]
+    operator = spla.LinearOperator(K.shape, matvec=lambda x: solves[0](x), dtype=shifted.dtype)
+    del shifted
     v0 = np.random.default_rng(0).standard_normal(K.shape[0])
     try:
-        return spla.eigsh(K, count, M, sigma=sigma, which="LM", v0=v0, OPinv=solve)
+        return spla.eigsh(K, count, M, sigma=sigma, which="LM", v0=v0, OPinv=operator)
     except spla.ArpackError as exc:
         raise NoConvergence(f"ARPACK: {exc}") from exc
+    finally:
+        solves.clear()
 
 
 def _dense_eigh(K, M, count: int):
@@ -163,13 +173,19 @@ def _dense_eigh(K, M, count: int):
         w, V = sla.eigh(K.toarray(), M.toarray(), driver="gvd")
     except sla.LinAlgError as exc:
         raise (NotSPD if "positive definite" in str(exc) else NoConvergence)(str(exc)) from exc
-    return w[:count], V[:, :count]
+    # a copy of the first columns lets the rest of the N x N array go
+    return w[:count], V if count == len(w) else V[:, :count].copy(order="F")
 
 
 def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
     """First ``count`` pairs of K+ h = lambda M h, energy-orthonormal.
     Raises ``NotSPD`` when the smallest is not above the roundoff floor
-    (``NULL_FLOOR``), that is when K+ is singular."""
+    (``NULL_FLOOR``), that is when K+ is singular.
+
+    M must be Hermitian positive definite, as every assembled mass matrix
+    is (``assembly.assemble_forms`` checks it on the mesh). The dense
+    kernel refuses any other M (``NotSPD``, from LAPACK); the sparse kernel
+    does not check it."""
     K = sp.csc_matrix(k_plus)
     M = sp.csc_matrix(mass)
     if not (np.all(np.isfinite(K.data)) and np.all(np.isfinite(M.data))):
@@ -177,7 +193,12 @@ def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
     kernel = _shift_invert if count * SPARSE_SHARE <= K.shape[0] else _dense_eigh
     w, V = kernel(K, M, count)
     order = np.argsort(w, kind="stable")
-    w, V = _tie_break(w[order], _fix_signs(V[:, order]))
+    w = w[order]
+    # the basis is column-major, and this is the one copy of the vectors at
+    # most (real ARPACK returns them row-major); the rest works in place
+    V = np.asfortranarray(V if np.array_equal(order, np.arange(len(w))) else V[:, order])
+    _fix_signs(V)
+    w, V = _tie_break(w, V)
     eps = np.finfo(float).eps
     floor = NULL_FLOOR * eps * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
     if w[0] <= floor:
@@ -186,9 +207,9 @@ def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
             f"{floor:.3e}: K+ is singular"
         )
     # Both kernels return M-orthonormal vectors, so h* K+ h = lambda h* M h = 1.
-    vectors = V / np.sqrt(w)[None, :]
-    mass_norms = np.real(np.einsum("ij,ij->j", vectors.conj(), M @ vectors))
-    return EigenBasis(eigenvalues=w, vectors=vectors, mass_norms=mass_norms)
+    V /= np.sqrt(w)
+    mass_norms = np.real(np.einsum("ij,ij->j", V.conj(), M @ V))
+    return EigenBasis(eigenvalues=w, vectors=V, mass_norms=mass_norms)
 
 
 def verify_orthogonality(basis: EigenBasis, k_plus, mass) -> OrthogonalityReport:

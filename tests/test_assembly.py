@@ -337,6 +337,31 @@ def test_constraining_everything_raises():
         assemble_forms(mesh, spec)
 
 
+def test_mass_check_refuses_an_element_of_zero_area():
+    # a unit square of two triangles and a third, flat one, (0,0) (1,1) (2,2),
+    # which alone holds node 4, so that node's row of M is zero
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [2.0, 2.0]])
+    elements = np.array([[0, 1, 2], [0, 2, 3], [0, 2, 4]])
+    facets = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    mesh = Mesh(2, nodes, elements, facets, np.ones(4), np.zeros(4, dtype=bool))
+    # the flat element's gradients divide by its zero area
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NotSPD, match="measure"):
+        assemble_forms(mesh, PRESETS["robin_rect"].build())
+
+
+def test_mass_check_refuses_a_free_node_in_no_element():
+    # node 3 of the interval is free and in no element: its row of M is zero
+    nodes = np.array([[0.0], [0.5], [1.0], [2.0]])
+    elements = np.array([[0, 1], [1, 2]])
+    facets = np.array([[0], [2]])
+    mesh = Mesh(1, nodes, elements, facets, np.ones(2), np.zeros(2, dtype=bool))
+    with pytest.raises(NotSPD, match="no element"):
+        assemble_forms(mesh, _interval_spec(dirichlet_selector=None))
+    # constrained, the node leaves the mass matrix and the check passes
+    mesh = Mesh(1, nodes, elements, np.array([[0], [2], [3]]), np.ones(3), np.array([0, 0, 1], bool))
+    assert assemble_forms(mesh, _interval_spec(dirichlet_selector=None)).N == 3
+
+
 def _forms_with(K):
     """Forms holding only a sparse complex K+, as the disk assembles it,
     enough for ``dual_norm``."""

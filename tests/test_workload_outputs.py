@@ -71,6 +71,7 @@ def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_pat
         assert _run_tiny(workload, tmp_path / name)[0] == 0
         assert all(code is spectral.factor.__code__ for code in callers)
         counts[name] = len(callers)
-    # forced-drift-1d: K+ (dual norms) and K+ + M (Cauchy check); disk: M and
-    # the shifted pencil; heat-convergence: M, K+ and the step matrix per level
-    assert counts == {"disk-degenerate": 2, "forced-drift-1d": 2, "heat-convergence": 6}
+    # forced-drift-1d: K+ (dual norms) and K+ + M (Cauchy check); disk: the
+    # shifted pencil; heat-convergence: K+ and the step matrix per level. M
+    # is never factored: assembly checks it on the mesh
+    assert counts == {"disk-degenerate": 1, "forced-drift-1d": 2, "heat-convergence": 4}
