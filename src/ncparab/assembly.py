@@ -5,14 +5,19 @@ degenerate boundary set S:
 
 * ``k_plus`` -- the energy inner product: the principal part assembled
   through the pointwise factor D (so it is Hermitian PSD by construction,
-  also for degenerate principal matrices), plus the nonnegative zero-order
-  weight, plus the Robin boundary mass with weight b00/b1;
+  also for degenerate principal matrices), plus the nonnegative part a00
+  of a0, plus the Robin boundary mass with weight b0/b1
+  (``problem.robin_weight``);
 * ``mass``   -- the L2 mass matrix, exact for P1, positive definite
   whenever every element has a positive measure and every free node lies
   in an element, which ``assemble_forms`` checks instead of factoring it;
 * ``first_order`` -- the non-symmetric form pairing the directional
-  derivatives D_l against the test function, plus the delta_a0 weight. With
-  no drift and a constant delta_a0 of 0 it is the empty matrix.
+  derivatives D_l against the test function, plus the remainder a0 - a00.
+  With no drift and a constant a0 whose remainder is 0 it is the empty
+  matrix.
+
+a0 is evaluated once per quadrature point and split there
+(``problem.split_zero_order``), so its two parts add up to a0 exactly.
 
 The coefficients may be complex, so the element matrices are computed in
 complex arithmetic; a matrix whose imaginary parts all come out exactly 0
@@ -32,10 +37,11 @@ duplicates summed in element order, so K+ is exactly Hermitian and a
 reduced form equals P^T A P of the full one bit for bit. The full-node
 forms come from the same code through a plan that keeps every node.
 
-Source loads go through one sparse load operator per mesh, which maps the
-source values at all quadrature points to the reduced nodal loads, so a
-block of times costs one source evaluation and one sparse product. The
-operator is real; the loads are real or complex like the source values.
+Source loads go through one sparse load operator per set of forms, built
+on first use, which maps the source values at all quadrature points to the
+reduced nodal loads, so a block of times costs one source evaluation and
+one sparse product. The operator is real; the loads are real or complex
+like the source values.
 Their dual norms solve with the Hermitian factor of K+ (``spectral.factor``),
 which the forms make on first use.
 """
@@ -53,7 +59,7 @@ import scipy.sparse as sp
 from .errors import ConstraintOnAllDofs, NotSPD
 from .fields import axes
 from .meshing import Mesh, Quadrature
-from .problem import ProblemSpec, factorize_principal
+from .problem import ProblemSpec, factorize_principal, robin_weight, split_zero_order
 from .spectral import factor
 
 
@@ -165,16 +171,18 @@ def _per_point(quad: Quadrature, factor: Callable, gram: bool):
 
 
 def _lower_order_vanishes(spec: ProblemSpec) -> bool:
-    """No drift and no delta_a0, or a constant delta_a0 of 0."""
-    delta_a0 = spec.zero_order_delta_a0
-    return not spec.first_order and (delta_a0 is None or getattr(delta_a0, "value", None) == 0)
+    """No drift, and no a0 or a constant a0 whose remainder a0 - a00 is 0."""
+    if spec.first_order:
+        return False
+    a0 = getattr(spec.zero_order, "value", None)
+    return spec.zero_order is None or (a0 is not None and split_zero_order(a0)[1] == 0)
 
 
 def _element_data(mesh: Mesh, spec: ProblemSpec, plus: bool, lower: bool):
     """Element matrices of K+ (its element part) and of the lower-order
     form, each only if asked for (None otherwise), from one walk over the
     element quadrature points that evaluates the principal factor
-    (``factorize_principal(spec)``) once per point for both."""
+    (``factorize_principal(spec)``) and a0 once per point for both."""
     quad = mesh.quadrature
     n_quad = quad.points.shape[1]
     ndof = mesh.elements.shape[1]
@@ -188,12 +196,13 @@ def _element_data(mesh: Mesh, spec: ProblemSpec, plus: bool, lower: bool):
     for q, (B, gram) in enumerate(points):
         coords = axes(quad.points[:, q])
         wts, phi = quad.weights[:, q], quad.phi[q]
+        if spec.zero_order is not None and (plus or lower):
+            a00, delta_a0 = split_zero_order(spec.zero_order(*coords))
         if plus:
             if K is None:  # of the Gram matrices' type: real for a real factor
                 K = np.zeros(shape, dtype=gram.dtype)
             K += wts[:, None, None] * gram
-            if spec.zero_order_a00 is not None:
-                a00 = np.real(np.asarray(spec.zero_order_a00(*coords)))
+            if spec.zero_order is not None:
                 K += (wts * a00)[:, None, None] * np.outer(phi, phi)
         if lower:
             if coeffs:
@@ -201,9 +210,8 @@ def _element_data(mesh: Mesh, spec: ProblemSpec, plus: bool, lower: bool):
                 for l, a_l in enumerate(coeffs):
                     drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
                 C += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
-            if spec.zero_order_delta_a0 is not None:
-                da0 = np.asarray(spec.zero_order_delta_a0(*coords), dtype=complex)
-                C += (wts * da0)[:, None, None] * np.outer(phi, phi)
+            if spec.zero_order is not None:
+                C += (wts * delta_a0)[:, None, None] * np.outer(phi, phi)
     return K, C
 
 
@@ -220,15 +228,14 @@ def _plus_matrix(mesh: Mesh, spec: ProblemSpec, plan: ScatterPlan, data: np.ndar
     """K+ on the plan's block from its element data plus the Robin term."""
     robin = ~mesh.facet_dirichlet
     fdata = None
-    if robin.any() and spec.boundary_b00 is not None:
+    if robin.any() and spec.boundary_b0 is not None:
         quad = mesh.quadrature
         fpts, fwts, fphi = quad.facet_points[robin], quad.facet_weights[robin], quad.facet_phi
         fdof = mesh.boundary_facets.shape[1]
         fdata = np.zeros((len(fpts), fdof, fdof))
         for q in range(fpts.shape[1]):
-            # b00 comes from problem.split_zero_order, which refuses b1 = 0
             coords = axes(fpts[:, q, :])
-            ratio = np.real(spec.boundary_b00(*coords)) / np.real(spec.boundary_b1(*coords))
+            ratio = robin_weight(spec.boundary_b0(*coords), spec.boundary_b1(*coords))
             fdata += (fwts[:, q] * ratio)[:, None, None] * np.outer(fphi[q], fphi[q])
     K = plan.scatter(data, fdata)
     # exact zeros (the couplings across the right angles of a structured
@@ -275,56 +282,6 @@ def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
     return _lower_matrix(_full_plan(mesh), C)
 
 
-@dataclass(frozen=True)
-class LoadOperator:
-    """Sparse map from source values at the quadrature points of a mesh to
-    reduced nodal loads: ``matrix[i, e*Q + q] = w_eq * phi_q(node i)``, with
-    the quadrature weights (measure included) and P1 values baked in and
-    only the free rows kept."""
-
-    coords: tuple  # per-axis coordinates of the E*Q quadrature points
-    matrix: sp.csr_matrix  # (free nodes, E*Q), real
-
-
-def load_operator(mesh: Mesh) -> LoadOperator:
-    """The mesh's load operator, built on first use and kept on the mesh."""
-    if mesh._load_operator is None:
-        quad = mesh.quadrature
-        n_elem, n_quad, dim = quad.points.shape
-        ndof = mesh.elements.shape[1]
-        shape = (n_elem, n_quad, ndof)
-        rows = np.broadcast_to(mesh.elements[:, None, :], shape)
-        cols = np.broadcast_to(np.arange(n_elem * n_quad).reshape(n_elem, n_quad, 1), shape)
-        data = quad.weights[:, :, None] * quad.phi[None, :, :]
-        P = sp.coo_matrix(
-            (data.ravel(), (rows.ravel(), cols.ravel())),
-            shape=(mesh.num_nodes, n_elem * n_quad),
-        ).tocsr()
-        mesh._load_operator = LoadOperator(
-            coords=axes(quad.points.reshape(n_elem * n_quad, dim)),
-            matrix=P[free_nodes(mesh)],
-        )
-    return mesh._load_operator
-
-
-def assemble_load(mesh: Mesh, f: Optional[Callable], times: Sequence[float]) -> np.ndarray:
-    """Load vectors <f(., t), phi_i> with constrained entries dropped, one row
-    per time in ``times``.
-
-    ``f`` is called once for the whole block, with the quadrature-point
-    coordinates as columns and the times as a row, so its values are an
-    (E*Q, len(times)) array; the block is one sparse product with the mesh's
-    load operator. The loads are real when the source values are.
-    """
-    op = load_operator(mesh)
-    times = np.asarray(times, dtype=float)
-    if f is None:
-        return np.zeros((len(times), op.matrix.shape[0]))
-    values = np.asarray(f(*(c[:, None] for c in op.coords), times[None, :]))
-    values = values.astype(np.result_type(values, float), copy=False)
-    return (op.matrix @ np.broadcast_to(values, (op.matrix.shape[1], len(times)))).T
-
-
 def _check_mass_definite(mesh: Mesh, free: np.ndarray) -> None:
     """Refuse a mesh whose reduced mass matrix may not be positive definite
     (``NotSPD``). M sums |e| times a fixed positive definite pattern over
@@ -343,6 +300,17 @@ def free_nodes(mesh: Mesh) -> np.ndarray:
     mask = np.ones(mesh.num_nodes, dtype=bool)
     mask[constrained] = False
     return np.nonzero(mask)[0]
+
+
+@dataclass(frozen=True)
+class LoadOperator:
+    """Sparse map from source values at the quadrature points of a mesh to
+    reduced nodal loads: ``matrix[i, e*Q + q] = w_eq * phi_q(node i)``, with
+    the quadrature weights (measure included) and P1 values baked in and
+    only the free rows kept."""
+
+    coords: tuple  # per-axis coordinates of the E*Q quadrature points
+    matrix: sp.csr_matrix  # (free nodes, E*Q), real
 
 
 @dataclass
@@ -381,6 +349,45 @@ class AssembledForms:
         """The solve of K+, factored on first use (``NotSPD`` if it is not
         positive definite); a copy with another K+ factors its own."""
         return factor(self.k_plus, "energy matrix K+", hermitian=True)
+
+    @cached_property
+    def load_operator(self) -> LoadOperator:
+        """The forms' load operator, built on first use."""
+        quad = self.mesh.quadrature
+        n_elem, n_quad, dim = quad.points.shape
+        ndof = self.mesh.elements.shape[1]
+        shape = (n_elem, n_quad, ndof)
+        rows = np.broadcast_to(self.mesh.elements[:, None, :], shape)
+        cols = np.broadcast_to(np.arange(n_elem * n_quad).reshape(n_elem, n_quad, 1), shape)
+        data = quad.weights[:, :, None] * quad.phi[None, :, :]
+        P = sp.coo_matrix(
+            (data.ravel(), (rows.ravel(), cols.ravel())),
+            shape=(self.mesh.num_nodes, n_elem * n_quad),
+        ).tocsr()
+        return LoadOperator(
+            coords=axes(quad.points.reshape(n_elem * n_quad, dim)),
+            matrix=P[self.dofmap.free],
+        )
+
+
+def assemble_load(
+    forms: AssembledForms, f: Optional[Callable], times: Sequence[float]
+) -> np.ndarray:
+    """Load vectors <f(., t), phi_i> with constrained entries dropped, one row
+    per time in ``times``.
+
+    ``f`` is called once for the whole block, with the quadrature-point
+    coordinates as columns and the times as a row, so its values are an
+    (E*Q, len(times)) array; the block is one sparse product with the forms'
+    load operator. The loads are real when the source values are.
+    """
+    op = forms.load_operator
+    times = np.asarray(times, dtype=float)
+    if f is None:
+        return np.zeros((len(times), op.matrix.shape[0]))
+    values = np.asarray(f(*(c[:, None] for c in op.coords), times[None, :]))
+    values = values.astype(np.result_type(values, float), copy=False)
+    return (op.matrix @ np.broadcast_to(values, (op.matrix.shape[1], len(times)))).T
 
 
 def dual_norm(F: np.ndarray, forms: AssembledForms) -> np.ndarray:

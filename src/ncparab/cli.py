@@ -357,9 +357,10 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="path to a key-value config file")
         p.add_argument("--out", default=None, help="output directory (default: output.dir)")
-        p.add_argument("--jobs", type=int, default=1)
         # accepted for existing scripts; no computation draws random numbers
         p.add_argument("--seed", type=int, default=None)
+        if name == "convergence":
+            p.add_argument("--jobs", type=int, default=1)
         if name == "solve":
             p.add_argument("--export-mesh", action="store_true")
         if name == "eigs":

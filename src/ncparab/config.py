@@ -14,7 +14,7 @@ import numpy as np
 from . import fields as coeff_fields
 from .errors import ConfigError
 from .presets import get_preset
-from .problem import Interval, ProblemSpec, Rectangle, UnitDiskPolygon, split_zero_order
+from .problem import Interval, ProblemSpec, Rectangle, UnitDiskPolygon
 
 
 @dataclass
@@ -252,20 +252,14 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
             f"problem.first_order has {len(first_order)} entries, "
             f"more than the {dim} dimension(s) of the domain"
         )
-    a0 = coeff_fields.scalar_field_from_spec(cfg.problem_a0, dim)
-    b0 = coeff_fields.scalar_field_from_spec(cfg.problem_b0, dim)
-    b1 = coeff_fields.scalar_field_from_spec(cfg.problem_b1, dim)
-    a00, delta_a0, b00, delta_b0 = split_zero_order(a0, b0, b1)
     spec = ProblemSpec(
         domain=domain,
         final_time=cfg.problem_T,
         principal=principal,
         first_order=first_order,
-        zero_order_a00=a00,
-        zero_order_delta_a0=delta_a0,
-        boundary_b1=b1,
-        boundary_b00=b00,
-        boundary_delta_b0=delta_b0,
+        zero_order=coeff_fields.scalar_field_from_spec(cfg.problem_a0, dim),
+        boundary_b0=coeff_fields.scalar_field_from_spec(cfg.problem_b0, dim),
+        boundary_b1=coeff_fields.scalar_field_from_spec(cfg.problem_b1, dim),
         dirichlet_selector=_selector_from_name(cfg.problem_s, domain),
         source=_source_from_name(cfg.problem_f, dim),
         initial=_initial_from_name(cfg.problem_u0, dim),

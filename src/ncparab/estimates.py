@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .errors import NoConvergence
 from .integrator import GalerkinTrajectory
 from .fields import axes
-from .problem import ProblemSpec
+from .problem import ProblemSpec, split_zero_order
 from .spectral import factor
 
 UNIQUENESS_TOL = 1e-10
@@ -57,18 +57,19 @@ def compute_constants(spec: ProblemSpec, mesh) -> tuple[float, float]:
 
     c1 is the Euclidean norm of the per-direction maxima of |a_l| (their
     directional derivatives are dominated by the energy norm); c2 is the
-    maximum of |delta_a0|. The discrete forms see the coefficients only at
+    maximum of |a0 - a00|, the remainder of the split that the forms take
+    (``split_zero_order``). The discrete forms see the coefficients only at
     these points, and the rules integrate products of P1 functions exactly
     with positive weights, so the maxima bound the discrete forms exactly:
     never an underestimate, and attained by the coefficients the forms use.
     """
     coords = axes(mesh.quadrature.points)
 
-    def sup(f):
-        return float(np.max(np.abs(np.asarray(f(*coords), dtype=complex))))
+    def sup(values):
+        return float(np.max(np.abs(np.asarray(values, dtype=complex))))
 
-    c1 = float(np.sqrt(sum(sup(a_l) ** 2 for a_l in spec.first_order or [])))
-    c2 = 0.0 if spec.zero_order_delta_a0 is None else sup(spec.zero_order_delta_a0)
+    c1 = float(np.sqrt(sum(sup(a_l(*coords)) ** 2 for a_l in spec.first_order or [])))
+    c2 = 0.0 if spec.zero_order is None else sup(split_zero_order(spec.zero_order(*coords))[1])
     return c1, c2
 
 
@@ -115,7 +116,7 @@ def check_uniqueness_condition(interaction, tol: float = UNIQUENESS_TOL) -> tupl
     sign of the minimum eigenvalue only, not in its value: with all N basis
     vectors H is invertible and the two Hermitian parts are congruent
     (Sylvester's law of inertia); with k < N the modal matrix sees only the
-    span of H. On heat1d at resolution 400 with delta_a0 = -40 on
+    span of H. On heat1d at resolution 400 with a0 = -40 on
     |x - 0.01| < 0.006 and 0.5 elsewhere, the nodal value is -0.095, the
     modal one -0.0036 at k = N and +0.0019 at k = 5.
     """

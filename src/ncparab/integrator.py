@@ -233,7 +233,7 @@ def _load_blocks(source: Callable, forms: AssembledForms, times: np.ndarray):
     pairs of the block's slice and its (block length, N) loads."""
     for start in range(0, len(times), LOAD_BLOCK):
         block = slice(start, start + LOAD_BLOCK)
-        yield block, assemble_load(forms.mesh, source, times[block])
+        yield block, assemble_load(forms, source, times[block])
 
 
 def _modal_loads(source: Callable, forms: AssembledForms, H: np.ndarray, times: np.ndarray):

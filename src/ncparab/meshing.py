@@ -13,7 +13,7 @@ constants c1, c2 see the coefficients at these points only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -62,8 +62,6 @@ class Mesh:
     facet_measures: np.ndarray
     facet_dirichlet: np.ndarray
     size: Optional[float] = None
-    # Built on first use by ``assembly.load_operator``; not part of the mesh.
-    _load_operator: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size is None:

@@ -54,27 +54,19 @@ def _all_boundary(*coords):
     return np.ones(np.shape(coords[0]), dtype=bool)
 
 
-def _zero_boundary_fields(spec_kwargs):
-    spec_kwargs.setdefault("boundary_b1", fields.constant_scalar(0.0))
-    spec_kwargs.setdefault("boundary_b00", fields.constant_scalar(0.0))
-    spec_kwargs.setdefault("boundary_delta_b0", fields.constant_scalar(0.0))
-    return spec_kwargs
-
-
 def _dirichlet_problem(**overrides) -> ProblemSpec:
     kwargs = dict(
         domain=Interval(0.0, 1.0),
         final_time=0.1,
         principal=fields.constant_matrix([[1.0]]),
         first_order=[],
-        zero_order_a00=fields.constant_scalar(0.0),
-        zero_order_delta_a0=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(0.0),
         dirichlet_selector=_all_boundary,
         source=None,
         initial=_sine,
     )
     kwargs.update(overrides)
-    return ProblemSpec(**_zero_boundary_fields(kwargs))
+    return ProblemSpec(**kwargs)
 
 
 def build_heat1d() -> ProblemSpec:
@@ -87,15 +79,13 @@ def build_zero1d() -> ProblemSpec:
 
 def build_growth1d() -> ProblemSpec:
     # a0 = -5: the nonnegative part vanishes and the remainder drives growth.
-    return _dirichlet_problem(
-        zero_order_delta_a0=fields.constant_scalar(-5.0), final_time=0.2
-    )
+    return _dirichlet_problem(zero_order=fields.constant_scalar(-5.0), final_time=0.2)
 
 
 def build_drift1d() -> ProblemSpec:
     return _dirichlet_problem(
         first_order=[fields.constant_scalar(0.5)],
-        zero_order_delta_a0=fields.constant_scalar(-0.2j),
+        zero_order=fields.constant_scalar(-0.2j),
         final_time=0.2,
     )
 
@@ -126,11 +116,9 @@ def build_disk() -> ProblemSpec:
         final_time=0.5,
         principal=fields.constant_matrix(fields.DEGENERATE_DISK_MATRIX),
         first_order=[],
-        zero_order_a00=fields.constant_scalar(0.0),
-        zero_order_delta_a0=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(0.0),
+        boundary_b0=fields.constant_scalar(1.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(1.0),
-        boundary_delta_b0=fields.constant_scalar(0.0),
         dirichlet_selector=None,
         source=None,
         initial=u0,
@@ -146,11 +134,9 @@ def build_robin_rect() -> ProblemSpec:
         final_time=0.1,
         principal=fields.constant_matrix(np.eye(2)),
         first_order=[],
-        zero_order_a00=fields.constant_scalar(1.0),
-        zero_order_delta_a0=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(1.0),
+        boundary_b0=fields.constant_scalar(1.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(1.0),
-        boundary_delta_b0=fields.constant_scalar(0.0),
         dirichlet_selector=None,
         source=None,
         initial=u0,
@@ -192,7 +178,7 @@ PRESETS: dict[str, Preset] = {
         default_resolution=50,
         default_k=20,
         default_steps=100,
-        description="strong negative zero-order remainder (delta_a0 = -5)",
+        description="strong negative zero-order remainder (a0 = -5)",
     ),
     "drift1d": Preset(
         "drift1d",

@@ -7,8 +7,16 @@ degenerate (b1 = 0) on a constrained subset S of the boundary. The principal
 matrix is Hermitian, positive semidefinite over complex directions, and
 uniformly elliptic over real directions; it need not be coercive over
 complex directions, which is the regime this package is built to explore.
-The coefficients are validated at the quadrature points of a mesh, where
-the discrete forms see them.
+The principal matrix is validated at the quadrature points of a mesh, where
+the discrete forms see it.
+
+The zero-order data a0, b0 and b1 are kept as given. The forms split them
+here, on their values at the quadrature points: a0 into its nonnegative
+part a00 = max(Re a0, 0), which enters the energy product, and the
+remainder a0 - a00, which enters the lower-order form
+(``split_zero_order``); on the Robin part of the boundary (outside S) the
+energy product takes the weight b0/b1, which must be real and nonnegative
+there (``robin_weight``).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DivisionByZeroB1,
     NonHermitian,
     NotElliptic,
@@ -62,21 +71,19 @@ class ProblemSpec:
     """All continuous data of one initial-boundary value problem.
 
     Coefficient fields follow the calling convention of :mod:`ncparab.fields`.
-    The zero-order coefficients are stored pre-split: ``a0 = a00 + delta_a0``
-    with ``a00 >= 0``, and ``b0 = b00 + delta_b0`` with ``b00/b1 >= 0`` away
-    from the constrained set. ``delta_b0`` never enters any form; it is kept
-    only so the splitting remains invertible.
+    ``zero_order`` is a0; ``boundary_b0`` and ``boundary_b1`` are the Robin
+    data, read only outside the constrained set, and without b0 the
+    boundary adds no term. None of them is split here: the forms split
+    their values (``split_zero_order``, ``robin_weight``).
     """
 
     domain: Domain
     final_time: float
     principal: Callable
     first_order: Sequence[Callable] = field(default_factory=list)
-    zero_order_a00: Callable = None
-    zero_order_delta_a0: Callable = None
-    boundary_b1: Callable = None
-    boundary_b00: Callable = None
-    boundary_delta_b0: Callable = None
+    zero_order: Optional[Callable] = None
+    boundary_b0: Optional[Callable] = None
+    boundary_b1: Optional[Callable] = None
     dirichlet_selector: Optional[Callable] = None
     source: Optional[Callable] = None
     initial: Optional[Callable] = None
@@ -92,26 +99,17 @@ class ValidationReport:
     ellipticity_m: float
     min_complex_eigenvalue: float
     coercive: bool
-    a00_nonnegative: bool
-    robin_ratio_nonnegative: bool
-    final_time_positive: bool
-
-    @property
-    def passed(self) -> bool:
-        # violations of the principal part raise instead of lowering a flag
-        return self.a00_nonnegative and self.robin_ratio_nonnegative and self.final_time_positive
 
 
 def validate_coefficients(spec: ProblemSpec, mesh) -> ValidationReport:
-    """Check the structural assumptions on the coefficients at the
-    quadrature points of ``mesh`` (``mesh.quadrature``), the only points
-    where the discrete forms see them: the principal matrix and a00 at the
-    element points, b1 and b00 at the points of the Robin facets. A constant
-    principal matrix (a field with a ``value``) is checked once.
+    """Check the principal matrix at the element quadrature points of
+    ``mesh`` (``mesh.quadrature``), the only points where the discrete
+    forms see it. A constant principal matrix (a field with a ``value``) is
+    checked once.
 
     Raises :class:`NonHermitian`, :class:`NotElliptic` or
-    :class:`NotPositiveSemidefinite` on hard violations of the principal
-    part; softer sign conditions only lower flags in the report.
+    :class:`NotPositiveSemidefinite`; the report keeps the constants and
+    whether the complex form is coercive.
     """
     quad = mesh.quadrature
     coords = axes(quad.points)
@@ -135,58 +133,47 @@ def validate_coefficients(spec: ProblemSpec, mesh) -> ValidationReport:
             f"complex form eigenvalue {min_complex:.3e} below -{PSD_TOL}"
         )
 
-    a00_ok = True
-    if spec.zero_order_a00 is not None:
-        a00_ok = bool(np.min(np.real(spec.zero_order_a00(*coords))) >= -1e-12)
-
-    robin_ok = True
-    robin = quad.facet_points[~mesh.facet_dirichlet]
-    if len(robin) and spec.boundary_b1 is not None and spec.boundary_b00 is not None:
-        bcoords = axes(robin)
-        b1v = np.real(spec.boundary_b1(*bcoords))
-        if np.any(b1v == 0.0):
-            robin_ok = False
-        else:
-            robin_ok = bool(np.min(np.real(spec.boundary_b00(*bcoords)) / b1v) >= -1e-12)
-
     return ValidationReport(
         hermitian_residual=herm_residual,
         ellipticity_m=m,
         min_complex_eigenvalue=min_complex,
         coercive=min_complex > PSD_TOL,
-        a00_nonnegative=a00_ok,
-        robin_ratio_nonnegative=robin_ok,
-        final_time_positive=spec.final_time > 0.0,
     )
 
 
-def split_zero_order(a0: Callable, b0: Callable, b1: Callable):
-    """Split a0 and b0 into nonnegative parts plus remainders.
+def split_zero_order(a0) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a0 split into the nonnegative part ``a00 = max(Re a0, 0)``
+    (real) and the remainder ``a0 - a00`` (complex), so that the two add up
+    to a0 exactly."""
+    a0 = np.asarray(a0, dtype=complex)
+    a00 = np.maximum(a0.real, 0.0)
+    return a00, a0 - a00
 
-    Returns field callables (a00, delta_a0, b00, delta_b0) with
-    ``a00 = max(Re a0, 0)`` and, away from the degenerate set,
-    ``b00 = b1 * max(Re(b0/b1), 0)``. Evaluating the boundary split where b1
-    vanishes raises :class:`DivisionByZeroB1`; on the constrained set the
-    split is never needed because the solution is pinned to zero there.
-    """
 
-    def a00(*coords):
-        return np.maximum(np.real(np.asarray(a0(*coords))), 0.0)
-
-    def delta_a0(*coords):
-        return np.asarray(a0(*coords), dtype=complex) - a00(*coords)
-
-    def b00(*coords):
-        b1v = np.real(np.asarray(b1(*coords), dtype=complex))
-        b0v = np.asarray(b0(*coords), dtype=complex)
-        if np.any(b1v == 0.0):
-            raise DivisionByZeroB1("b1 vanishes at an evaluated boundary point")
-        return b1v * np.maximum(np.real(b0v / b1v), 0.0)
-
-    def delta_b0(*coords):
-        return np.asarray(b0(*coords), dtype=complex) - b00(*coords)
-
-    return a00, delta_a0, b00, delta_b0
+def robin_weight(b0, b1) -> np.ndarray:
+    """The Robin weight b0/b1 from values at points outside the constrained
+    set, where the energy product takes b0/b1 as it is: b1 must be real and
+    nonzero, and b0/b1 real and nonnegative. Anything else raises
+    :class:`ConfigError`, since no form would represent it exactly, except
+    b1 = 0, which raises :class:`DivisionByZeroB1`."""
+    b0 = np.asarray(b0, dtype=complex)
+    b1 = np.asarray(b1, dtype=complex)
+    if np.any(b1.imag != 0.0):
+        bad = b1[b1.imag != 0.0].flat[0]
+        raise ConfigError(f"b1 = {bad} is not real at a Robin boundary point (outside S)")
+    b1 = b1.real
+    if np.any(b1 == 0.0):
+        raise DivisionByZeroB1("b1 vanishes at a Robin boundary point (outside S)")
+    ratio = b0 / b1
+    wrong = (ratio.imag != 0.0) | ~(ratio.real >= 0.0)
+    if np.any(wrong):
+        raise ConfigError(
+            f"b0/b1 = {ratio[wrong].flat[0]} at a Robin boundary point (outside S); "
+            "it must be real and >= 0"
+        )
+    # b1 (b0/b1) / b1, not b0/b1: the rounding the result files were made
+    # with; the two can differ in the last bit where b1 is not 1
+    return b1 * ratio.real / b1
 
 
 def hermitian_sqrt_psd(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:

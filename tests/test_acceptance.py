@@ -176,8 +176,8 @@ def test_criterion_5_noncoercive_degeneracy():
             domain=disk_spec.domain,
             final_time=1.0,
             principal=disk_spec.principal,
+            boundary_b0=fields.constant_scalar(0.0),
             boundary_b1=fields.constant_scalar(1.0),
-            boundary_b00=fields.constant_scalar(0.0),
         )
         P = assemble_plus_form(mesh, principal_only)
         K = assemble_plus_form(mesh, disk_spec)

@@ -41,14 +41,19 @@ def _interval_spec(**overrides):
         final_time=1.0,
         principal=fields.constant_matrix([[1.0]]),
         first_order=[],
-        zero_order_a00=fields.constant_scalar(0.0),
-        zero_order_delta_a0=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(0.0),
+        boundary_b0=fields.constant_scalar(0.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(0.0),
         dirichlet_selector=lambda x: np.ones(np.shape(x), dtype=bool),
     )
     kwargs.update(overrides)
     return ProblemSpec(**kwargs)
+
+
+def _load(mesh, f, times):
+    """``assemble_load`` through the forms of a plain problem on ``mesh``."""
+    spec = _interval_spec(principal=fields.constant_matrix(np.eye(mesh.dim)))
+    return assemble_load(assemble_forms(mesh, spec), f, times)
 
 
 def _mesh(spec, resolution):
@@ -74,7 +79,7 @@ def test_zero_principal_gives_mass():
     # makes the energy product the plain mass matrix.
     spec = _interval_spec(
         principal=fields.constant_matrix([[0.0]]),
-        zero_order_a00=fields.constant_scalar(1.0),
+        zero_order=fields.constant_scalar(1.0),
         dirichlet_selector=None,
     )
     mesh = _mesh(spec, 5)
@@ -91,15 +96,15 @@ def test_disk_preset_is_principal_plus_boundary_mass():
         domain=spec.domain,
         final_time=1.0,
         principal=spec.principal,
+        boundary_b0=fields.constant_scalar(0.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(0.0),
     )
     boundary_only = ProblemSpec(
         domain=spec.domain,
         final_time=1.0,
         principal=fields.constant_matrix(np.zeros((2, 2))),
+        boundary_b0=spec.boundary_b0,
         boundary_b1=spec.boundary_b1,
-        boundary_b00=spec.boundary_b00,
     )
     P = assemble_plus_form(mesh, principal_only).toarray()
     B = assemble_plus_form(mesh, boundary_only).toarray()
@@ -138,12 +143,39 @@ def test_first_order_zero_coefficients():
 
 
 def test_first_order_constant_delta_a0_is_scaled_mass():
-    c = 0.7 - 0.3j
-    spec = _interval_spec(zero_order_delta_a0=fields.constant_scalar(c), dirichlet_selector=None)
+    # Re a0 < 0, so the whole of a0 is the remainder delta_a0
+    c = -0.7 - 0.3j
+    spec = _interval_spec(zero_order=fields.constant_scalar(c), dirichlet_selector=None)
     mesh = _mesh(spec, 4)
     C = assemble_first_order(mesh, spec).toarray()
     M = assemble_mass(mesh).toarray()
     assert np.allclose(C, c * M, atol=1e-14)
+
+
+magnitudes = st.floats(min_value=0.1, max_value=50.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.tuples(magnitudes, st.sampled_from([-1.0, 1.0])).map(lambda p: p[0] * p[1]),
+    st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda v: -v)),
+    st.integers(2, 30),
+    st.booleans(),
+)
+def test_zero_order_split_recombines_in_the_forms(re_a0, im_a0, resolution, pinned):
+    # the a00 that K+ takes and the remainder that C takes add up to a0 M on
+    # the free block, so neither half of a constant a0 is dropped
+    a0 = complex(re_a0, im_a0)
+    selector = (lambda x: np.ones(np.shape(x), dtype=bool)) if pinned else None
+    spec = _interval_spec(boundary_b0=fields.constant_scalar(1.0), dirichlet_selector=selector)
+    mesh = _mesh(spec, resolution)
+    without = assemble_forms(mesh, spec)
+    spec.zero_order = fields.constant_scalar(a0)
+    forms = assemble_forms(mesh, spec)
+    K0, M = without.k_plus.toarray(), forms.mass.toarray()
+    recombined = (forms.k_plus.toarray() - K0) + forms.first_order.toarray()
+    scale = np.max(np.abs(K0)) + abs(a0) * np.max(np.abs(M))
+    assert np.max(np.abs(recombined - a0 * M)) <= 1e-13 * scale
 
 
 def test_convection_matches_hand_assembly():
@@ -162,9 +194,9 @@ def test_convection_matches_hand_assembly():
 
 def test_load_zero_source():
     mesh = build_mesh(Interval(0.0, 1.0), 4)
-    assert np.all(assemble_load(mesh, None, [0.0]) == 0.0)
+    assert np.all(_load(mesh, None, [0.0]) == 0.0)
     f = lambda x, t: np.zeros(np.shape(x), dtype=complex)
-    F = assemble_load(mesh, f, [0.0, 1.0])
+    F = _load(mesh, f, [0.0, 1.0])
     assert F.shape == (2, 5) and np.allclose(F, 0.0)
 
 
@@ -173,7 +205,7 @@ def test_load_constant_source_interior():
     sel = lambda x: np.ones(np.shape(x), dtype=bool)
     mesh = build_mesh(Interval(0.0, 1.0), n, sel)
     f = lambda x, t: np.ones(np.shape(x), dtype=complex)
-    F = assemble_load(mesh, f, [0.0])
+    F = _load(mesh, f, [0.0])
     assert F.shape == (1, n - 1)
     assert np.allclose(F, 1.0 / n, atol=1e-14)
 
@@ -190,7 +222,7 @@ def test_load_of_basis_function_is_mass_column():
     def f(x, t):
         return np.interp(x, nodes, hat).astype(complex)
 
-    (F,) = assemble_load(mesh, f, [0.0])
+    (F,) = _load(mesh, f, [0.0])
     assert np.allclose(F, M[:, k], atol=1e-14)
 
 
@@ -231,14 +263,14 @@ def test_blocked_load_is_exact_for_affine_sources(case, constrained, n_times, se
     spec = _interval_spec(
         domain=domain,
         principal=fields.constant_matrix(np.eye(domain.dim)),
-        zero_order_a00=fields.constant_scalar(1.0),
+        zero_order=fields.constant_scalar(1.0),
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
     forms = assemble_forms(mesh, spec)
     times = np.sort(rng.uniform(0.0, 2.0, n_times))
 
-    F = assemble_load(mesh, f, times)
+    F = assemble_load(forms, f, times)
     assert F.shape == (n_times, forms.N)
     nodal = (assemble_mass(mesh) @ (a0 + mesh.nodes @ a))[forms.dofmap.free]
     expected = c(times)[:, None] * nodal[None, :]
@@ -278,11 +310,14 @@ def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
         def f(*args):
             return g(args[0], args[-1])
 
-    mesh = build_mesh(domain, resolution)
+    forms = assemble_forms(
+        build_mesh(domain, resolution),
+        _interval_spec(principal=fields.constant_matrix(np.eye(domain.dim))),
+    )
     times = np.sort(rng.uniform(0.0, 2.0, n_times))
-    blocked = assemble_load(mesh, f, times)
-    one_by_one = np.concatenate([assemble_load(mesh, f, [t]) for t in times])
-    assert blocked.shape == (n_times, len(free_nodes(mesh)))
+    blocked = assemble_load(forms, f, times)
+    one_by_one = np.concatenate([assemble_load(forms, f, [t]) for t in times])
+    assert blocked.shape == (n_times, forms.N)
     assert np.array_equal(blocked, one_by_one)
 
 
@@ -420,7 +455,7 @@ def test_dual_norm_of_a_copy_factors_its_own_k_plus():
     # a copy with another K+ must not reuse the factor of the original
     spec = PRESETS["forced1d"].build()
     forms, _ = discretize(spec, 10, 0)
-    F = assemble_load(forms.mesh, spec.source, [0.1])
+    F = assemble_load(forms, spec.source, [0.1])
     before = dual_norm(F, forms)
     doubled = dataclasses.replace(forms, k_plus=2.0 * forms.k_plus)
     assert np.allclose(dual_norm(F, doubled), before / np.sqrt(2.0), rtol=1e-12, atol=0.0)
@@ -437,7 +472,7 @@ def test_k_plus_hermitian_and_positive_definite(disk_pipeline):
 def test_discrete_cauchy_bound_random_vectors():
     spec = _interval_spec(
         first_order=[fields.constant_scalar(0.5)],
-        zero_order_delta_a0=fields.constant_scalar(-0.2j),
+        zero_order=fields.constant_scalar(-0.2j),
     )
     mesh = _mesh(spec, 20)
     forms = assemble_forms(mesh, spec)
@@ -459,7 +494,7 @@ def test_pencil_eigenvalues_grow_with_constraints():
     selectors = [None, lambda x: np.isclose(x, 0.0), lambda x: np.ones(np.shape(x), bool)]
     spectra = []
     for sel in selectors:
-        spec = _interval_spec(zero_order_a00=fields.constant_scalar(1.0), dirichlet_selector=sel)
+        spec = _interval_spec(zero_order=fields.constant_scalar(1.0), dirichlet_selector=sel)
         mesh = _mesh(spec, 12)
         forms = assemble_forms(mesh, spec)
         vals = sla.eigh(
@@ -475,9 +510,9 @@ def test_coercive_case_dominates_h1_form():
     # With identity principal part and a00 = 1 the energy form dominates
     # stiffness + mass; boundary weight only adds a PSD term.
     spec = _interval_spec(
-        zero_order_a00=fields.constant_scalar(1.0),
+        zero_order=fields.constant_scalar(1.0),
+        boundary_b0=fields.constant_scalar(1.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(1.0),
         dirichlet_selector=None,
     )
     mesh = _mesh(spec, 10)
@@ -528,7 +563,7 @@ DTYPE_DOMAINS = {
     st.integers(0, 2**32 - 1),
 )
 def test_forms_are_real_exactly_when_their_complex_assembly_is(
-    case, principal, drift, delta_a0, constrained, seed
+    case, principal, drift, a0, constrained, seed
 ):
     name, resolution = case
     domain = DTYPE_DOMAINS[name][0]
@@ -557,9 +592,8 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
         domain=domain,
         principal=fields.constant_matrix(A),
         first_order=first_order,
-        zero_order_a00=fields.constant_scalar(abs(value("real"))),
-        zero_order_delta_a0=fields.constant_scalar(value(delta_a0)),
-        boundary_b00=fields.constant_scalar(1.0),
+        zero_order=fields.constant_scalar(value(a0)),
+        boundary_b0=fields.constant_scalar(1.0),
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
@@ -571,7 +605,8 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
         (forms.k_plus, forms.first_order),
         reference,
     ):
-        assert ref.dtype == np.complex128
+        # the empty lower-order form (no drift, a0 >= 0) has no complex assembly
+        assert ref.dtype == np.complex128 or ref.nnz == 0
         real = not np.any(ref.data.imag)
         assert got.dtype == reduced.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(got.toarray(), ref.toarray().real if real else ref.toarray())
@@ -580,7 +615,7 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
     # and complex lower-order coefficients keep their forms complex
     if dim == 2 and principal != "real":
         assert forms.k_plus.dtype == np.complex128
-    if drift == "complex" or delta_a0 == "complex":
+    if drift == "complex" or a0 == "complex":
         assert forms.first_order.dtype == np.complex128
 
 
@@ -591,11 +626,16 @@ FORM_DOMAINS = {
     "rectangle": (Rectangle(0.0, 1.0, 0.0, 2.0), ("identity", "paper_disk", "diag(3,0.5)"), 2, 5),
     "disk": (UnitDiskPolygon(10), ("identity", "paper_disk", "diag(0.5,2)"), 2, 3),
 }
-# constant and coordinate-dependent versions of a00 (>= 0), delta_a0 and a
-# drift coefficient; None leaves the coefficient out
+# constant and coordinate-dependent versions of a0 and of a drift
+# coefficient; None leaves the coefficient out. The a0 are all of a00 (0.7),
+# all of the remainder (-0.3 + 0.4j), and both, of either sign of Re a0.
 FORM_COEFFICIENTS = {
-    "a00": (None, fields.constant_scalar(0.7), lambda *x: 1.0 + x[0] ** 2),
-    "delta_a0": (None, fields.constant_scalar(-0.3 + 0.4j), lambda *x: (0.5 - 1.0j) * x[-1]),
+    "a0": (
+        None,
+        fields.constant_scalar(0.7),
+        fields.constant_scalar(-0.3 + 0.4j),
+        lambda *x: np.sin(4.0 * x[0]) + (0.5 - 1.0j) * x[-1],
+    ),
     "drift": (None, fields.constant_scalar(0.5 - 0.2j), lambda *x: 0.3 + np.sin(x[0])),
 }
 
@@ -609,21 +649,20 @@ FORM_COEFFICIENTS = {
             st.integers(*FORM_DOMAINS[name][2:]),
         )
     ),
-    st.tuples(*(st.sampled_from(range(3)) for _ in FORM_COEFFICIENTS)),
+    st.tuples(*(st.sampled_from(range(len(v))) for v in FORM_COEFFICIENTS.values())),
     st.booleans(),
 )
 def test_assembly_invariants(case, kinds, constrained):
     name, principal, resolution = case
     domain = FORM_DOMAINS[name][0]
-    a00, delta_a0, drift = (FORM_COEFFICIENTS[key][i] for key, i in zip(FORM_COEFFICIENTS, kinds))
+    a0, drift = (FORM_COEFFICIENTS[key][i] for key, i in zip(FORM_COEFFICIENTS, kinds))
     selector = (lambda *x: x[0] < 0.2) if constrained else None
     spec = _interval_spec(
         domain=domain,
         principal=fields.matrix_field_from_name(principal, domain.dim),
         first_order=[] if drift is None else [drift] * domain.dim,
-        zero_order_a00=a00,
-        zero_order_delta_a0=delta_a0,
-        boundary_b00=fields.constant_scalar(0.5),
+        zero_order=a0,
+        boundary_b0=fields.constant_scalar(0.5),
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
@@ -681,7 +720,7 @@ def test_constant_principal_factored_once_and_geometry_built_once(monkeypatch):
     spec.first_order = [fields.constant_scalar(0.3), fields.constant_scalar(0.1j)]
     forms, basis = discretize(spec, 4, 5)
     compute_constants(spec, forms.mesh)
-    assemble_load(forms.mesh, lambda x, y, t: x * t, [0.0, 0.5])
+    assemble_load(forms, lambda x, y, t: x * t, [0.0, 0.5])
     assert counts == {"sqrt": 1, "quadrature": 1}
     counts.update(sqrt=0, quadrature=0)
     principal = spec.principal
@@ -727,13 +766,16 @@ def test_lower_order_form_is_empty_without_drift_and_delta_a0():
             **{
                 **spec.__dict__,
                 "first_order": [lambda x, a=a: a(x) for a in spec.first_order],
-                "zero_order_delta_a0": lambda x: spec.zero_order_delta_a0(x),
+                "zero_order": lambda x: spec.zero_order(x),
             }
         )
         C = assemble_forms(forms.mesh, general).first_order
         assert forms.first_order.nnz > 0 and forms.first_order.dtype == C.dtype
         assert np.array_equal(forms.first_order.toarray(), C.toarray())
-    # a coordinate-dependent delta_a0 that evaluates to 0 is still assembled
-    spec = _interval_spec(zero_order_delta_a0=lambda x: np.zeros(np.shape(x)))
+    # a constant a0 >= 0 has no remainder, so its form is empty too; a
+    # coordinate-dependent a0 whose remainder evaluates to 0 is still assembled
+    spec = _interval_spec(zero_order=fields.constant_scalar(2.0))
+    assert assemble_forms(_mesh(spec, 6), spec).first_order.nnz == 0
+    spec = _interval_spec(zero_order=lambda x: np.full(np.shape(x), 2.0))
     C = assemble_forms(_mesh(spec, 6), spec).first_order
     assert C.nnz == 13 and not np.any(C.data)

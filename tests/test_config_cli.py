@@ -93,8 +93,9 @@ def test_build_problem_inline_dirichlet():
     spec, resolution, k, steps = build_problem(cfg)
     assert resolution == 10
     x = np.array([0.5])
-    assert spec.zero_order_a00(x)[0] == pytest.approx(1.0)
-    assert spec.zero_order_delta_a0(x)[0] == pytest.approx(0.0)
+    # a0, b0 and b1 are kept as given
+    assert spec.zero_order(x)[0] == 1.0
+    assert spec.boundary_b0(x)[0] == spec.boundary_b1(x)[0] == 1.0
 
 
 def test_build_problem_rejects_unknown_names():
@@ -342,6 +343,9 @@ def test_cli_convergence_parallel_matches_serial(tmp_path):
         with open(os.path.join(out, "convergence.csv"), "rb") as fh:
             outputs.append(fh.read())
     assert outputs[0] == outputs[1]
+    # only convergence takes --jobs; elsewhere it is a usage error
+    with pytest.raises(SystemExit, match="^2$"):
+        main(["solve", "--config", cfg, "--jobs", "2"])
 
 
 def test_cli_solve_export_mesh_and_inline_disk(tmp_path):
@@ -668,13 +672,39 @@ def test_cli_convergence_computes_no_eigenbasis(tmp_path, monkeypatch, mode):
 @pytest.mark.parametrize("resolution", [16, 32, 64])
 @pytest.mark.parametrize("command", ["eigs", "solve"])
 def test_cli_singular_k_plus_exits_3(tmp_path, command, resolution, capsys):
-    # b0 = -3 leaves b00 = 0 and a0 = 0 leaves a00 = 0, so K+ is the pure
-    # Neumann stiffness and constants have zero energy; roundoff puts its
-    # smallest pencil eigenvalue near +-1e-12, on either side of 0
+    # b0 = 0 and a0 = 0 make K+ the pure Neumann stiffness, and constants
+    # have zero energy; roundoff puts its smallest pencil eigenvalue near
+    # +-1e-12, on either side of 0
     cfg = _write_cfg(
         tmp_path,
         "problem.preset = inline\nproblem.domain = interval(0,1)\n"
-        f"problem.b0 = -3\nproblem.a0 = 0\nmesh.resolution = {resolution}\n",
+        f"problem.b0 = 0\nproblem.a0 = 0\nmesh.resolution = {resolution}\n",
     )
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "NotSPD" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, quantity",
+    [("problem.b0 = 1+5j", "b0/b1"), ("problem.b0 = -3", "b0/b1"), ("problem.b1 = 1+1j", "b1")],
+)
+def test_cli_robin_data_that_no_form_represents_exits_2(tmp_path, line, quantity, capsys):
+    # a complex or negative b0/b1, or a complex b1, at a Robin end would be
+    # dropped in part by the energy product; it is refused, never run
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+        f"{line}\nmesh.resolution = 8\n",
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {quantity} = " in capsys.readouterr().err
+    assert not (tmp_path / "o" / "solution_final.csv").exists()
+
+
+def test_cli_b1_zero_at_a_robin_end_exits_3(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path,
+        "problem.preset = inline\nproblem.domain = interval(0,1)\nproblem.b1 = 0\n",
+    )
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "DivisionByZeroB1" in capsys.readouterr().err

@@ -21,13 +21,13 @@ from ncparab.problem import Interval, ProblemSpec
 from tests.conftest import build_pipeline
 
 
-def _constants_spec(first_order=(), delta_a0=0.0):
+def _constants_spec(first_order=(), a0=0.0):
     return ProblemSpec(
         domain=Interval(0.0, 1.0),
         final_time=1.0,
         principal=fields.constant_matrix([[1.0]]),
         first_order=[fields.constant_scalar(a) for a in first_order],
-        zero_order_delta_a0=fields.constant_scalar(delta_a0),
+        zero_order=fields.constant_scalar(a0),
     )
 
 
@@ -41,8 +41,11 @@ def test_constants_zero():
 
 
 def test_constants_modulus_of_delta_a0():
-    _, c2 = _constants(delta_a0=-2.0 + 1.0j)
+    # c2 is the modulus of the remainder a0 - max(Re a0, 0)
+    _, c2 = _constants(a0=-2.0 + 1.0j)
     assert c2 == pytest.approx(np.sqrt(5.0))
+    assert _constants(a0=3.0 - 4.0j)[1] == 4.0
+    assert _constants(a0=3.0)[1] == 0.0
 
 
 def test_constants_euclidean_norm_of_sups():
@@ -228,17 +231,17 @@ def test_exact_cauchy_check_fails_where_a_random_sample_passed():
 
 
 def test_constants_see_a_spike_between_sample_points():
-    # delta_a0 = -400 on a band of width 0.012, narrower than the 1/31
+    # a0 = -400 on a band of width 0.012, narrower than the 1/31
     # spacing of a 32-point grid, which read c2 = 0 here; the forms see the
     # spike at their quadrature points, so the maxima there are the exact
     # constants of the discrete problem.
     spec = get_preset("heat1d").build()
-    spec.zero_order_delta_a0 = lambda x: np.where(np.abs(x - 0.31) < 0.006, -400.0 + 0j, 0j)
+    spec.zero_order = lambda x: np.where(np.abs(x - 0.31) < 0.006, -400.0 + 0j, 0j)
     forms, _ = discretize(spec, 400, 0)
     c1, c2 = compute_constants(spec, forms.mesh)
     points = forms.mesh.quadrature.points[..., 0]
     assert c1 == 0.0
-    assert c2 == np.max(np.abs(spec.zero_order_delta_a0(points))) == 400.0
+    assert c2 == np.max(np.abs(spec.zero_order(points))) == 400.0
     ratio, ok = check_cauchy_bound(forms, c1, c2)
     assert ok
     # the assembled C holds the spike: without it the exact check fails

@@ -278,7 +278,7 @@ def test_nodal_step_matches_a_direct_sparse_solve():
     for steps in range(1, 7):
         dt = spec.final_time / steps
         times = np.linspace(0.0, spec.final_time, steps + 1)
-        F = assemble_load(forms.mesh, spec.source, times)
+        F = assemble_load(forms, spec.source, times)
         u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
         for m in range(steps):
             b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
@@ -298,7 +298,7 @@ def test_nodal_loads_stream_block_by_block():
         M = forms.mass.toarray()
         F = np.zeros((steps + 1, forms.N))
         if spec.source is not None:
-            F = assemble_load(forms.mesh, spec.source, np.linspace(0.0, spec.final_time, steps + 1))
+            F = assemble_load(forms, spec.source, np.linspace(0.0, spec.final_time, steps + 1))
         u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
         for m in range(steps):
             b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]

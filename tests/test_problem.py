@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import fields
+from ncparab.integrator import discretize
 from ncparab.meshing import build_mesh
 from ncparab.errors import (
+    ConfigError,
     DivisionByZeroB1,
     NonHermitian,
     NotElliptic,
@@ -18,6 +20,7 @@ from ncparab.problem import (
     UnitDiskPolygon,
     factorize_principal,
     hermitian_sqrt_psd,
+    robin_weight,
     split_zero_order,
     validate_coefficients,
 )
@@ -32,9 +35,9 @@ def _spec_with_principal(mat, domain=None):
         domain=domain,
         final_time=1.0,
         principal=fields.constant_matrix(mat),
-        zero_order_a00=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(0.0),
+        boundary_b0=fields.constant_scalar(0.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(0.0),
     )
 
 
@@ -48,7 +51,6 @@ def test_validate_identity():
     assert report.min_complex_eigenvalue == pytest.approx(1.0)
     assert report.hermitian_residual == 0.0
     assert report.coercive
-    assert report.passed
 
 
 def test_validate_degenerate_disk_matrix():
@@ -57,8 +59,7 @@ def test_validate_degenerate_disk_matrix():
     report = _validate(_spec_with_principal(DISK_MATRIX))
     assert report.ellipticity_m == pytest.approx(1.0, abs=1e-10)
     assert report.min_complex_eigenvalue == pytest.approx(0.0, abs=1e-10)
-    assert not report.coercive
-    assert report.passed  # positivity holds even though coercivity fails
+    assert not report.coercive  # validation passes although coercivity fails
 
 
 def test_validate_indefinite_matrix_raises():
@@ -79,73 +80,65 @@ def test_validate_not_elliptic_raises():
         _validate(_spec_with_principal([[0.0]]))
 
 
-def test_validate_flags_negative_a00():
-    spec = _spec_with_principal(np.eye(1))
-    spec.zero_order_a00 = fields.constant_scalar(-1.0)
-    report = _validate(spec)
-    assert not report.a00_nonnegative
-    assert not report.passed
-
-
 def test_split_already_nonnegative():
-    a00, da0, b00, db0 = split_zero_order(
-        fields.constant_scalar(1.0), fields.constant_scalar(1.0), fields.constant_scalar(1.0)
-    )
-    x = np.array([0.3])
-    assert a00(x) == pytest.approx(1.0)
-    assert da0(x) == pytest.approx(0.0)
-    assert b00(x) == pytest.approx(1.0)
-    assert db0(x) == pytest.approx(0.0)
+    a00, da0 = split_zero_order(np.array([1.0]))
+    assert a00[0] == 1.0
+    assert da0[0] == 0.0
+    assert robin_weight(np.array([1.0]), np.array([1.0]))[0] == 1.0
 
 
 def test_split_negative_real_part():
-    a00, da0, _, _ = split_zero_order(
-        fields.constant_scalar(-2.0 + 1.0j),
-        fields.constant_scalar(1.0),
-        fields.constant_scalar(1.0),
-    )
-    x = np.array([0.5])
-    assert a00(x) == pytest.approx(0.0)
-    assert da0(x) == pytest.approx(-2.0 + 1.0j)
+    a00, da0 = split_zero_order(np.array([-2.0 + 1.0j]))
+    assert a00[0] == 0.0
+    assert da0[0] == -2.0 + 1.0j
 
 
 def test_split_mixed():
-    a00, da0, _, _ = split_zero_order(
-        fields.constant_scalar(3.0 - 1.0j),
-        fields.constant_scalar(1.0),
-        fields.constant_scalar(1.0),
-    )
-    x = np.array([0.5])
-    assert a00(x) == pytest.approx(3.0)
-    assert da0(x) == pytest.approx(-1.0j)
-    assert a00(x) + da0(x) == pytest.approx(3.0 - 1.0j)
+    a00, da0 = split_zero_order(np.array([3.0 - 1.0j]))
+    assert a00[0] == 3.0
+    assert da0[0] == -1.0j
+    assert a00[0] + da0[0] == 3.0 - 1.0j
 
 
 def test_split_b1_zero_raises():
-    _, _, b00, _ = split_zero_order(
-        fields.constant_scalar(1.0), fields.constant_scalar(1.0), fields.constant_scalar(0.0)
-    )
     with pytest.raises(DivisionByZeroB1):
-        b00(np.array([0.0]))
+        robin_weight(np.array([1.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize(
+    "b0, b1, quantity",
+    [
+        (1.0 + 5.0j, 1.0, "b0/b1"),
+        (-3.0, 1.0, "b0/b1"),
+        (1.0, -2.0, "b0/b1"),
+        (1.0, 1.0 + 1.0j, "b1"),
+    ],
+)
+def test_robin_weight_refuses_what_no_form_represents(b0, b1, quantity):
+    # a complex or negative b0/b1 and a complex b1 would otherwise be
+    # dropped in part; each is a config error naming the quantity
+    with pytest.raises(ConfigError, match=f"^{quantity} = "):
+        robin_weight(np.array([b0, 1.0]), np.array([b1, 1.0]))
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
-    st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1e6, **finite),
+    st.floats(min_value=0.0, max_value=1e6, **finite),
     st.floats(min_value=0.1, max_value=10.0),
+    st.booleans(),
 )
-def test_split_recombines(a0_val, b0_val, b1_val):
-    a00, da0, b00, db0 = split_zero_order(
-        fields.constant_scalar(a0_val),
-        fields.constant_scalar(b0_val),
-        fields.constant_scalar(b1_val),
-    )
-    x = np.array([0.25])
-    assert complex((a00(x) + da0(x))[0]) == a0_val
-    assert complex((b00(x) + db0(x))[0]) == b0_val
-    assert float(a00(x)[0]) >= 0.0
-    assert float(b00(x)[0]) / b1_val >= 0.0
+def test_split_recombines(a0_val, ratio, b1_mag, negative_b1):
+    a00, da0 = split_zero_order(np.array([a0_val]))
+    assert a00[0] + da0[0] == a0_val
+    assert a00[0] >= 0.0
+    b1_val = -b1_mag if negative_b1 else b1_mag
+    weight = robin_weight(np.array([ratio * b1_val]), np.array([b1_val]))[0]
+    assert weight >= 0.0
+    assert weight == pytest.approx(ratio, rel=1e-15, abs=1e-300)
 
 
 def _factor_at(spec, *point):
@@ -215,13 +208,15 @@ def test_hermitian_form_real_and_nonnegative(seed):
 
 
 def test_validate_reads_the_quadrature_points():
-    # a negative a00 on a band narrower than the element size shows at the
-    # Gauss points of the elements it covers, where the forms read it
+    # a principal matrix that is not elliptic on a band narrower than the
+    # element size shows at the Gauss points of the elements it covers,
+    # where the forms read it
     spec = _spec_with_principal(np.eye(1))
-    spec.zero_order_a00 = lambda x: np.where(np.abs(x - 0.31) < 0.006, -1.0, 1.0)
+    spec.principal = lambda x: np.where(np.abs(x - 0.31) < 0.006, -1.0, 1.0)[..., None, None]
     mesh = build_mesh(spec.domain, 400)
     assert np.any(np.abs(mesh.quadrature.points - 0.31) < 0.006)
-    assert not validate_coefficients(spec, mesh).a00_nonnegative
+    with pytest.raises(NotElliptic):
+        validate_coefficients(spec, mesh)
 
 
 def test_validate_checks_a_constant_matrix_once():
@@ -238,9 +233,12 @@ def test_validate_checks_a_constant_matrix_once():
 
 
 def test_validate_robin_ratio_only_off_the_constrained_set():
-    # b1 vanishes on the left end only: fine where that end is pinned
+    # b1 vanishes on the left end only: an error while that end is free,
+    # fine where it is pinned
     spec = _spec_with_principal(np.eye(1))
     spec.boundary_b1 = lambda x: np.where(x < 0.5, 0.0, 1.0)
-    assert not validate_coefficients(spec, build_mesh(spec.domain, 4)).robin_ratio_nonnegative
-    pinned = build_mesh(spec.domain, 4, lambda x: x < 0.5)
-    assert validate_coefficients(spec, pinned).robin_ratio_nonnegative
+    with pytest.raises(DivisionByZeroB1):
+        discretize(spec, 4, 2)
+    spec.dirichlet_selector = lambda x: x < 0.5
+    forms, basis = discretize(spec, 4, 2)
+    assert forms.N == 4 and basis.size == 2

@@ -28,11 +28,9 @@ def _neumann_square_spec():
         domain=Rectangle(0.0, 1.0, 0.0, 1.0),
         final_time=0.05,
         principal=fields.constant_matrix(np.eye(2)),
-        zero_order_a00=fields.constant_scalar(1.0),
-        zero_order_delta_a0=fields.constant_scalar(0.0),
+        zero_order=fields.constant_scalar(1.0),
+        boundary_b0=fields.constant_scalar(0.0),
         boundary_b1=fields.constant_scalar(1.0),
-        boundary_b00=fields.constant_scalar(0.0),
-        boundary_delta_b0=fields.constant_scalar(0.0),
         initial=_u0,
     )
 
