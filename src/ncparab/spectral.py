@@ -13,10 +13,14 @@ positive definite, as ``assembly.assemble_forms`` checks on the mesh, so
 shift-invert factors only the shifted pencil, and lets it go when ARPACK
 returns.
 
-Every sparse LU of the package comes from ``factor``: minimum degree on
-A^T + A, the matrix's own dtype, diagonal pivots for a Hermitian matrix, so
-that its factor is its definiteness check (``NotSPD``), and partial
-pivoting with a pivot floor for any other (``SingularStepMatrix``).
+Every sparse factor of the package comes from ``factor``, in the matrix's
+own dtype, by one of two kernels picked from the matrix's pattern alone: a
+tridiagonal matrix of order 3 or more, which is every matrix of a 1D mesh,
+goes to LAPACK's tridiagonal routines, any other to SuperLU in minimum
+degree order on A^T + A. A Hermitian matrix gets L D L^H (?pttrf) or
+diagonal pivots in a symmetric order, so that its factor is its
+definiteness check (``NotSPD``); any other gets partial pivoting (?gttrf
+or SuperLU) with a pivot floor (``SingularStepMatrix``).
 """
 
 from __future__ import annotations
@@ -98,20 +102,48 @@ def _tie_break(eigenvalues: np.ndarray, vectors: np.ndarray):
     return eigenvalues[order], vectors[:, order]
 
 
-def factor(mat, name: str, hermitian: bool = False):
-    """The solve of a sparse LU of ``mat``, the one sparse factor of the package.
+def _is_tridiagonal(A) -> bool:
+    """Whether every stored entry of the CSC matrix ``A`` lies on its three
+    central diagonals. Only the first and last stored row of each column are
+    read (sorted first, in place, if they are not), so the test holds no
+    array of the size of the pattern."""
+    if not A.has_sorted_indices:
+        A.sort_indices()
+    start, stop = A.indptr[:-1], A.indptr[1:]
+    cols = np.flatnonzero(stop > start)
+    return bool(
+        np.all(A.indices[start[cols]] >= cols - 1) and np.all(A.indices[stop[cols] - 1] <= cols + 1)
+    )
 
-    The order is minimum degree on A^T + A, which suits the symmetric pattern
-    of finite element matrices (on the disk pencil it cuts the fill from 79k
-    to 49k entries). A Hermitian matrix is eliminated in a symmetric order
-    with diagonal pivots: the pivots are real positive and there are no row
-    exchanges exactly when it is positive definite, so the factor doubles as
-    the definiteness check (``NotSPD``). Any other matrix is factored with
-    partial pivoting and refuses a pivot below 1e-300 (``SingularStepMatrix``).
-    The factor has the matrix's dtype; a real one takes complex right sides,
-    whose real and imaginary parts go through one call as extra columns.
-    """
-    A = sp.csc_matrix(mat)
+
+def _lapack_tridiagonal(A, name: str, hermitian: bool):
+    """The solve of LAPACK's factor of the tridiagonal ``A`` (see ``factor``):
+    L D L^H (?pttrf) if it is Hermitian, LU with partial pivoting (?gttrf)
+    otherwise."""
+    if hermitian:
+        d, e = A.diagonal().real, A.diagonal(-1)
+        pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d, e))
+        d, e, info = pttrf(d, e, overwrite_d=1, overwrite_e=1)
+        # info > 0 names the first pivot that is not positive; a NaN pivot
+        # passes LAPACK's test d <= 0 and is refused here
+        if info > 0 or not np.all(d > 0.0):
+            raise NotSPD(f"{name} is not positive definite")
+        if e.dtype.kind != "c":
+            return lambda rhs: pttrs(d, e, rhs)[0]
+        # e holds the subdiagonal, that is the factor L of L D L^H
+        return lambda rhs: pttrs(d, e, rhs, lower=1)[0]
+    dl, d, du = A.diagonal(-1), A.diagonal(), A.diagonal(1)
+    gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
+    dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info > 0 or np.min(np.abs(d)) < 1e-300:  # d is the diagonal of U
+        raise SingularStepMatrix(f"{name} is singular")
+    return lambda rhs: gttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+
+def _superlu(A, name: str, hermitian: bool):
+    """The solve of SuperLU's factor of ``A`` (see ``factor``): diagonal
+    pivots in a symmetric order if it is Hermitian, partial pivoting
+    otherwise."""
     error = NotSPD if hermitian else SingularStepMatrix
     symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
@@ -123,15 +155,40 @@ def factor(mat, name: str, hermitian: bool = False):
         raise NotSPD(f"{name} is not positive definite")
     if not hermitian and np.min(np.abs(pivots)) < 1e-300:
         raise SingularStepMatrix(f"{name} is singular")
+    return lu.solve
+
+
+def factor(mat, name: str, hermitian: bool = False):
+    """The solve of a factor of ``mat``, the one sparse factor of the package.
+
+    A matrix of order N >= 3 whose stored entries all lie on its three
+    central diagonals, which is every matrix of a 1D mesh, is factored by
+    LAPACK's tridiagonal routines; any other by SuperLU, in minimum degree
+    order on A^T + A, which suits the symmetric pattern of finite element
+    matrices (on the disk pencil it cuts the fill from 79k to 49k entries).
+    N <= 2 stays on SuperLU because scipy's wrappers refuse it: ?gttrf
+    needs n >= 3 and ?pttrf n >= 2 ("unexpected array size").
+
+    A Hermitian matrix gets a factor whose pivots are real positive exactly
+    when it is positive definite (L D L^H, or diagonal pivots in a symmetric
+    order), so the factor doubles as the definiteness check (``NotSPD``).
+    Any other matrix is factored with partial pivoting and refuses an exactly
+    singular matrix or a pivot below 1e-300 (``SingularStepMatrix``).
+    The factor has the matrix's dtype; a real one takes complex right sides,
+    whose real and imaginary parts go through one call as extra columns.
+    """
+    A = sp.csc_matrix(mat)
+    tridiagonal = A.shape[0] >= 3 and _is_tridiagonal(A)
+    solve_factor = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
     if A.dtype.kind == "c":
-        return lu.solve
+        return solve_factor
 
     def solve(rhs):
         rhs = np.asarray(rhs)
         if not np.iscomplexobj(rhs):
-            return lu.solve(rhs)
+            return solve_factor(rhs)
         cols = rhs.reshape(len(rhs), -1)
-        x = lu.solve(np.hstack([cols.real, cols.imag]))
+        x = solve_factor(np.hstack([cols.real, cols.imag]))
         n = cols.shape[1]
         return (x[:, :n] + 1j * x[:, n:]).reshape(rhs.shape)
 

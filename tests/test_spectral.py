@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,3 +388,83 @@ def test_factor_solves_definite_and_refuses_indefinite_or_singular(
     singular[rng.integers(n)] = 0.0
     with pytest.raises(SingularStepMatrix):
         factor(sp.csr_matrix(singular), "A")
+
+
+def _tridiagonal(rng, n: int, complex_: bool, hermitian: bool) -> np.ndarray:
+    """A dense n x n array with random entries on its three central
+    diagonals, Hermitian if asked."""
+
+    def draw(size):
+        return rng.standard_normal(size) + (1j * rng.standard_normal(size) if complex_ else 0.0)
+
+    sub = draw(n - 1)
+    sup = sub.conj() if hermitian else draw(n - 1)
+    diag = rng.standard_normal(n) if hermitian else draw(n)
+    return np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+    complex_matrix=st.booleans(),
+    complex_rhs=st.booleans(),
+    columns=st.sampled_from([None, 1, 3]),
+    shift=st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+)
+def test_tridiagonal_factor_solves_and_certifies_like_dense_lapack(
+    n, seed, complex_matrix, complex_rhs, columns, shift
+):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if columns is None else (n, columns)
+    rhs = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_rhs else 0.0)
+    # SuperLU is never reached: every matrix here is tridiagonal with N >= 3
+    with mock.patch.object(spla, "splu", side_effect=AssertionError("SuperLU")):
+        # Hermitian, with its smallest eigenvalue moved to shift: definite or
+        # indefinite, never within roundoff of the boundary
+        H = _tridiagonal(rng, n, complex_matrix, hermitian=True)
+        H += (shift - np.linalg.eigvalsh(H)[0]) * np.eye(n)
+        if np.linalg.eigvalsh(H)[0] > 0.0:
+            x = factor(sp.csr_matrix(H), "H", hermitian=True)(rhs)
+            assert x.shape == rhs.shape
+            assert np.allclose(x, np.linalg.solve(H, rhs), rtol=1e-9, atol=1e-11)
+        else:
+            with pytest.raises(NotSPD):
+                factor(sp.csr_matrix(H), "H", hermitian=True)
+        # general, with partial pivoting
+        A = _tridiagonal(rng, n, complex_matrix, hermitian=False)
+        A += shift * np.eye(n)
+        if np.linalg.cond(A) < 1e8:
+            x = factor(sp.csr_matrix(A), "A")(rhs)
+            assert x.shape == rhs.shape
+            assert np.allclose(x, np.linalg.solve(A, rhs), rtol=1e-6, atol=1e-8)
+        # a zero row stays zero under any pivoting, so the matrix is exactly
+        # singular; a Hermitian one then has the eigenvalue 0
+        row = rng.integers(n)
+        A[row] = 0.0
+        with pytest.raises(SingularStepMatrix):
+            factor(sp.csr_matrix(A), "A")
+        H[row], H[:, row] = 0.0, 0.0
+        with pytest.raises(NotSPD):
+            factor(sp.csr_matrix(H), "H", hermitian=True)
+
+
+def test_factor_sends_tridiagonal_matrices_to_lapack_and_the_rest_to_superlu(
+    heat_pipeline, disk_pipeline, monkeypatch
+):
+    def refused(*args, **kwargs):
+        raise AssertionError("SuperLU")
+
+    monkeypatch.setattr(spla, "splu", refused)
+    # on a 1D mesh: K+ and a step matrix, with a complex right side
+    forms = heat_pipeline[2]
+    b = np.linspace(1.0, 2.0, forms.k_plus.shape[0]) * (1.0 - 0.5j)
+    for mat, hermitian in ((forms.k_plus, True), (forms.mass + forms.k_plus, False)):
+        assert np.allclose(mat @ factor(mat, "A", hermitian=hermitian)(b), b, rtol=1e-12)
+    # a 2D pencil, and every matrix of order 1 or 2
+    forms = disk_pipeline[2]
+    small = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    for mat in (forms.k_plus + forms.mass, small, small[:1, :1]):
+        for hermitian in (True, False):
+            with pytest.raises(AssertionError, match="SuperLU"):
+                factor(mat, "A", hermitian=hermitian)
