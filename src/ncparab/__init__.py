@@ -3,11 +3,8 @@ problems with degenerate (non-coercive) Robin boundary conditions."""
 
 from .assembly import (
     AssembledForms,
-    assemble_first_order,
     assemble_forms,
     assemble_load,
-    assemble_mass,
-    assemble_plus_form,
     dual_norm,
 )
 from .estimates import (

@@ -1,7 +1,7 @@
 """P1 finite element assembly of the discrete forms.
 
-Three matrices are built on the free nodes, the nodes outside the
-degenerate boundary set S:
+``assemble_forms``, the one assembly entry point, builds three matrices on
+the free nodes, the nodes outside the degenerate boundary set S:
 
 * ``k_plus`` -- the energy inner product: the principal part assembled
   through the pointwise factor D (so it is Hermitian PSD by construction,
@@ -34,8 +34,8 @@ plan (``build_scatter_plan``): the CSR pattern of the free block and the
 position in its data array of every element and Robin-facet entry. A form
 is then one ``np.bincount`` per real component of its element data,
 duplicates summed in element order, so K+ is exactly Hermitian and a
-reduced form equals P^T A P of the full one bit for bit. The full-node
-forms come from the same code through a plan that keeps every node.
+reduced form equals P^T A P of the forms assembled on the same mesh with S
+empty, bit for bit.
 
 Source loads go through one sparse load operator per set of forms, built
 on first use, which maps the source values at all quadrature points to the
@@ -142,27 +142,22 @@ def build_scatter_plan(mesh: Mesh, keep: np.ndarray) -> ScatterPlan:
     )
 
 
-def _full_plan(mesh: Mesh) -> ScatterPlan:
-    """The plan of the unreduced forms, which keeps every node."""
-    return build_scatter_plan(mesh, np.arange(mesh.num_nodes))
-
-
 def _gram(B: np.ndarray) -> np.ndarray:
     """B* B per element, summed one row of B at a time, so the result is
     exactly Hermitian."""
     return sum(B[:, l, :, None].conj() * B[:, l, None, :] for l in range(B.shape[1]))
 
 
-def _per_point(quad: Quadrature, factor: Callable, gram: bool):
+def _per_point(quad: Quadrature, factor: Callable):
     """(B, B* B) for the rows B = D grads of the principal factor at each
-    element quadrature point, in quadrature order, one point at a time; the
-    Gram matrices only if ``gram``. A constant factor (one with a ``value``)
-    gives the same B at every point, so both are computed once, in real
-    arithmetic when the factor's imaginary part is exactly 0."""
+    element quadrature point, in quadrature order, one point at a time. A
+    constant factor (one with a ``value``) gives the same B at every point,
+    so both are computed once, in real arithmetic when the factor's
+    imaginary part is exactly 0."""
     n_quad = quad.points.shape[1]
 
     def pair(B):
-        return B, _gram(B) if gram else None
+        return B, _gram(B)
 
     D = getattr(factor, "value", None)
     if D is not None:
@@ -178,32 +173,26 @@ def _lower_order_vanishes(spec: ProblemSpec) -> bool:
     return spec.zero_order is None or (a0 is not None and split_zero_order(a0)[1] == 0)
 
 
-def _element_data(mesh: Mesh, spec: ProblemSpec, plus: bool, lower: bool):
+def _element_data(mesh: Mesh, spec: ProblemSpec, lower: bool):
     """Element matrices of K+ (its element part) and of the lower-order
-    form, each only if asked for (None otherwise), from one walk over the
-    element quadrature points that evaluates the principal factor
+    form, the latter only if ``lower`` (None otherwise), from one walk over
+    the element quadrature points that evaluates the principal factor
     (``factorize_principal(spec)``) and a0 once per point for both."""
     quad = mesh.quadrature
-    n_quad = quad.points.shape[1]
     ndof = mesh.elements.shape[1]
     coeffs = list(spec.first_order or []) if lower else []
     shape = (len(mesh.elements), ndof, ndof)
     K = None
     C = np.zeros(shape, dtype=complex) if lower else None
-    points = repeat((None, None), n_quad)
-    if plus or coeffs:
-        points = _per_point(quad, factorize_principal(spec), plus)
-    for q, (B, gram) in enumerate(points):
+    for q, (B, gram) in enumerate(_per_point(quad, factorize_principal(spec))):
         coords = axes(quad.points[:, q])
         wts, phi = quad.weights[:, q], quad.phi[q]
-        if spec.zero_order is not None and (plus or lower):
+        if K is None:  # of the Gram matrices' type: real for a real factor
+            K = np.zeros(shape, dtype=gram.dtype)
+        K += wts[:, None, None] * gram
+        if spec.zero_order is not None:
             a00, delta_a0 = split_zero_order(spec.zero_order(*coords))
-        if plus:
-            if K is None:  # of the Gram matrices' type: real for a real factor
-                K = np.zeros(shape, dtype=gram.dtype)
-            K += wts[:, None, None] * gram
-            if spec.zero_order is not None:
-                K += (wts * a00)[:, None, None] * np.outer(phi, phi)
+            K += (wts * a00)[:, None, None] * np.outer(phi, phi)
         if lower:
             if coeffs:
                 drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
@@ -252,13 +241,6 @@ def _lower_matrix(plan: ScatterPlan, data: Optional[np.ndarray]) -> sp.csr_matri
     return real_if_exact(plan.scatter(data))
 
 
-def assemble_plus_form(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
-    """Energy-product matrix over all nodes (unreduced), Hermitian PSD;
-    real when its entries are."""
-    K, _ = _element_data(mesh, spec, plus=True, lower=False)
-    return _plus_matrix(mesh, spec, _full_plan(mesh), K)
-
-
 def _mass_data(mesh: Mesh) -> np.ndarray:
     """The exact P1 element mass matrices."""
     measures = mesh.quadrature.measures
@@ -267,19 +249,6 @@ def _mass_data(mesh: Mesh) -> np.ndarray:
     else:
         pattern = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
     return measures[:, None, None] * pattern
-
-
-def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
-    """L2 mass matrix over all nodes, from the exact P1 element mass."""
-    return _full_plan(mesh).scatter(_mass_data(mesh))
-
-
-def assemble_first_order(mesh: Mesh, spec: ProblemSpec) -> sp.csr_matrix:
-    """Matrix of the lower-order form over all nodes (non-symmetric); real
-    when its entries are, empty when the form vanishes identically."""
-    lower = not _lower_order_vanishes(spec)
-    _, C = _element_data(mesh, spec, plus=False, lower=lower)
-    return _lower_matrix(_full_plan(mesh), C)
 
 
 def _check_mass_definite(mesh: Mesh, free: np.ndarray) -> None:
@@ -296,9 +265,8 @@ def _check_mass_definite(mesh: Mesh, free: np.ndarray) -> None:
 
 
 def free_nodes(mesh: Mesh) -> np.ndarray:
-    constrained = mesh.dirichlet_nodes()
     mask = np.ones(mesh.num_nodes, dtype=bool)
-    mask[constrained] = False
+    mask[mesh.dirichlet_nodes()] = False
     return np.nonzero(mask)[0]
 
 
@@ -315,11 +283,11 @@ class LoadOperator:
 
 @dataclass
 class DofMap:
-    """Free/constrained node bookkeeping for one mesh."""
+    """The free nodes of one mesh, and the maps between nodal vectors on
+    all nodes and on the free ones."""
 
     total: int
     free: np.ndarray
-    constrained: np.ndarray
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(self.total, dtype=complex)
@@ -406,12 +374,11 @@ def assemble_forms(mesh: Mesh, spec: ProblemSpec) -> AssembledForms:
     if len(free) == 0:
         raise ConstraintOnAllDofs("no free degrees of freedom remain")
     _check_mass_definite(mesh, free)
-    dofmap = DofMap(total=mesh.num_nodes, free=free, constrained=mesh.dirichlet_nodes())
     plan = build_scatter_plan(mesh, free)
-    K, C = _element_data(mesh, spec, plus=True, lower=not _lower_order_vanishes(spec))
+    K, C = _element_data(mesh, spec, lower=not _lower_order_vanishes(spec))
     return AssembledForms(
         mesh=mesh,
-        dofmap=dofmap,
+        dofmap=DofMap(total=mesh.num_nodes, free=free),
         k_plus=_plus_matrix(mesh, spec, plan, K),
         mass=plan.scatter(_mass_data(mesh)),
         first_order=_lower_matrix(plan, C),

@@ -331,7 +331,8 @@ def run_sharpness(cfg: RunConfig, out_dir: str) -> int:
         epsilon = witness_epsilon(cfg.sharpness_s)
     rows = []
     consistent = True
-    for n in sorted({max(terms // 100, 10), max(terms // 10, 100), terms}):
+    sizes = (max(terms // 100, 10), max(terms // 10, 100), terms)
+    for n in sorted({min(size, terms) for size in sizes}):
         partial_a, tail_a = series_plus_norm(epsilon, n)
         lower = series_hs_lower_bound(cfg.sharpness_s, epsilon, n)
         verdict = "diverges" if lower.diverges else "converges"

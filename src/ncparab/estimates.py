@@ -36,8 +36,6 @@ BOUND_SLACK = 0.02
 
 @dataclass
 class EstimateReport:
-    c1: float
-    c2: float
     gronwall_factor: float
     sup_lhs: float
     sup_rhs: float
@@ -95,8 +93,6 @@ def apriori_bounds(
     ) + float(trajectory.norm_l2_sq[-1])
 
     return EstimateReport(
-        c1=c1,
-        c2=c2,
         gronwall_factor=factor,
         sup_lhs=sup_lhs,
         sup_rhs=rhs,

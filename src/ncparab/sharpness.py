@@ -138,15 +138,17 @@ def truncated_series_coefficients(epsilon: float, K: int) -> np.ndarray:
 def discrete_series_energy(mesh, spec, epsilon: float, K: int) -> float:
     """Discrete Bochner energy norm of the truncated series on a disk mesh.
 
-    Interpolates z^k at the nodes, forms the Gram matrix of the energy
-    product, and contracts it with the analytic time weights. Converges to
-    2 pi sum_{k<=K} (k+1)^(-1-eps) under mesh refinement.
+    Interpolates z^k at the free nodes (those off the closure of S, all of
+    them on the paper's disk), forms the Gram matrix of the powers in the
+    energy product K+ of ``assemble_forms``, and contracts it with the
+    analytic time weights. Converges to 2 pi sum_{k<=K} (k+1)^(-1-eps)
+    under mesh refinement.
     """
-    from .assembly import assemble_plus_form
+    from .assembly import assemble_forms
 
-    z = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
+    forms = assemble_forms(mesh, spec)
+    z = forms.dofmap.reduce(mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1])
     W = np.stack([z**k for k in range(K + 1)], axis=1)
-    K_full = assemble_plus_form(mesh, spec)
-    gram = W.conj().T @ (K_full @ W)
+    gram = W.conj().T @ (forms.k_plus @ W)
     G = truncated_series_coefficients(epsilon, K)
     return float(np.real(np.sum(G * gram)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ncparab import fields
-from ncparab.assembly import assemble_plus_form
+from ncparab.assembly import assemble_forms
 from ncparab.cli import solve_error_vs_oracle
 from ncparab.estimates import (
     apriori_bounds,
@@ -179,8 +179,8 @@ def test_criterion_5_noncoercive_degeneracy():
             boundary_b0=fields.constant_scalar(0.0),
             boundary_b1=fields.constant_scalar(1.0),
         )
-        P = assemble_plus_form(mesh, principal_only)
-        K = assemble_plus_form(mesh, disk_spec)
+        P = assemble_forms(mesh, principal_only).k_plus
+        K = assemble_forms(mesh, disk_spec).k_plus
         z = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
         hs.append(2.0 * np.pi / segments)
         for name, w in (("z", z), ("z2", z**2)):

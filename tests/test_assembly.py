@@ -13,11 +13,8 @@ from ncparab.config import _source_from_name
 from ncparab.assembly import (
     AssembledForms,
     DofMap,
-    assemble_first_order,
     assemble_forms,
     assemble_load,
-    assemble_mass,
-    assemble_plus_form,
     dual_norm,
     build_scatter_plan,
     free_nodes,
@@ -50,14 +47,24 @@ def _interval_spec(**overrides):
     return ProblemSpec(**kwargs)
 
 
+def _plain_forms(mesh):
+    """The forms of a plain problem on ``mesh``."""
+    return assemble_forms(mesh, _interval_spec(principal=fields.constant_matrix(np.eye(mesh.dim))))
+
+
 def _load(mesh, f, times):
     """``assemble_load`` through the forms of a plain problem on ``mesh``."""
-    spec = _interval_spec(principal=fields.constant_matrix(np.eye(mesh.dim)))
-    return assemble_load(assemble_forms(mesh, spec), f, times)
+    return assemble_load(_plain_forms(mesh), f, times)
 
 
 def _mesh(spec, resolution):
     return build_mesh(spec.domain, resolution, spec.dirichlet_selector)
+
+
+def _without_s(mesh):
+    """The same mesh with the constrained set S cleared, whose forms are
+    those on all nodes."""
+    return dataclasses.replace(mesh, facet_dirichlet=np.zeros_like(mesh.facet_dirichlet))
 
 
 def test_1d_dirichlet_stiffness_matches_hand_assembly():
@@ -82,16 +89,14 @@ def test_zero_principal_gives_mass():
         zero_order=fields.constant_scalar(1.0),
         dirichlet_selector=None,
     )
-    mesh = _mesh(spec, 5)
-    K = assemble_plus_form(mesh, spec)
-    M = assemble_mass(mesh)
-    assert np.allclose(K.toarray(), M.toarray(), atol=1e-14)
+    forms = assemble_forms(_mesh(spec, 5), spec)
+    assert np.allclose(forms.k_plus.toarray(), forms.mass.toarray(), atol=1e-14)
 
 
 def test_disk_preset_is_principal_plus_boundary_mass():
     spec = build_disk()
     mesh = _mesh(spec, 4)
-    K = assemble_plus_form(mesh, spec).toarray()
+    K = assemble_forms(mesh, spec).k_plus.toarray()
     principal_only = ProblemSpec(
         domain=spec.domain,
         final_time=1.0,
@@ -106,8 +111,8 @@ def test_disk_preset_is_principal_plus_boundary_mass():
         boundary_b0=spec.boundary_b0,
         boundary_b1=spec.boundary_b1,
     )
-    P = assemble_plus_form(mesh, principal_only).toarray()
-    B = assemble_plus_form(mesh, boundary_only).toarray()
+    P = assemble_forms(mesh, principal_only).k_plus.toarray()
+    B = assemble_forms(mesh, boundary_only).k_plus.toarray()
     assert np.allclose(K, P + B, atol=1e-13)
     assert np.max(np.abs(B.imag)) == 0.0
 
@@ -116,12 +121,12 @@ def test_mass_1d_element_pattern():
     mesh = build_mesh(Interval(0.0, 1.0), 2)
     h = 0.5
     expected = h / 6.0 * np.array([[2.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 2.0]])
-    assert np.allclose(assemble_mass(mesh).toarray(), expected, atol=1e-15)
+    assert np.allclose(_plain_forms(mesh).mass.toarray(), expected, atol=1e-15)
 
 
 def test_mass_partition_of_unity_1d():
     mesh = build_mesh(Interval(0.0, 1.0), 7)
-    M = assemble_mass(mesh).toarray()
+    M = _plain_forms(mesh).mass.toarray()
     # row sums integrate the hat functions; total is the domain measure
     row_sums = M.sum(axis=1)
     h = 1.0 / 7
@@ -132,13 +137,12 @@ def test_mass_partition_of_unity_1d():
 
 def test_mass_total_rectangle_area_two():
     mesh = build_mesh(Rectangle(0.0, 2.0, 0.0, 1.0), 5)
-    assert assemble_mass(mesh).sum() == pytest.approx(2.0, abs=1e-12)
+    assert _plain_forms(mesh).mass.sum() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_first_order_zero_coefficients():
     spec = _interval_spec(dirichlet_selector=None)
-    mesh = _mesh(spec, 4)
-    C = assemble_first_order(mesh, spec)
+    C = assemble_forms(_mesh(spec, 4), spec).first_order
     assert C.nnz == 0 or np.max(np.abs(C.toarray())) == 0.0
 
 
@@ -146,9 +150,8 @@ def test_first_order_constant_delta_a0_is_scaled_mass():
     # Re a0 < 0, so the whole of a0 is the remainder delta_a0
     c = -0.7 - 0.3j
     spec = _interval_spec(zero_order=fields.constant_scalar(c), dirichlet_selector=None)
-    mesh = _mesh(spec, 4)
-    C = assemble_first_order(mesh, spec).toarray()
-    M = assemble_mass(mesh).toarray()
+    forms = assemble_forms(_mesh(spec, 4), spec)
+    C, M = forms.first_order.toarray(), forms.mass.toarray()
     assert np.allclose(C, c * M, atol=1e-14)
 
 
@@ -181,8 +184,7 @@ def test_zero_order_split_recombines_in_the_forms(re_a0, im_a0, resolution, pinn
 def test_convection_matches_hand_assembly():
     # P1 convection on 3 elements: element block [[-1/2, 1/2], [-1/2, 1/2]].
     spec = _interval_spec(first_order=[fields.constant_scalar(1.0)], dirichlet_selector=None)
-    mesh = _mesh(spec, 3)
-    C = assemble_first_order(mesh, spec).toarray()
+    C = assemble_forms(_mesh(spec, 3), spec).first_order.toarray()
     block = np.array([[-0.5, 0.5], [-0.5, 0.5]])
     expected = np.zeros((4, 4), dtype=complex)
     for e in range(3):
@@ -213,7 +215,7 @@ def test_load_constant_source_interior():
 def test_load_of_basis_function_is_mass_column():
     n = 6
     mesh = build_mesh(Interval(0.0, 1.0), n)
-    M = assemble_mass(mesh).toarray()
+    M = _plain_forms(mesh).mass.toarray()
     nodes = mesh.nodes[:, 0]
     k = 2
     hat = np.zeros(n + 1)
@@ -272,7 +274,8 @@ def test_blocked_load_is_exact_for_affine_sources(case, constrained, n_times, se
 
     F = assemble_load(forms, f, times)
     assert F.shape == (n_times, forms.N)
-    nodal = (assemble_mass(mesh) @ (a0 + mesh.nodes @ a))[forms.dofmap.free]
+    M = assemble_forms(_without_s(mesh), spec).mass
+    nodal = (M @ (a0 + mesh.nodes @ a))[forms.dofmap.free]
     expected = c(times)[:, None] * nodal[None, :]
     assert np.max(np.abs(F - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -323,16 +326,17 @@ def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
 
 def test_apply_constraints_identity_when_s_empty():
     mesh = build_mesh(Interval(0.0, 1.0), 4)
-    M = assemble_mass(mesh)
     reduced = build_scatter_plan(mesh, free_nodes(mesh)).scatter(assembly._mass_data(mesh))
-    assert reduced.shape == M.shape
-    assert np.array_equal(reduced.toarray(), M.toarray())
+    h = 0.25
+    expected = h / 6.0 * (np.diag([2.0, 4.0, 4.0, 4.0, 2.0]) + np.eye(5, k=1) + np.eye(5, k=-1))
+    assert reduced.shape == (5, 5)
+    assert np.array_equal(reduced.toarray(), expected)
 
 
 def test_apply_constraints_removes_endpoints():
     sel = lambda x: np.ones(np.shape(x), dtype=bool)
     mesh = build_mesh(Interval(0.0, 1.0), 6, sel)
-    M = assemble_mass(mesh)
+    M = _plain_forms(_without_s(mesh)).mass
     plan = build_scatter_plan(mesh, free_nodes(mesh))
     reduced = plan.scatter(assembly._mass_data(mesh))
     assert reduced.shape == (5, 5)
@@ -340,7 +344,7 @@ def test_apply_constraints_removes_endpoints():
     # the entries coupling a free node to an endpoint are dropped
     assert (plan.element_slots[[0, -1]] == -1).sum() == 6
     assert (plan.element_slots[1:-1] >= 0).all()
-    dofmap = DofMap(total=7, free=free_nodes(mesh), constrained=mesh.dirichlet_nodes())
+    dofmap = DofMap(total=7, free=free_nodes(mesh))
     vec = np.arange(7, dtype=float)
     assert np.array_equal(dofmap.reduce(vec), vec[1:-1])
 
@@ -352,7 +356,7 @@ def test_reduce_then_expand_is_identity_on_free_dofs():
     v = np.arange(forms.N, dtype=complex) + 1.0j
     assert np.allclose(forms.dofmap.reduce(forms.dofmap.expand(v)), v)
     full = forms.dofmap.expand(v)
-    assert np.all(full[forms.dofmap.constrained] == 0.0)
+    assert np.all(full[mesh.dirichlet_nodes()] == 0.0)
 
 
 def test_constraining_everything_raises():
@@ -516,10 +520,10 @@ def test_coercive_case_dominates_h1_form():
         dirichlet_selector=None,
     )
     mesh = _mesh(spec, 10)
-    K = assemble_plus_form(mesh, spec).toarray()
+    forms = assemble_forms(mesh, spec)
+    K, M = forms.k_plus.toarray(), forms.mass.toarray()
     stiffness_only = _interval_spec(dirichlet_selector=None)
-    S = assemble_plus_form(mesh, stiffness_only).toarray()
-    M = assemble_mass(mesh).toarray()
+    S = assemble_forms(mesh, stiffness_only).k_plus.toarray()
     assert np.min(np.linalg.eigvalsh(K - (S + M))) >= -1e-12
 
 
@@ -597,20 +601,21 @@ def test_forms_are_real_exactly_when_their_complex_assembly_is(
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
+    # the forms on all nodes: those of the same mesh with S cleared
     with mock.patch.object(assembly, "real_if_exact", lambda a: a):
-        reference = assemble_plus_form(mesh, spec), assemble_first_order(mesh, spec)
+        reference = assemble_forms(_without_s(mesh), spec)
+    full = assemble_forms(_without_s(mesh), spec)
     forms = assemble_forms(mesh, spec)
-    for got, reduced, ref in zip(
-        (assemble_plus_form(mesh, spec), assemble_first_order(mesh, spec)),
-        (forms.k_plus, forms.first_order),
-        reference,
+    for got, reduced, ref in (
+        (full.k_plus, forms.k_plus, reference.k_plus),
+        (full.first_order, forms.first_order, reference.first_order),
     ):
         # the empty lower-order form (no drift, a0 >= 0) has no complex assembly
         assert ref.dtype == np.complex128 or ref.nnz == 0
         real = not np.any(ref.data.imag)
         assert got.dtype == reduced.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(got.toarray(), ref.toarray().real if real else ref.toarray())
-    assert assemble_mass(mesh).dtype == forms.mass.dtype == np.float64
+    assert full.mass.dtype == forms.mass.dtype == np.float64
     # a complex Hermitian principal part (the paper's disk matrix among them)
     # and complex lower-order coefficients keep their forms complex
     if dim == 2 and principal != "real":
@@ -666,8 +671,9 @@ def test_assembly_invariants(case, kinds, constrained):
         dirichlet_selector=selector,
     )
     mesh = build_mesh(domain, resolution, selector)
-    K = assemble_plus_form(mesh, spec)
-    C = assemble_first_order(mesh, spec)
+    # the forms on all nodes: those of the same mesh with S cleared
+    full = assemble_forms(_without_s(mesh), spec)
+    K, M, C = full.k_plus, full.mass, full.first_order
 
     # K+ is Hermitian (exactly, by construction) and positive semidefinite
     dense = K.toarray()
@@ -683,7 +689,6 @@ def test_assembly_invariants(case, kinds, constrained):
     assert len(free) + len(mesh.dirichlet_nodes()) == mesh.num_nodes
     shape = (mesh.num_nodes, len(free))
     P = sp.csr_matrix((np.ones(len(free)), (free, np.arange(len(free)))), shape)
-    M = assemble_mass(mesh)
     for reduced, full in ((forms.k_plus, K), (forms.mass, M), (forms.first_order, C)):
         assert reduced.dtype == full.dtype
         assert np.array_equal(reduced.toarray(), (P.T @ full @ P).toarray())
@@ -692,10 +697,8 @@ def test_assembly_invariants(case, kinds, constrained):
     # the same bits as the per-point factor of a field without a value
     assert spec.principal.value is not None
     per_point = ProblemSpec(**{**spec.__dict__, "principal": lambda *x: spec.principal(*x)})
-    for constant, general in (
-        (K, assemble_plus_form(mesh, per_point)),
-        (C, assemble_first_order(mesh, per_point)),
-    ):
+    per_point_forms = assemble_forms(_without_s(mesh), per_point)
+    for constant, general in ((K, per_point_forms.k_plus), (C, per_point_forms.first_order)):
         assert constant.dtype == general.dtype
         assert np.array_equal(constant.toarray(), general.toarray())
 

@@ -377,6 +377,14 @@ def test_cli_sharpness_witness(tmp_path):
     assert partials == sorted(partials)
 
 
+def test_cli_sharpness_stops_at_the_requested_terms(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(["sharpness", "--out", out, "--s", "0.75", "--terms", "50"]) == 0
+    _, rows = _read_csv(os.path.join(out, "sharpness.csv"))
+    sizes = [int(r[0]) for r in rows]
+    assert sizes[-1] == 50 and max(sizes) == 50
+
+
 def test_cli_sharpness_out_of_range(tmp_path):
     assert main(["sharpness", "--out", str(tmp_path / "o"), "--s", "0.4"]) == 3
 

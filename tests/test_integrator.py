@@ -136,7 +136,7 @@ def test_norm_traces_match_reconstruction(heat_pipeline):
     assert l2_sq == pytest.approx(trajectory.norm_l2_sq[m], rel=1e-8)
     u = reconstruct_solution(trajectory, t)
     assert np.allclose(u[forms.dofmap.free], reduced)
-    assert np.all(u[forms.dofmap.constrained] == 0.0)
+    assert np.all(u[forms.mesh.dirichlet_nodes()] == 0.0)
 
 
 def test_reconstruct_initial_and_single_mode(heat_pipeline):

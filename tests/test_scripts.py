@@ -30,5 +30,11 @@ def test_convergence_study_space_time_order_two():
 
 
 def test_sharpness_table_witnesses_diverge():
-    rows = [line.split() for line in _run("sharpness_table.py").splitlines()[1:6]]
+    lines = _run("sharpness_table.py").splitlines()
+    rows = [line.split() for line in lines[1:6]]
     assert [row[-1] for row in rows] == ["diverges"] * 5
+    # the truncated series' energy on the disk mesh against its limit
+    (line,) = [line for line in lines if line.startswith("cross-validation")]
+    values = dict(part.split(" = ") for part in line.split(": ", 1)[1].split(", "))
+    assert values["discrete"] == "12.4313"
+    assert float(values["rel"].rstrip("%")) < 1.0

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from ncparab import fields
-from ncparab.assembly import assemble_mass
+from ncparab.assembly import assemble_forms
 from ncparab.integrator import discretize, reconstruct_solution, solve_evolution
 from ncparab.meshing import build_mesh
+from ncparab.presets import build_disk
 from ncparab.problem import ProblemSpec, Rectangle, UnitDiskPolygon
 
 DECAY_RATE = 2.0 * np.pi**2 + 1.0
@@ -76,21 +77,19 @@ def test_disk_mesh_fills_polygon_exactly():
     for segments, rings in ((24, 3), (48, 5)):
         mesh = build_mesh(UnitDiskPolygon(segments), rings, None)
         polygon_area = 0.5 * segments * np.sin(2.0 * np.pi / segments)
-        assert assemble_mass(mesh).sum() == pytest.approx(polygon_area, rel=1e-12)
+        mass = assemble_forms(mesh, build_disk()).mass
+        assert mass.sum() == pytest.approx(polygon_area, rel=1e-12)
 
 
 def test_disk_energy_form_closed_form_on_linear_fields():
     # independent oracle for the whole degenerate-disk assembly: linear
     # fields are interpolated exactly, |D grad conj(z)|^2 = 4, and the chord
     # integral of |linear|^2 is L (|a|^2 + Re(a conj(b)) + |b|^2) / 3
-    from ncparab.assembly import assemble_plus_form
-    from ncparab.presets import build_disk
-
     for segments, rings in ((24, 4), (64, 6)):
         spec = build_disk()
         spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(spec.domain, rings, None)
-        K = assemble_plus_form(mesh, spec)
+        K = assemble_forms(mesh, spec).k_plus
         z = mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1]
         area = 0.5 * segments * np.sin(2.0 * np.pi / segments)
         chord = 2.0 * np.sin(np.pi / segments) * (2.0 + np.cos(2.0 * np.pi / segments)) / 3.0
