@@ -22,8 +22,11 @@ sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C)
 and no dense N x N array, and keeps only the current state and one block of
 loads. It runs in real arithmetic when the pair, the initial data and the
 loads are real. One more factor, of K+, checks that K+ is definite; M
-needs none, since assembly checks it on the mesh. The convergence studies
-take this path.
+needs none, since assembly checks it on the mesh. When C vanishes the pair
+is (M, K+), both Hermitian positive definite, so the step matrix
+M/dt + theta K+ is too for every theta in [0, 1] and is factored as such
+(L D L^H in 1D, SuperLU's symmetric mode in 2D); otherwise with partial
+pivoting. The convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -154,6 +157,7 @@ def evolve_theta(
     dt: float,
     steps: int,
     loads: Optional[np.ndarray] = None,
+    hermitian: bool = False,
 ) -> np.ndarray:
     """Theta-scheme states from ``g0`` on a uniform grid: all steps + 1 of
     them (steps + 1, n) for a dense pair, the final one (n,) for a sparse pair.
@@ -166,20 +170,26 @@ def evolve_theta(
     that is lhs g_{m+1} = rhs g_m + q_m with lhs = D/dt + theta A,
     rhs = D/dt - (1 - theta) A and q_m = theta F_{m+1} + (1 - theta) F_m.
     ``system`` gives the pair (D, A): a GalerkinSystem its dense modal pair
-    (diag d, I + Chat), or a sparse nodal pair (M, K+ + C) is passed as is.
+    (diag d, I + Chat), or a sparse nodal pair (M, K+ + C), or (M, K+) when
+    C vanishes, is passed as is.
     ``loads`` holds F at the steps + 1 grid times, or None for a
     source-free problem: a (steps + 1, n) array, or for a sparse pair also
     any iterable of its consecutive row blocks.
 
     A dense pair is stepped with the constant propagator P = lhs^-1 rhs and
     the increments lhs^-1 q_m, all from one factorization; a sparse pair by
-    ``_step_sparse``.
+    ``_step_sparse``. ``hermitian`` vouches that a sparse pair has D
+    Hermitian positive definite and A Hermitian positive semidefinite, as
+    ``solve_nodal`` knows of (M, K+): lhs is then Hermitian positive
+    definite for theta >= 0 and dt > 0 and is factored as such (``NotSPD``
+    if it is not). Any other sparse pair, a bare one included, gets partial
+    pivoting (``SingularStepMatrix``); a dense pair always gets LAPACK LU.
     """
     D, A = system.theta_pair() if isinstance(system, GalerkinSystem) else system
     lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
     del D, A
     if sp.issparse(rhs):
-        return _step_sparse(lhs, rhs, g0, theta, steps, loads)
+        return _step_sparse(lhs, rhs, g0, theta, steps, loads, hermitian)
     solve = _dense_factor(lhs)
     del lhs
     increments = None
@@ -197,11 +207,14 @@ def evolve_theta(
     return coeffs
 
 
-def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads) -> np.ndarray:
+def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads, hermitian: bool) -> np.ndarray:
     """The theta recurrence lhs g_{m+1} = rhs g_m + q_m over a sparse pair,
     carrying one state: one sparse factor of lhs, one product and one solve
     per step. The loads come one row block at a time, and the increments
     q_m of a block need only it and the last load of the previous one.
+    lhs is factored as Hermitian definite if ``hermitian`` (``?pttrf`` in
+    1D, where a solve costs about half of ``?gttrs``), with partial
+    pivoting otherwise.
 
     The state dtype is picked once, from the pair, g0 and the first load
     block, and lhs is factored in it, so real data step in real arithmetic.
@@ -211,7 +224,7 @@ def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads) -> np.ndarray:
     blocks = (np.atleast_2d(F) for F in (() if loads is None else loads))
     first = next(blocks, None)
     dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))
-    solve = factor(lhs.astype(dtype, copy=False), "implicit step matrix")
+    solve = factor(lhs.astype(dtype, copy=False), "implicit step matrix", hermitian=hermitian)
     g = np.asarray(g0, dtype=dtype)
     if first is None:
         for _ in range(steps):
@@ -317,8 +330,11 @@ def solve_nodal(
     u0, which the full basis would reproduce exactly. Without the eigenbasis
     the definiteness of K+ is checked by its factor, as the eigensolver's
     roundoff floor would (``NotSPD``); M is definite by the mesh check of
-    ``assemble_forms``. The loads are stepped through block by block, so at
-    most LOAD_BLOCK of them are held at once.
+    ``assemble_forms``. When C vanishes the pair is (M, K+), both Hermitian
+    positive definite, so the step matrix M/dt + theta K+ is too and is
+    factored as such; with C it is factored with partial pivoting. The
+    loads are stepped through block by block, so at most LOAD_BLOCK of them
+    are held at once.
     """
     factor(forms.k_plus, "energy matrix K+", hermitian=True)
     T = spec.final_time
@@ -326,9 +342,10 @@ def solve_nodal(
     if spec.source is not None:
         times = np.linspace(0.0, T, time_steps + 1)
         loads = (F for _, F in _load_blocks(spec.source, forms, times))
-    pair = (forms.mass, forms.k_plus + forms.first_order)
+    hermitian = not forms.first_order.count_nonzero()
+    A = forms.k_plus if hermitian else forms.k_plus + forms.first_order
     u0 = _initial_vector(spec, forms)
-    return evolve_theta(pair, u0, theta, T / time_steps, time_steps, loads)
+    return evolve_theta((forms.mass, A), u0, theta, T / time_steps, time_steps, loads, hermitian)
 
 
 def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray:

@@ -34,9 +34,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence, NotSPD, SingularStepMatrix
 
-EIG_TOL = 1e-11
-ORTHO_TOL = 1e-9
-
 # The sparse kernel runs when count <= N / SPARSE_SHARE. Measured with one
 # BLAS thread (2-vCPU Xeon, scipy 1.17): at k = N/8 shift-invert took 2.18 s
 # against 2.69 s dense on the disk pencil (N = 1153) and 0.30 s against

@@ -8,8 +8,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ncparab import integrator
 from ncparab.assembly import assemble_load
 from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
+from ncparab.fields import axes
 from ncparab.integrator import (
     LOAD_BLOCK,
     GalerkinSystem,
@@ -23,7 +25,7 @@ from ncparab.integrator import (
     solve_nodal,
 )
 from ncparab.presets import get_preset
-from ncparab.spectral import generalized_eigenbasis
+from ncparab.spectral import factor, generalized_eigenbasis
 from tests.conftest import build_pipeline
 
 
@@ -268,22 +270,57 @@ def test_nodal_step_is_the_full_basis_galerkin_solution(name, resolution, steps,
     assert err <= 1e-9 * ref
 
 
+def _dense_theta_state(spec, forms, steps, theta):
+    """Final state of the nodal theta recurrence, one dense solve per step."""
+    dt = spec.final_time / steps
+    A = (forms.k_plus + forms.first_order).toarray()
+    M = forms.mass.toarray()
+    F = np.zeros((steps + 1, forms.N))
+    if spec.source is not None:
+        F = assemble_load(forms, spec.source, np.linspace(0.0, spec.final_time, steps + 1))
+    u = forms.dofmap.reduce(np.asarray(spec.initial(*axes(forms.mesh.nodes)), dtype=complex))
+    for m in range(steps):
+        b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
+        u = np.linalg.solve(M / dt + theta * A, b)
+    return u
+
+
 def test_nodal_step_matches_a_direct_sparse_solve():
     # the final state after 1..6 steps against the dense theta recurrence
     spec = get_preset("forced1d").build()
     forms, _ = discretize(spec, 20, 0)
-    theta = 0.5
-    A = (forms.k_plus + forms.first_order).toarray()
-    M = forms.mass.toarray()
     for steps in range(1, 7):
-        dt = spec.final_time / steps
-        times = np.linspace(0.0, spec.final_time, steps + 1)
-        F = assemble_load(forms, spec.source, times)
-        u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
-        for m in range(steps):
-            b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
-            u = np.linalg.solve(M / dt + theta * A, b)
-        assert np.allclose(solve_nodal(spec, forms, steps, theta), u, rtol=1e-12)
+        u = _dense_theta_state(spec, forms, steps, 0.5)
+        assert np.allclose(solve_nodal(spec, forms, steps, 0.5), u, rtol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_nodal_step_matrix_is_factored_hermitian_exactly_when_c_vanishes(theta, monkeypatch):
+    # without a lower-order form M/dt + theta K+ is Hermitian positive
+    # definite and gets L D L^H (1D) or symmetric-mode SuperLU (2D); a drift
+    # or a negative a0 (drift1d, growth1d) gives a C and partial pivoting.
+    # 200 steps keep theta = 0 inside its stability bound on these meshes
+    kinds = {}
+
+    def recording(mat, name, hermitian=False):
+        kinds[name] = hermitian
+        return factor(mat, name, hermitian)
+
+    monkeypatch.setattr(integrator, "factor", recording)
+    steps = 200
+    for name, resolution, hermitian in (
+        ("heat1d", 8, True),
+        ("heat2d", 4, True),
+        ("forced1d", 8, True),
+        ("drift1d", 8, False),
+        ("growth1d", 8, False),
+    ):
+        spec = get_preset(name).build()
+        forms, _ = discretize(spec, resolution, 0)
+        nodal = solve_nodal(spec, forms, steps, theta)
+        assert kinds["implicit step matrix"] is hermitian
+        u = _dense_theta_state(spec, forms, steps, theta)
+        assert np.max(np.abs(nodal - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_nodal_loads_stream_block_by_block():
@@ -293,16 +330,7 @@ def test_nodal_loads_stream_block_by_block():
     for name, dtype in (("forced1d", np.float64), ("drift1d", np.complex128)):
         spec = get_preset(name).build()
         forms, _ = discretize(spec, 20, 0)
-        dt = spec.final_time / steps
-        A = (forms.k_plus + forms.first_order).toarray()
-        M = forms.mass.toarray()
-        F = np.zeros((steps + 1, forms.N))
-        if spec.source is not None:
-            F = assemble_load(forms, spec.source, np.linspace(0.0, spec.final_time, steps + 1))
-        u = forms.dofmap.reduce(spec.initial(forms.mesh.nodes[:, 0]).astype(complex))
-        for m in range(steps):
-            b = (M / dt - (1.0 - theta) * A) @ u + theta * F[m + 1] + (1.0 - theta) * F[m]
-            u = np.linalg.solve(M / dt + theta * A, b)
+        u = _dense_theta_state(spec, forms, steps, theta)
         nodal = solve_nodal(spec, forms, steps, theta)
         assert nodal.dtype == dtype
         assert np.max(np.abs(nodal - u)) <= 1e-12 * np.max(np.abs(u))

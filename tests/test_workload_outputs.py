@@ -6,8 +6,8 @@ problem against the committed reference (perfbench/reference/tiny). The
 perfbench modules are only read; they are loaded under private names so
 their plain module names (``check``, ``workloads``) stay out of the way.
 The same tiny runs also pin the package's sparse factors: how many
-``spectral.factor`` makes, and that SuperLU runs only from there, and only
-for the 2D workload.
+``spectral.factor`` makes and of which kind, and that SuperLU runs only
+from there, and only for the 2D workload.
 """
 
 import importlib.util
@@ -56,13 +56,14 @@ def test_tiny_workload_passes_the_benchmark_output_check(name, tmp_path):
 def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_path, monkeypatch):
     # factor is wrapped in every module of the package that calls it, and
     # SuperLU both where factor reaches it and where ARPACK would factor a
-    # pencil itself; each SuperLU call records the code that made it
+    # pencil itself; each factor call records its hermitian flag, each
+    # SuperLU call the code that made it
     factor, splu = spectral.factor, spla.splu
     factored, callers = [], []
 
-    def counting(*args, **kwargs):
-        factored.append(args[1])
-        return factor(*args, **kwargs)
+    def counting(mat, name, hermitian=False):
+        factored.append(hermitian)
+        return factor(mat, name, hermitian)
 
     def recording(*args, **kwargs):
         callers.append(sys._getframe(1).f_code)
@@ -73,17 +74,24 @@ def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_pat
             monkeypatch.setattr(module, "factor", counting)
     monkeypatch.setattr(spla, "splu", recording)
     monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", recording)
-    counts, superlu = {}, {}
+    counts, superlu, kinds = {}, {}, {}
     for name, workload in sorted(workloads.WORKLOADS.items()):
         factored.clear()
         callers.clear()
         (tmp_path / name).mkdir()
         assert _run_tiny(workload, tmp_path / name)[0] == 0
         assert all(code is spectral._superlu.__code__ for code in callers)
-        counts[name], superlu[name] = len(factored), len(callers)
+        counts[name], superlu[name], kinds[name] = len(factored), len(callers), list(factored)
     # forced-drift-1d: K+ (dual norms) and K+ + M (Cauchy check); disk: the
     # shifted pencil; heat-convergence: K+ and the step matrix per level. M
     # is never factored: assembly checks it on the mesh
     assert counts == {"disk-degenerate": 1, "forced-drift-1d": 2, "heat-convergence": 4}
     # every matrix of a 1D mesh is tridiagonal and goes to LAPACK
     assert superlu == {"disk-degenerate": 1, "forced-drift-1d": 0, "heat-convergence": 0}
+    # every one is Hermitian definite: heat1d has no lower-order form, so its
+    # step matrix M/dt + theta K+ is too
+    assert kinds == {
+        "disk-degenerate": [True],
+        "forced-drift-1d": [True, True],
+        "heat-convergence": [True] * 4,
+    }
