@@ -35,7 +35,7 @@ def main():
     est = apriori_bounds(trajectory, *compute_constants(spec, forms.mesh))
     print(f"\nsup bound:    {est.sup_lhs:.6f} <= {est.sup_rhs:.6f}  ({est.sup_ok})")
     print(f"energy bound: {est.energy_lhs:.6f} <= {est.energy_rhs:.6f}  ({est.energy_ok})")
-    min_eig, ok = check_uniqueness_condition(trajectory.system.interaction)
+    min_eig, ok = check_uniqueness_condition(trajectory.interaction)
     print(f"uniqueness condition: min eig = {min_eig:.2e} ({'holds' if ok else 'fails'})")
 
 

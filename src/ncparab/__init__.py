@@ -15,7 +15,6 @@ from .estimates import (
     compute_constants,
 )
 from .integrator import (
-    GalerkinSystem,
     GalerkinTrajectory,
     build_galerkin_system,
     discretize,

@@ -151,7 +151,7 @@ def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
         ]
         ok = ok and report.bounds_ok
     if cfg.checks_uniqueness:
-        min_eig, uniq_ok = check_uniqueness_condition(trajectory.system.interaction)
+        min_eig, uniq_ok = check_uniqueness_condition(trajectory.interaction)
         rows += [["uniqueness_min_eig", _fmt(min_eig)], ["uniqueness_pass", _fmt(uniq_ok)]]
         ok = ok and uniq_ok
     if cfg.checks_continuity:
@@ -273,6 +273,10 @@ def _convergence_level(args) -> tuple[float, float]:
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
+    """Write convergence.csv, running the levels in min(jobs, levels)
+    processes; ``jobs`` below 1 is a usage error (``ConfigError``)."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     os.makedirs(out_dir, exist_ok=True)
     preset = named_preset(cfg)
     mode = cfg.convergence_mode
@@ -298,11 +302,12 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
         for resolution, n in zip(resolutions, steps)
     ]
 
-    if jobs > 1:
+    workers = min(jobs, len(levels))  # a pool starts all its workers at once
+    if workers > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_convergence_level, levels))
     else:
         results = [_convergence_level(level) for level in levels]
@@ -384,6 +389,7 @@ def main(argv=None) -> int:
                 cfg.sharpness_epsilon = args.epsilon
             if args.terms is not None:
                 cfg.sharpness_terms = args.terms
+            cfg.validate()
             return run_sharpness(cfg, out_dir)
         if args.command == "solve":
             return run_solve(cfg, out_dir, write_mesh=args.export_mesh)

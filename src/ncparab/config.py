@@ -96,15 +96,13 @@ class RunConfig:
             raise ConfigError("problem.T must be positive and finite")
         if not 0.0 <= self.time_theta <= 1.0:
             raise ConfigError("time.theta must lie in [0, 1]")
-        for attr in (
-            "mesh_resolution",
-            "basis_k",
-            "time_steps",
-            "convergence_levels",
-            "sharpness_terms",
-        ):
+        for attr in ("mesh_resolution", "basis_k", "time_steps", "convergence_levels"):
             if getattr(self, attr) < 0:
                 raise ConfigError(f"{attr.replace('_', '.', 1)} must be nonnegative")
+        if not 0.0 <= self.sharpness_epsilon < np.inf:
+            raise ConfigError("sharpness.epsilon must be nonnegative and finite")
+        if self.sharpness_terms < 1:
+            raise ConfigError("sharpness.terms must be at least 1")
         if self.convergence_mode not in ("space_time", "time", "eigs"):
             raise ConfigError(f"unknown convergence.mode {self.convergence_mode!r}")
 
@@ -189,7 +187,7 @@ def _initial_from_name(name: str, dim: int):
             raise ConfigError("u0 preset 'z2' requires a 2D domain")
         return lambda x, y: (x + 1j * y) ** 2
     if key.startswith("csv:"):
-        return coeff_fields.tabulated_scalar(name.strip()[4:])
+        return coeff_fields.tabulated_scalar(name.strip()[4:], dim)
     raise ConfigError(f"unknown initial data preset {name!r}")
 
 

@@ -10,9 +10,10 @@ where c1 controls the directional-derivative coefficients and c2 the
 zero-order remainder, both maxima over the mesh's quadrature points. The
 right side does not depend on the basis size.
 Verification on a computed trajectory uses trapezoidal quadrature of the
-norm traces and an explicit slack for quadrature and projection error;
-violations are reported, not raised, so near-degenerate configurations can
-still be explored.
+norm traces and a fixed slack of ``BOUND_SLACK`` for quadrature and
+projection error; violations are reported, not raised, so near-degenerate
+configurations can still be explored. The uniqueness criterion reads the
+modal matrix Chat that the trajectory carries (``interaction``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NoConvergence
@@ -71,9 +71,7 @@ def compute_constants(spec: ProblemSpec, mesh) -> tuple[float, float]:
     return c1, c2
 
 
-def apriori_bounds(
-    trajectory: GalerkinTrajectory, c1: float, c2: float, slack: float = BOUND_SLACK
-) -> EstimateReport:
+def apriori_bounds(trajectory: GalerkinTrajectory, c1: float, c2: float) -> EstimateReport:
     """Check the sup and energy bounds on a computed trajectory over its
     whole grid [0, T].
 
@@ -98,28 +96,27 @@ def apriori_bounds(
         sup_rhs=rhs,
         energy_lhs=energy_lhs,
         energy_rhs=rhs,
-        sup_ok=sup_lhs <= rhs * (1.0 + slack) + 1e-30,
-        energy_ok=energy_lhs <= rhs * (1.0 + slack) + 1e-30,
+        sup_ok=sup_lhs <= rhs * (1.0 + BOUND_SLACK) + 1e-30,
+        energy_ok=energy_lhs <= rhs * (1.0 + BOUND_SLACK) + 1e-30,
     )
 
 
-def check_uniqueness_condition(interaction, tol: float = UNIQUENESS_TOL) -> tuple[float, bool]:
-    """Smallest eigenvalue of the Hermitian part of the lower-order matrix.
+def check_uniqueness_condition(interaction: np.ndarray) -> tuple[float, bool]:
+    """Smallest eigenvalue of the Hermitian part of the dense modal matrix
+    Chat = H* C H of the lower-order form (``trajectory.interaction``).
 
-    Nonnegativity (up to ``tol``) is the discrete version of the sign
-    condition under which the evolution problem has exactly one solution.
-    Accepts the modal matrix H* C H or the nodal one C, which agree in the
-    sign of the minimum eigenvalue only, not in its value: with all N basis
-    vectors H is invertible and the two Hermitian parts are congruent
-    (Sylvester's law of inertia); with k < N the modal matrix sees only the
-    span of H. On heat1d at resolution 400 with a0 = -40 on
-    |x - 0.01| < 0.006 and 0.5 elsewhere, the nodal value is -0.095, the
+    Nonnegativity (up to ``UNIQUENESS_TOL``) is the discrete version of the
+    sign condition under which the evolution problem has exactly one
+    solution. The modal matrix sees only the span of H: the nodal C agrees
+    with it in the sign of the minimum eigenvalue when k = N (the Hermitian
+    parts are congruent, Sylvester's law of inertia), not in its value, and
+    with k < N not even in sign. On heat1d at resolution 400 with a0 = -40
+    on |x - 0.01| < 0.006 and 0.5 elsewhere, the nodal value is -0.095, the
     modal one -0.0036 at k = N and +0.0019 at k = 5.
     """
-    A = interaction.toarray() if sp.issparse(interaction) else np.asarray(interaction)
-    herm = 0.5 * (A + A.conj().T)
+    herm = 0.5 * (interaction + interaction.conj().T)
     min_eig = float(np.min(np.linalg.eigvalsh(herm))) if len(herm) else 0.0
-    return min_eig, min_eig >= -tol
+    return min_eig, min_eig >= -UNIQUENESS_TOL
 
 
 def check_continuity(trajectory: GalerkinTrajectory) -> float:

@@ -15,7 +15,10 @@ Conventions used throughout the package:
   whole time stepping, in real arithmetic.
 
 Named presets cover the configurations used by the shipped experiments;
-tabulated fields can be loaded from CSV for anything else.
+tabulated fields can be loaded from CSV for anything else. A CSV field must
+match the domain dimension: ``x,re,im`` on an interval, ``x,y,re,im`` on a
+2D domain; a table of the other dimension is a :class:`ConfigError` that
+names the file.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ DEGENERATE_DISK_MATRIX = np.array([[1.0, 1.0j], [-1.0j, 1.0]], dtype=complex)
 # Query points per block of a 2D table's nearest-sample search, which bounds
 # its (points, samples) distance array whatever the number of points.
 TABLE_BLOCK = 4096
+# Leading columns of a CSV field table, by domain dimension.
+TABLE_COLUMNS = {1: ["x", "re", "im"], 2: ["x", "y", "re", "im"]}
 
 
 def constant_scalar(value):
@@ -67,8 +72,9 @@ def axes(points):
     return tuple(points[..., i] for i in range(points.shape[-1]))
 
 
-def tabulated_scalar(path):
-    """Scalar field from a CSV table with columns x[,y],re,im.
+def tabulated_scalar(path, dim):
+    """Scalar field on a ``dim``-dimensional domain from a CSV table with
+    columns x,re,im (dim 1) or x,y,re,im (dim 2).
 
     1D tables are interpolated linearly in x; 2D tables use the nearest
     sample point. Rows may be in any order.
@@ -88,7 +94,12 @@ def tabulated_scalar(path):
         raise ConfigError(f"CSV field {path} needs data rows as wide as its header")
     if not np.all(np.isfinite(rows)):
         raise ConfigError(f"CSV field {path} has a non-finite cell")
-    if header[:3] == ["x", "re", "im"]:
+    table_dim = next((n for n, cols in TABLE_COLUMNS.items() if header[: len(cols)] == cols), None)
+    if table_dim is None:
+        raise ConfigError(f"unsupported CSV field header {header!r} in {path}")
+    if table_dim != dim:
+        raise ConfigError(f"CSV field {path} is a {table_dim}D table on a {dim}D domain")
+    if dim == 1:
         data = np.array(sorted(rows))
         xs, re, im = data[:, 0], data[:, 1], data[:, 2]
 
@@ -96,19 +107,17 @@ def tabulated_scalar(path):
             return np.interp(x, xs, re) + 1j * np.interp(x, xs, im)
 
         return field
-    if header[:4] == ["x", "y", "re", "im"]:
-        data = np.array(rows)
-        pts, vals = data[:, :2], data[:, 2] + 1j * data[:, 3]
+    data = np.array(rows)
+    pts, vals = data[:, :2], data[:, 2] + 1j * data[:, 3]
 
-        def field(x, y):
-            x = np.asarray(x, dtype=float)
-            q = np.stack([np.ravel(x), np.ravel(y)], axis=1)
-            blocks = np.array_split(q, len(q) // TABLE_BLOCK + 1)  # of TABLE_BLOCK points at most
-            nearest = [np.argmin(((b[:, None] - pts) ** 2).sum(axis=2), axis=1) for b in blocks]
-            return vals[np.concatenate(nearest)].reshape(x.shape)
+    def field(x, y):
+        x = np.asarray(x, dtype=float)
+        q = np.stack([np.ravel(x), np.ravel(y)], axis=1)
+        blocks = np.array_split(q, len(q) // TABLE_BLOCK + 1)  # of TABLE_BLOCK points at most
+        nearest = [np.argmin(((b[:, None] - pts) ** 2).sum(axis=2), axis=1) for b in blocks]
+        return vals[np.concatenate(nearest)].reshape(x.shape)
 
-        return field
-    raise ConfigError(f"unsupported CSV field header {header!r} in {path}")
+    return field
 
 
 def matrix_field_from_name(name, dim):
@@ -149,8 +158,9 @@ def parse_constant(text, what="scalar field"):
 
 
 def scalar_field_from_spec(text, dim):
-    """Scalar field from a config token: complex literal or ``csv:PATH``."""
+    """Scalar field on a ``dim``-dimensional domain from a config token:
+    complex literal or ``csv:PATH``."""
     token = text.strip()
     if token.startswith("csv:"):
-        return tabulated_scalar(token[4:])
+        return tabulated_scalar(token[4:], dim)
     return constant_scalar(parse_constant(token))

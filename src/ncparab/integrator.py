@@ -6,11 +6,13 @@ the weak problem into a k-dimensional linear ODE system
     g_i(t) + sum_j Chat[i, j] g_j(t) + d_i g_i'(t) = Fhat_i(t),
 
 where ``Chat`` pairs the lower-order form against the basis and
-``d_i`` is the squared L2 norm of the i-th basis vector. The system may be
-complex, and it is stepped in complex arithmetic with a one-parameter
-implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
-backward Euler). The coefficients do not depend on time, so the step matrix
-is factored once, by LAPACK, and each step applies a constant propagator.
+``d_i`` is the squared L2 norm of the i-th basis vector, so the system is
+the pair (D, A) = (diag d, I + Chat). The system may be complex, and it is
+stepped in complex arithmetic with a one-parameter implicit theta scheme
+(theta = 1/2 Crank-Nicolson by default, theta = 1 backward Euler) by
+``evolve_theta``, which steps any pair (D, A). The coefficients do not
+depend on time, so the step matrix is factored once, by LAPACK, and each
+step applies a constant propagator.
 The source is called once per block of grid times; only the modal loads and
 the dual norms of each block are kept.
 
@@ -30,7 +32,8 @@ pivoting. The convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
-data, which the trajectory then carries for the checks.
+data; the trajectory carries Chat (``interaction``), its basis, whose
+``mass_norms`` are d, and u0 for the checks.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,19 +62,6 @@ LOAD_BLOCK = 64
 
 
 @dataclass
-class GalerkinSystem:
-    """Coefficient data of the k-dimensional evolution system."""
-
-    dimension: int
-    interaction: np.ndarray  # (k, k), modal matrix of the lower-order form
-    capacitance: np.ndarray  # (k,), squared L2 norms of the basis vectors
-
-    def theta_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """The modal pair (D, A) = (diag d, I + Chat) of the theta step."""
-        return np.diag(self.capacitance), self.interaction + np.eye(self.dimension)
-
-
-@dataclass
 class GalerkinTrajectory:
     """Computed trajectory on a uniform time grid with norm traces."""
 
@@ -82,8 +72,8 @@ class GalerkinTrajectory:
     dual_f_sq: np.ndarray  # squared dual norm of the full load
     theta: float
     initial: np.ndarray = field(repr=False)  # reduced nodal initial vector u0
-    system: GalerkinSystem = field(repr=False)
-    basis: EigenBasis = field(repr=False)
+    interaction: np.ndarray = field(repr=False)  # (k, k) modal matrix Chat = H* C H
+    basis: EigenBasis = field(repr=False)  # its mass_norms are d
     forms: AssembledForms = field(repr=False)
     # (M+1, k) modal loads H* F(t); None for a source-free problem
     modal_loads: Optional[np.ndarray] = field(default=None, repr=False)
@@ -120,12 +110,11 @@ def discretize(
     return forms, generalized_eigenbasis(forms.k_plus, forms.mass, count)
 
 
-def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> GalerkinSystem:
-    """Project the assembled forms onto the first k basis vectors."""
+def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> np.ndarray:
+    """The modal matrix Chat = H* C H of the lower-order form on the first
+    k basis vectors."""
     H = basis.vectors[:, :k]
-    interaction = H.conj().T @ (forms.first_order @ H)
-    capacitance = basis.mass_norms[:k].copy()
-    return GalerkinSystem(dimension=k, interaction=interaction, capacitance=capacitance)
+    return H.conj().T @ (forms.first_order @ H)
 
 
 def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
@@ -136,8 +125,11 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
 
 def _dense_factor(lhs):
     """Solver for the dense modal step matrix, one LAPACK LU, refusing a
-    pivot below 1e-300. LAPACK's warning about an exactly zero pivot is
-    silenced: the SingularStepMatrix raised here reports it."""
+    non-finite entry or a pivot below 1e-300. LAPACK's warning about an
+    exactly zero pivot is silenced: the SingularStepMatrix raised here
+    reports it."""
+    if not np.all(np.isfinite(lhs)):
+        raise SingularStepMatrix("implicit step matrix has a non-finite entry")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
         lu = sla.lu_factor(lhs, overwrite_a=True)
@@ -151,7 +143,7 @@ def _dense_factor(lhs):
 
 
 def evolve_theta(
-    system: Union[GalerkinSystem, tuple],
+    pair: tuple,
     g0: np.ndarray,
     theta: float,
     dt: float,
@@ -169,9 +161,8 @@ def evolve_theta(
 
     that is lhs g_{m+1} = rhs g_m + q_m with lhs = D/dt + theta A,
     rhs = D/dt - (1 - theta) A and q_m = theta F_{m+1} + (1 - theta) F_m.
-    ``system`` gives the pair (D, A): a GalerkinSystem its dense modal pair
-    (diag d, I + Chat), or a sparse nodal pair (M, K+ + C), or (M, K+) when
-    C vanishes, is passed as is.
+    ``pair`` is (D, A): the dense modal pair (diag d, I + Chat), the sparse
+    nodal pair (M, K+ + C), or (M, K+) when C vanishes.
     ``loads`` holds F at the steps + 1 grid times, or None for a
     source-free problem: a (steps + 1, n) array, or for a sparse pair also
     any iterable of its consecutive row blocks.
@@ -184,10 +175,13 @@ def evolve_theta(
     definite for theta >= 0 and dt > 0 and is factored as such (``NotSPD``
     if it is not). Any other sparse pair, a bare one included, gets partial
     pivoting (``SingularStepMatrix``); a dense pair always gets LAPACK LU.
+    A step matrix with a non-finite entry, as D/dt is when dt is so small
+    that it overflows, is refused by the factor with the same error.
     """
-    D, A = system.theta_pair() if isinstance(system, GalerkinSystem) else system
-    lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
-    del D, A
+    D, A = pair
+    with np.errstate(over="ignore"):  # an infinite D/dt is refused with the factor
+        lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
+    del pair, D, A
     if sp.issparse(rhs):
         return _step_sparse(lhs, rhs, g0, theta, steps, loads, hermitian)
     solve = _dense_factor(lhs)
@@ -281,10 +275,11 @@ def solve_evolution(
     """Full trajectory on [0, T] with energy, L2 and dual-norm traces.
 
     The dual-norm trace uses the full discrete load, not its truncation to
-    the first k modes. The trajectory keeps the projected system and the
-    reduced nodal initial vector for the checks.
+    the first k modes. The modal pair (diag d, I + Chat) is stepped by
+    ``evolve_theta``; the trajectory keeps Chat and the reduced nodal
+    initial vector for the checks.
     """
-    system = build_galerkin_system(forms, basis, k)
+    interaction = build_galerkin_system(forms, basis, k)
     T = spec.final_time
     dt = T / time_steps
     times = np.linspace(0.0, T, time_steps + 1)
@@ -301,10 +296,14 @@ def solve_evolution(
     else:
         modal_loads, dual_f_sq = _modal_loads(spec.source, forms, sub_basis.vectors, times)
     g0 = project_initial(u0, sub_basis, forms.mass)
-    coeffs = evolve_theta(system, g0, theta, dt, time_steps, modal_loads)
+    d = sub_basis.mass_norms
+    # the pair is built in the call, so the stepper can let it go
+    coeffs = evolve_theta(
+        (np.diag(d), interaction + np.eye(k)), g0, theta, dt, time_steps, modal_loads
+    )
 
     norm_plus_sq = np.sum(np.abs(coeffs) ** 2, axis=1)
-    norm_l2_sq = np.sum(system.capacitance[None, :] * np.abs(coeffs) ** 2, axis=1)
+    norm_l2_sq = np.sum(d[None, :] * np.abs(coeffs) ** 2, axis=1)
     return GalerkinTrajectory(
         times=times,
         coefficients=coeffs,
@@ -313,7 +312,7 @@ def solve_evolution(
         dual_f_sq=dual_f_sq,
         theta=theta,
         initial=u0,
-        system=system,
+        interaction=interaction,
         basis=sub_basis,
         forms=forms,
         modal_loads=modal_loads,
@@ -367,14 +366,13 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
             + Re(g_theta* Chat g_theta) = Re<g_theta, F_theta>,
 
     exact for every theta, which a correctly solved step satisfies to solver
-    precision. The system and the modal loads come from the trajectory;
-    nothing is reassembled.
+    precision. Chat, d (the basis's ``mass_norms``) and the modal loads come
+    from the trajectory; nothing is reassembled.
     """
-    system = trajectory.system
     g = trajectory.coefficients
     theta = trajectory.theta
     dt = trajectory.dt
-    d = system.capacitance
+    d = trajectory.basis.mass_norms
     loads = trajectory.modal_loads
     res = np.zeros(len(g) - 1)
     for start in range(0, len(res), LOAD_BLOCK):
@@ -385,7 +383,7 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
         lhs = (
             np.real(np.sum(g_th.conj() * (d * (new - old) / dt), axis=1))
             + norm_sq
-            + np.real(np.sum(g_th.conj() * (g_th @ system.interaction.T), axis=1))
+            + np.real(np.sum(g_th.conj() * (g_th @ trajectory.interaction.T), axis=1))
         )
         rhs = np.zeros(len(g_th))
         if loads is not None:

@@ -176,17 +176,17 @@ def robin_weight(b0, b1) -> np.ndarray:
     return b1 * ratio.real / b1
 
 
-def hermitian_sqrt_psd(mats: np.ndarray, psd_tol: float = PSD_TOL) -> np.ndarray:
+def hermitian_sqrt_psd(mats: np.ndarray) -> np.ndarray:
     """Batched Hermitian PSD square root via eigendecomposition.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything lower raises
+    Eigenvalues in [-PSD_TOL, 0) are clipped to zero; anything lower raises
     :class:`NotPositiveSemidefinite`.
     """
     mats = np.asarray(mats, dtype=complex)
     w, V = np.linalg.eigh(mats)
     low = float(np.min(w))
-    if low < -psd_tol:
-        raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{psd_tol}")
+    if low < -PSD_TOL:
+        raise NotPositiveSemidefinite(f"eigenvalue {low:.3e} below -{PSD_TOL}")
     w = np.clip(w, 0.0, None)
     return (V * np.sqrt(w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 

@@ -170,11 +170,15 @@ def factor(mat, name: str, hermitian: bool = False):
     when it is positive definite (L D L^H, or diagonal pivots in a symmetric
     order), so the factor doubles as the definiteness check (``NotSPD``).
     Any other matrix is factored with partial pivoting and refuses an exactly
-    singular matrix or a pivot below 1e-300 (``SingularStepMatrix``).
+    singular matrix or a pivot below 1e-300 (``SingularStepMatrix``). A
+    matrix with a non-finite entry is refused before it is factored, with
+    the error of its kind.
     The factor has the matrix's dtype; a real one takes complex right sides,
     whose real and imaginary parts go through one call as extra columns.
     """
     A = sp.csc_matrix(mat)
+    if not np.all(np.isfinite(A.data)):
+        raise (NotSPD if hermitian else SingularStepMatrix)(f"{name} has a non-finite entry")
     tridiagonal = A.shape[0] >= 3 and _is_tridiagonal(A)
     solve_factor = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
     if A.dtype.kind == "c":

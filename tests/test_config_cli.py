@@ -716,3 +716,99 @@ def test_cli_b1_zero_at_a_robin_end_exits_3(tmp_path, capsys):
     )
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "DivisionByZeroB1" in capsys.readouterr().err
+
+
+def test_cli_convergence_runs_at_most_one_worker_per_level(tmp_path, monkeypatch):
+    # a process pool starts all its workers at once, so --jobs is capped at
+    # the level count; the pool here records its size and maps serially
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    out = str(tmp_path / "o")
+    for levels, jobs, pools in ((3, "100000", [3]), (3, "1", []), (1, "8", [])):
+        sizes.clear()
+        cfg = _write_cfg(
+            tmp_path,
+            f"problem.preset = heat1d\nconvergence.levels = {levels}\nmesh.resolution = 10\n",
+        )
+        assert main(["convergence", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+        assert sizes == pools
+        assert len(_read_csv(os.path.join(out, "convergence.csv"))[1]) == levels
+
+
+_INTERVAL = "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+_RECTANGLE = "problem.preset = inline\nproblem.domain = rectangle(0,1,0,1)\n"
+_HEAT = "problem.preset = heat1d\nconvergence.levels = 2\nmesh.resolution = 10\n"
+
+# (command and flags, config text or None, documented exit code); {one} and
+# {two} name a 1D and a 2D CSV field table
+EXIT_CODES = {
+    "csv-2d-a0-on-interval": (["solve"], _INTERVAL + "problem.a0 = csv:{two}\n", 2),
+    "csv-2d-u0-on-interval": (["solve"], _INTERVAL + "problem.u0 = csv:{two}\n", 2),
+    "csv-1d-b1-on-rectangle": (["solve"], _RECTANGLE + "problem.b1 = csv:{one}\n", 2),
+    "jobs-zero": (["convergence", "--jobs", "0"], _HEAT, 2),
+    "jobs-negative": (["convergence", "--jobs", "-3"], _HEAT, 2),
+    "step-matrix-overflow": (
+        ["solve"], _INTERVAL + "problem.u0 = sine\nproblem.T = 1e-320\n", 3
+    ),
+    "sharpness-epsilon-flag": (["sharpness", "--epsilon", "-1"], None, 2),
+    "sharpness-epsilon-key": (["sharpness"], "sharpness.epsilon = -1\n", 2),
+    "sharpness-terms-flag": (["sharpness", "--terms", "0"], None, 2),
+    "sharpness-terms-key": (["sharpness"], "sharpness.terms = 0\n", 2),
+    "sharpness-s-out-of-range": (["sharpness", "--s", "0.4"], None, 3),
+    "unknown-preset": (["solve"], "problem.preset = nosuch\n", 2),
+    "bad-domain": (["solve"], "problem.preset = inline\nproblem.domain = interval(1,0)\n", 2),
+    "theta-above-one": (["solve"], "problem.preset = zero1d\ntime.theta = 2\n", 2),
+    "jobs-on-solve": (["solve", "--jobs", "2"], "problem.preset = zero1d\n", 2),
+}
+
+
+def _exit_code_case(tmp_path, name):
+    """The argv of one EXIT_CODES case, with its config and tables written
+    under ``tmp_path``, and its documented exit code."""
+    argv, text, code = EXIT_CODES[name]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    one.write_text("x,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
+    two.write_text("x,y,re,im\n0.0,0.0,1.0,0.0\n1.0,1.0,1.0,0.0\n")
+    argv = argv + ["--out", str(tmp_path / "o")]
+    if text is not None:
+        argv += ["--config", _write_cfg(tmp_path, text.format(one=one, two=two))]
+    return argv, code
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_cli_exit_code_contract(tmp_path, name, capsys):
+    argv, code = _exit_code_case(tmp_path, name)
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        status = exc.code
+    assert status == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err
+
+
+def test_cli_exit_code_contract_in_a_child_process(tmp_path):
+    # the real process status, with every warning an error as in the suite
+    argv, code = _exit_code_case(tmp_path, "step-matrix-overflow")
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ncparab.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "SingularStepMatrix" in proc.stderr

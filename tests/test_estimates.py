@@ -88,8 +88,7 @@ def test_growth_single_mode_matches_scalar_ode():
     # solution; the trajectory must follow it to scheme accuracy
     spec, mesh, forms, basis, _ = build_pipeline("growth1d", resolution=40, k=1)
     trajectory = solve_evolution(spec, forms, basis, 1, 400, 0.5)
-    system = trajectory.system
-    rate = (1.0 + system.interaction[0, 0]) / system.capacitance[0]
+    rate = (1.0 + trajectory.interaction[0, 0]) / trajectory.basis.mass_norms[0]
     exact = trajectory.coefficients[0, 0] * np.exp(-rate * trajectory.times)
     err = np.max(np.abs(trajectory.coefficients[:, 0] - exact))
     assert err <= 1e-4 * np.max(np.abs(exact))
@@ -106,8 +105,7 @@ def test_uniqueness_condition_signs():
 def test_uniqueness_on_presets():
     for name, expect in (("heat1d", True), ("drift1d", True), ("growth1d", False)):
         spec, mesh, forms, basis, k = build_pipeline(name, resolution=30, k=10)
-        system = build_galerkin_system(forms, basis, k)
-        _, ok = check_uniqueness_condition(system.interaction)
+        _, ok = check_uniqueness_condition(build_galerkin_system(forms, basis, k))
         assert ok is expect
 
 
@@ -131,8 +129,7 @@ def test_twin_solves_converge_at_first_order():
     # when the uniqueness condition holds, the backward-Euler and midpoint
     # trajectories of the same data differ by O(dt) in sup-L2
     spec, mesh, forms, basis, k = build_pipeline("forced1d", resolution=30, k=10)
-    system = build_galerkin_system(forms, basis, k)
-    min_eig, ok = check_uniqueness_condition(system.interaction)
+    min_eig, ok = check_uniqueness_condition(build_galerkin_system(forms, basis, k))
     assert ok and min_eig >= -1e-10
     diffs = []
     for steps in (40, 80, 160):
@@ -140,7 +137,7 @@ def test_twin_solves_converge_at_first_order():
         t_be = solve_evolution(spec, forms, basis, k, steps, 1.0)
         delta = t_cn.coefficients - t_be.coefficients
         sup = np.max(
-            np.sqrt(np.sum(system.capacitance[None, :] * np.abs(delta) ** 2, axis=1))
+            np.sqrt(np.sum(basis.mass_norms[None, :k] * np.abs(delta) ** 2, axis=1))
         )
         diffs.append(float(sup))
     ratios = [diffs[i] / diffs[i + 1] for i in range(2)]

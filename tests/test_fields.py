@@ -40,7 +40,7 @@ def test_matrix_preset_errors():
 def test_tabulated_scalar_1d_interpolates(tmp_path):
     path = tmp_path / "field.csv"
     path.write_text("x,re,im\n0.0,1.0,0.0\n1.0,3.0,2.0\n")
-    f = fields.tabulated_scalar(str(path))
+    f = fields.tabulated_scalar(str(path), 1)
     vals = f(np.array([0.0, 0.5, 1.0]))
     assert np.allclose(vals, [1.0, 2.0 + 1.0j, 3.0 + 2.0j])
 
@@ -48,7 +48,7 @@ def test_tabulated_scalar_1d_interpolates(tmp_path):
 def test_tabulated_scalar_2d_nearest(tmp_path):
     path = tmp_path / "field2.csv"
     path.write_text("x,y,re,im\n0.0,0.0,1.0,0.0\n1.0,1.0,5.0,-1.0\n")
-    f = fields.tabulated_scalar(str(path))
+    f = fields.tabulated_scalar(str(path), 2)
     vals = f(np.array([0.1, 0.9]), np.array([0.0, 1.0]))
     assert np.allclose(vals, [1.0, 5.0 - 1.0j])
     # more points than one search block, in any shape, and no points at all
@@ -63,7 +63,16 @@ def test_tabulated_scalar_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ConfigError):
-        fields.tabulated_scalar(str(path))
+        fields.tabulated_scalar(str(path), 1)
+
+
+def test_tabulated_scalar_rejects_a_table_of_the_other_dimension(tmp_path):
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    one.write_text("x,re,im\n0.0,1.0,0.0\n")
+    two.write_text("x,y,re,im\n0.0,0.0,1.0,0.0\n")
+    for path, dim in ((one, 2), (two, 1)):
+        with pytest.raises(ConfigError, match=f"{path}.* on a {dim}D domain"):
+            fields.tabulated_scalar(str(path), dim)
 
 
 def test_scalar_field_from_spec():

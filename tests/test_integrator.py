@@ -14,7 +14,6 @@ from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
 from ncparab.fields import axes
 from ncparab.integrator import (
     LOAD_BLOCK,
-    GalerkinSystem,
     build_galerkin_system,
     discretize,
     energy_identity_residuals,
@@ -29,19 +28,16 @@ from ncparab.spectral import factor, generalized_eigenbasis
 from tests.conftest import build_pipeline
 
 
-def _scalar_system(rho=1.0, c=0.0):
-    return GalerkinSystem(
-        dimension=1,
-        interaction=np.array([[c]], dtype=complex),
-        capacitance=np.array([rho]),
-    )
+def _modal_pair(d, interaction):
+    """The modal pair (diag d, I + Chat) that solve_evolution steps."""
+    return np.diag(d), np.eye(len(d)) + interaction
 
 
 def test_backward_euler_scalar_decay_closed_form():
     # rho g' + g = 0 discretizes to g_{m+1} = g_m / (1 + dt/rho)
     rho, dt = 0.7, 0.05
-    system = _scalar_system(rho=rho)
-    g = evolve_theta(system, np.array([1.0 + 0.0j]), 1.0, dt, 3)
+    pair = _modal_pair(np.array([rho]), np.zeros((1, 1), dtype=complex))
+    g = evolve_theta(pair, np.array([1.0 + 0.0j]), 1.0, dt, 3)
     for m in range(3):
         assert g[m + 1, 0] == pytest.approx(g[m, 0] / (1.0 + dt / rho), rel=1e-14)
 
@@ -50,23 +46,21 @@ def test_constant_forcing_fixed_point():
     rng = np.random.default_rng(1)
     C = 0.1 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     Fhat = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    system = GalerkinSystem(
-        dimension=3, interaction=C, capacitance=np.array([1.0, 2.0, 0.5])
-    )
+    pair = _modal_pair(np.array([1.0, 2.0, 0.5]), C)
     g_star = np.linalg.solve(np.eye(3) + C, Fhat)
     loads = np.tile(Fhat, (4, 1))
     for theta in (0.5, 1.0):
-        g = evolve_theta(system, g_star, theta, 0.1, 3, loads)
+        g = evolve_theta(pair, g_star, theta, 0.1, 3, loads)
         assert np.allclose(g, g_star[None, :], atol=1e-12)
 
 
 def test_crank_nicolson_local_error_third_order():
     # Richardson halving against the exact scalar exponential
     rho = 1.0
-    system = _scalar_system(rho=rho)
+    pair = _modal_pair(np.array([rho]), np.zeros((1, 1), dtype=complex))
     errors = []
     for dt in (0.1, 0.05):
-        g1 = evolve_theta(system, np.array([1.0 + 0.0j]), 0.5, dt, 1)[1]
+        g1 = evolve_theta(pair, np.array([1.0 + 0.0j]), 0.5, dt, 1)[1]
         errors.append(abs(g1[0] - np.exp(-dt / rho)))
     ratio = errors[0] / errors[1]
     assert 6.0 <= ratio <= 10.0
@@ -179,14 +173,12 @@ def test_theta_step_satisfies_galerkin_consistency():
         spec, _, forms, basis, k = build_pipeline(name, resolution=50, k=20)
         for theta in (0.5, 1.0):
             trajectory = solve_evolution(spec, forms, basis, k, 20, theta)
-            system = trajectory.system
             g = trajectory.coefficients
             F = trajectory.modal_loads
             if F is None:
                 F = np.zeros_like(g)
             dt = trajectory.dt
-            D = np.diag(system.capacitance)
-            A = np.eye(k) + system.interaction
+            D, A = _modal_pair(trajectory.basis.mass_norms, trajectory.interaction)
             for m in range(len(g) - 1):
                 mid = theta * g[m + 1] + (1.0 - theta) * g[m]
                 Fmid = theta * F[m + 1] + (1.0 - theta) * F[m]
@@ -199,9 +191,8 @@ def test_norm_derivative_two_ways_second_order():
     # centered differences of the L2 trace against 2 Re <g', D g> from the
     # ODE right side agree to O(dt^2)
     spec, mesh, forms, basis, k = build_pipeline("forced1d", resolution=30, k=10)
-    system = build_galerkin_system(forms, basis, k)
-    D = system.capacitance
-    A = np.eye(k) + system.interaction
+    D = basis.mass_norms[:k]
+    A = np.eye(k) + build_galerkin_system(forms, basis, k)
     errs = []
     for steps in (40, 80):
         trajectory = solve_evolution(spec, forms, basis, k, steps, 0.5)
@@ -223,10 +214,8 @@ def test_solve_evolution_agrees_with_lu_solve_reference():
     spec, _, forms, basis, k = build_pipeline("forced1d", resolution=50, k=20)
     for theta in (0.5, 1.0):
         trajectory = solve_evolution(spec, forms, basis, k, 5, theta)
-        system = trajectory.system
         dt = trajectory.dt
-        D = np.diag(system.capacitance)
-        A = np.eye(k) + system.interaction
+        D, A = _modal_pair(trajectory.basis.mass_norms, trajectory.interaction)
         factor = sla.lu_factor(D / dt + theta * A)
         rhs = D / dt - (1.0 - theta) * A
         F = trajectory.modal_loads
@@ -385,10 +374,24 @@ def test_nodal_step_refuses_indefinite_or_singular_forms():
             solve_nodal(spec, dataclasses.replace(forms, k_plus=bad), 4, 0.5)
 
 
+def test_step_matrix_with_a_non_finite_entry_is_refused_without_a_warning():
+    # dt = 1e-322 makes D/dt overflow; the suite turns numpy's overflow
+    # warning into an error, so this also checks that none escapes
+    eye = sp.identity(4, format="csr")
+    cases = (
+        (_modal_pair(np.ones(4), np.zeros((4, 4))), False, SingularStepMatrix),
+        ((eye, eye), False, SingularStepMatrix),
+        ((eye, eye), True, NotSPD),
+    )
+    for pair, hermitian, error in cases:
+        with pytest.raises(error, match="non-finite"):
+            evolve_theta(pair, np.ones(4), 0.5, 1e-322, 2, hermitian=hermitian)
+
+
 def test_singular_step_matrix_raises_for_dense_and_sparse_pairs():
     # D/dt + theta A vanishes: with dt = 0.5 and theta = 1, A = -2 D
-    dense = GalerkinSystem(dimension=2, interaction=-3.0 * np.eye(2), capacitance=np.ones(2))
+    dense = _modal_pair(np.ones(2), -3.0 * np.eye(2))
     sparse = (sp.identity(2, format="csr"), -2.0 * sp.identity(2, format="csr"))
-    for system in (dense, sparse):
+    for pair in (dense, sparse):
         with pytest.raises(SingularStepMatrix):
-            evolve_theta(system, np.ones(2, dtype=complex), 1.0, 0.5, 3)
+            evolve_theta(pair, np.ones(2, dtype=complex), 1.0, 0.5, 3)

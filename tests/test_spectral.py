@@ -470,3 +470,17 @@ def test_factor_sends_tridiagonal_matrices_to_lapack_and_the_rest_to_superlu(
         for hermitian in (True, False):
             with pytest.raises(AssertionError, match="SuperLU"):
                 factor(mat, "A", hermitian=hermitian)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_factor_refuses_a_non_finite_entry_on_either_kernel(complex_entries):
+    # a tridiagonal matrix (LAPACK) and a full 3 x 3 one (SuperLU), each
+    # with one infinite diagonal entry, as M/dt is when dt underflows
+    tridiagonal = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(4, 4)).toarray()
+    full = np.full((3, 3), -1.0) + 5.0 * np.eye(3)
+    for dense in (tridiagonal, full):
+        mat = dense.astype(complex) if complex_entries else dense.copy()
+        mat[1, 1] = np.inf
+        for hermitian, error in ((True, NotSPD), (False, SingularStepMatrix)):
+            with pytest.raises(error, match="non-finite"):
+                factor(sp.csr_matrix(mat), "A", hermitian=hermitian)
