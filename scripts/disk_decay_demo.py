@@ -9,16 +9,15 @@ bounds hold with the computed constants.
 
 import numpy as np
 
+from ncparab.config import RunConfig, build_problem
 from ncparab.estimates import apriori_bounds, check_uniqueness_condition, compute_constants
 from ncparab.integrator import discretize, solve_evolution
-from ncparab.presets import get_preset
 from ncparab.problem import validate_coefficients
 
 
 def main():
-    preset = get_preset("disk")
-    spec = preset.build()
-    forms, basis = discretize(spec, preset.default_resolution, preset.default_k)
+    spec, resolution, k, steps = build_problem(RunConfig(problem_preset="disk"))
+    forms, basis = discretize(spec, resolution, k)
     report = validate_coefficients(spec, forms.mesh)
     print(f"ellipticity constant m = {report.ellipticity_m}")
     print(f"smallest complex-form eigenvalue = {report.min_complex_eigenvalue}")
@@ -27,7 +26,7 @@ def main():
     print(f"\nmesh: {forms.mesh.num_nodes} nodes, {len(forms.mesh.elements)} triangles")
     print(f"first pencil eigenvalues: {np.round(basis.eigenvalues[:5], 4)}")
 
-    trajectory = solve_evolution(spec, forms, basis, basis.size, preset.default_steps, 1.0)
+    trajectory = solve_evolution(spec, forms, basis, basis.size, steps, 1.0)
     l2 = np.sqrt(trajectory.norm_l2_sq)
     print(f"\n|u(0)|_L2 = {l2[0]:.6f}  ->  |u(T)|_L2 = {l2[-1]:.6f}")
     print(f"monotone decay: {bool(np.all(np.diff(l2) <= 1e-12))}")

@@ -9,8 +9,8 @@ disk mesh.
 
 import numpy as np
 
+from ncparab.config import preset_problem
 from ncparab.meshing import build_mesh
-from ncparab.presets import build_disk
 from ncparab.problem import UnitDiskPolygon
 from ncparab.sharpness import discrete_series_energy, find_divergence_epsilon
 
@@ -26,7 +26,7 @@ def main():
         )
 
     eps, K = 0.5, 8
-    spec = build_disk()
+    spec = preset_problem("disk")
     spec.domain = UnitDiskPolygon(128)
     mesh = build_mesh(spec.domain, 32, spec.dirichlet_selector)
     value = discrete_series_energy(mesh, spec, eps, K)

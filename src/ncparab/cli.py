@@ -21,7 +21,7 @@ import traceback
 
 import numpy as np
 
-from .config import RunConfig, build_problem, named_preset
+from .config import RunConfig, build_problem, named_preset, preset_problem
 from .errors import ConfigError, NcparabError, NoOracle
 from .estimates import (
     apriori_bounds,
@@ -248,7 +248,7 @@ def _nodal_level(preset_name: str, resolution: int, steps: int, theta: float):
     preset = get_preset(preset_name)
     if preset.oracle is None:
         raise NoOracle(f"preset {preset_name!r} has no exact solution")
-    spec = preset.build()
+    spec = preset_problem(preset_name)
     forms, _ = discretize(spec, resolution, 0)
     numeric = solve_nodal(spec, forms, steps, theta)
     mesh = forms.mesh
@@ -265,9 +265,8 @@ def _convergence_level(args) -> tuple[float, float]:
     """Mesh size h and error of one level, from the level's own mesh."""
     mode, preset_name, resolution, steps, theta = args
     if mode == "eigs":
-        preset = get_preset(preset_name)
-        forms, basis = discretize(preset.build(), resolution, 3)
-        exact = preset.spectrum(basis.size)
+        forms, basis = discretize(preset_problem(preset_name), resolution, 3)
+        exact = get_preset(preset_name).spectrum(basis.size)
         return forms.mesh.size, float(np.max(np.abs(basis.eigenvalues - exact) / exact))
     return _nodal_level(preset_name, resolution, steps, theta)
 
@@ -282,7 +281,7 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     mode = cfg.convergence_mode
     if preset.oracle is None or (mode == "eigs" and preset.spectrum is None):
         raise NoOracle(f"preset {cfg.problem_preset!r} has no exact solution")
-    spec = preset.build()
+    spec = preset_problem(cfg.problem_preset)
     count = range(cfg.convergence_levels)
     if mode == "time":
         resolutions = [cfg.mesh_resolution or 200 for _ in count]

@@ -3,6 +3,11 @@
 The format is one ``section.key = value`` pair per line with ``#`` comments,
 chosen over positional flags so numerical experiments stay auditable. A
 config serializes back to text and round-trips unchanged.
+
+``build_problem`` is the one path from named data to a ``ProblemSpec``: the
+``problem.*`` keys name the domain, the coefficients, S, u0 and f from a
+fixed vocabulary, and a named preset (:mod:`ncparab.presets`) is a set of
+those keys' values over a fresh ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -174,20 +179,25 @@ def _selector_from_name(name: str, domain):
     raise ConfigError(f"unknown S selector {name!r}")
 
 
+# Named initial data by (name, domain dimension).
+_INITIAL = {
+    ("sine", 1): lambda x: np.sin(np.pi * x).astype(complex),
+    ("sine", 2): lambda x, y: (np.sin(np.pi * x) * np.sin(np.pi * y)).astype(complex),
+    ("cosine", 2): lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y) + 0.0j,
+    ("z2", 2): lambda x, y: (x + 1j * y) ** 2,
+}
+
+
 def _initial_from_name(name: str, dim: int):
     key = name.strip().lower()
     if key == "zero":
         return coeff_fields.constant_scalar(0.0)
-    if key == "sine":
-        if dim != 1:
-            raise ConfigError("u0 preset 'sine' requires a 1D domain")
-        return lambda x: np.sin(np.pi * x).astype(complex)
-    if key == "z2":
-        if dim != 2:
-            raise ConfigError("u0 preset 'z2' requires a 2D domain")
-        return lambda x, y: (x + 1j * y) ** 2
     if key.startswith("csv:"):
         return coeff_fields.tabulated_scalar(name.strip()[4:], dim)
+    if (key, dim) in _INITIAL:
+        return _INITIAL[key, dim]
+    if any(key == known for known, _ in _INITIAL):
+        raise ConfigError(f"u0 preset {name!r} requires a {3 - dim}D domain")
     raise ConfigError(f"unknown initial data preset {name!r}")
 
 
@@ -226,17 +236,31 @@ def named_preset(cfg: RunConfig):
 def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
     """Resolve a config to a problem plus mesh/basis/step counts.
 
-    Returns (spec, resolution, basis size, time steps) with preset defaults
-    filled in where the config left zeros.
+    A named preset is its ``problem`` values over a fresh ``RunConfig``,
+    built as an inline problem. Returns (spec, resolution, basis size, time
+    steps) with the preset's (or the inline) defaults filled in where the
+    config left zeros.
     """
     if cfg.problem_preset and cfg.problem_preset != "inline":
         preset = named_preset(cfg)
-        spec = preset.build()
-        resolution = cfg.mesh_resolution or preset.default_resolution
-        k = cfg.basis_k or preset.default_k
-        steps = cfg.time_steps or preset.default_steps
-        return spec, resolution, k, steps
+        spec = _inline_problem(RunConfig(**preset.problem))
+        defaults = preset.default_resolution, preset.default_k, preset.default_steps
+    else:
+        spec = _inline_problem(cfg)
+        defaults = 32, 16, 100
+    resolution = cfg.mesh_resolution or defaults[0]
+    k = cfg.basis_k or defaults[1]
+    steps = cfg.time_steps or defaults[2]
+    return spec, resolution, k, steps
 
+
+def preset_problem(name: str) -> ProblemSpec:
+    """The problem of the named preset."""
+    return build_problem(RunConfig(problem_preset=name))[0]
+
+
+def _inline_problem(cfg: RunConfig) -> ProblemSpec:
+    """The problem of the ``problem.*`` keys other than ``problem.preset``."""
     domain = parse_domain(cfg.problem_domain)
     dim = domain.dim
     principal = coeff_fields.matrix_field_from_name(cfg.problem_principal, dim)
@@ -250,7 +274,7 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
             f"problem.first_order has {len(first_order)} entries, "
             f"more than the {dim} dimension(s) of the domain"
         )
-    spec = ProblemSpec(
+    return ProblemSpec(
         domain=domain,
         final_time=cfg.problem_T,
         principal=principal,
@@ -262,7 +286,3 @@ def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
         source=_source_from_name(cfg.problem_f, dim),
         initial=_initial_from_name(cfg.problem_u0, dim),
     )
-    resolution = cfg.mesh_resolution or 32
-    k = cfg.basis_k or 16
-    steps = cfg.time_steps or 100
-    return spec, resolution, k, steps

@@ -159,8 +159,9 @@ def parse_constant(text, what="scalar field"):
 
 def scalar_field_from_spec(text, dim):
     """Scalar field on a ``dim``-dimensional domain from a config token:
-    complex literal or ``csv:PATH``."""
+    complex literal or ``csv:PATH``, the prefix in any case and the path as
+    given."""
     token = text.strip()
-    if token.startswith("csv:"):
+    if token[:4].lower() == "csv:":
         return tabulated_scalar(token[4:], dim)
     return constant_scalar(parse_constant(token))

@@ -366,8 +366,12 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
             + Re(g_theta* Chat g_theta) = Re<g_theta, F_theta>,
 
     exact for every theta, which a correctly solved step satisfies to solver
-    precision. Chat, d (the basis's ``mass_norms``) and the modal loads come
-    from the trajectory; nothing is reassembled.
+    precision. The defect is relative to the largest of the two sides,
+    |g_theta|^2 and sum_j |g_theta,j| d_j (|g_{m+1},j| + |g_m,j|)/dt, the
+    size of the terms the difference quotient cancels: a small dt makes
+    those terms, and the rounding they leave, large against the balance.
+    Chat, d (the basis's ``mass_norms``) and the modal loads come from the
+    trajectory; nothing is reassembled.
     """
     g = trajectory.coefficients
     theta = trajectory.theta
@@ -389,6 +393,7 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
         if loads is not None:
             f_th = theta * loads[1:][block] + (1.0 - theta) * loads[:-1][block]
             rhs = np.real(np.sum(g_th.conj() * f_th, axis=1))
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), np.maximum(norm_sq, 1e-30))
-        res[block] = np.abs(lhs - rhs) / scale
+        cancelled = np.sum(np.abs(g_th) * d * (np.abs(new) + np.abs(old)), axis=1) / dt
+        scale = np.maximum.reduce([np.abs(lhs), np.abs(rhs), norm_sq, cancelled])
+        res[block] = np.abs(lhs - rhs) / np.maximum(scale, 1e-30)
     return res

@@ -22,7 +22,7 @@ there (``robin_weight``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +43,7 @@ PSD_TOL = 1e-10
 class Interval:
     a: float
     b: float
-    dim: int = 1
+    dim: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class Rectangle:
     bx: float
     ay: float
     by: float
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class UnitDiskPolygon:
     """Unit disk approximated by an inscribed regular polygon."""
 
     segments: int
-    dim: int = 2
+    dim: ClassVar[int] = 2
 
 
 Domain = Union[Interval, Rectangle, UnitDiskPolygon]

@@ -3,18 +3,17 @@ from pathlib import Path
 import pytest
 
 import ncparab
+from ncparab.config import RunConfig, build_problem
 from ncparab.integrator import discretize
-from ncparab.presets import get_preset
 
 
 def build_pipeline(preset_name, resolution=None, k=None):
     """Discretize a preset, at its defaults where no size is given; shared
     helper returning (spec, mesh, forms, basis, basis size)."""
-    preset = get_preset(preset_name)
-    spec = preset.build()
-    forms, basis = discretize(
-        spec, resolution or preset.default_resolution, k or preset.default_k
+    spec, resolution, k, _ = build_problem(
+        RunConfig(problem_preset=preset_name, mesh_resolution=resolution or 0, basis_k=k or 0)
     )
+    forms, basis = discretize(spec, resolution, k)
     return spec, forms.mesh, forms, basis, basis.size
 
 

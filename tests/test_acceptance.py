@@ -13,6 +13,7 @@ import pytest
 from ncparab import fields
 from ncparab.assembly import assemble_forms
 from ncparab.cli import solve_error_vs_oracle
+from ncparab.config import preset_problem
 from ncparab.estimates import (
     apriori_bounds,
     check_uniqueness_condition,
@@ -25,7 +26,7 @@ from ncparab.integrator import (
     solve_evolution,
 )
 from ncparab.meshing import build_mesh
-from ncparab.presets import PRESETS, build_disk
+from ncparab.presets import PRESETS
 from ncparab.problem import (
     ProblemSpec,
     UnitDiskPolygon,
@@ -52,7 +53,7 @@ def preset_pipelines():
     """Every shipped preset discretized once, basis large enough for 2k runs."""
     out = {}
     for name, preset in PRESETS.items():
-        spec = preset.build()
+        spec = preset_problem(name)
         forms, basis = discretize(spec, preset.default_resolution, 2 * preset.default_k)
         k = min(preset.default_k, forms.N)
         out[name] = (spec, forms, basis, k, basis.size, preset.default_steps)
@@ -159,7 +160,7 @@ def test_criterion_4_uniqueness_twin_solves():
 
 
 def test_criterion_5_noncoercive_degeneracy():
-    spec = build_disk()
+    spec = preset_problem("disk")
     report = validate_coefficients(spec, build_mesh(spec.domain, 6, spec.dirichlet_selector))
     matrix_ok = (
         abs(report.min_complex_eigenvalue) <= 1e-10
@@ -168,7 +169,7 @@ def test_criterion_5_noncoercive_degeneracy():
     rels = {"z": [], "z2": []}
     hs = []
     for segments, rings in ((64, 16), (128, 32)):
-        disk_spec = build_disk()
+        disk_spec = preset_problem("disk")
         disk_spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(disk_spec.domain, rings, disk_spec.dirichlet_selector)
         principal_only = ProblemSpec(
@@ -214,7 +215,7 @@ def test_criterion_6_sharpness_example():
 
     eps, K = 0.5, 8
     analytic = 2.0 * np.pi * float(np.sum((np.arange(K + 1) + 1.0) ** (-1.0 - eps)))
-    spec = build_disk()
+    spec = preset_problem("disk")
     spec.domain = UnitDiskPolygon(128)
     mesh = build_mesh(spec.domain, 32, spec.dirichlet_selector)
     value = discrete_series_energy(mesh, spec, eps, K)

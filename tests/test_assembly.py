@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import assembly, fields, meshing, problem
-from ncparab.config import _source_from_name
+from ncparab.config import _source_from_name, preset_problem
 from ncparab.assembly import (
     AssembledForms,
     DofMap,
@@ -23,7 +23,6 @@ from ncparab.errors import ConstraintOnAllDofs, NotSPD
 from ncparab.estimates import compute_constants
 from ncparab.integrator import discretize
 from ncparab.meshing import Mesh, build_mesh
-from ncparab.presets import PRESETS, _forcing, build_disk
 from ncparab.problem import (
     Interval,
     ProblemSpec,
@@ -94,7 +93,7 @@ def test_zero_principal_gives_mass():
 
 
 def test_disk_preset_is_principal_plus_boundary_mass():
-    spec = build_disk()
+    spec = preset_problem("disk")
     mesh = _mesh(spec, 4)
     K = assemble_forms(mesh, spec).k_plus.toarray()
     principal_only = ProblemSpec(
@@ -308,7 +307,10 @@ def test_blocked_load_equals_one_time_at_a_time(case, source, n_times, seed):
             return np.exp(3j * t) * (1.0 + t * t) * (a0 + sum(a_l * x_l for a_l, x_l in zip(a, x)))
 
     else:
-        g = _source_from_name("sine_cos", 1) if source == "sine_cos" else _forcing
+        if source == "sine_cos":
+            g = _source_from_name("sine_cos", 1)
+        else:
+            g = preset_problem("forced1d").source
 
         def f(*args):
             return g(args[0], args[-1])
@@ -385,7 +387,7 @@ def test_mass_check_refuses_an_element_of_zero_area():
     mesh = Mesh(2, nodes, elements, facets, np.ones(4), np.zeros(4, dtype=bool))
     # the flat element's gradients divide by its zero area
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NotSPD, match="measure"):
-        assemble_forms(mesh, PRESETS["robin_rect"].build())
+        assemble_forms(mesh, preset_problem("robin_rect"))
 
 
 def test_mass_check_refuses_a_free_node_in_no_element():
@@ -457,7 +459,7 @@ def test_dual_norm_singular_raises():
 
 def test_dual_norm_of_a_copy_factors_its_own_k_plus():
     # a copy with another K+ must not reuse the factor of the original
-    spec = PRESETS["forced1d"].build()
+    spec = preset_problem("forced1d")
     forms, _ = discretize(spec, 10, 0)
     F = assemble_load(forms, spec.source, [0.1])
     before = dual_norm(F, forms)
@@ -528,11 +530,11 @@ def test_coercive_case_dominates_h1_form():
 
 
 def test_l2_embedding_constant_finite():
-    for builder, res in ((build_disk, 3), (None, 10)):
-        if builder is None:
+    for name, res in (("disk", 3), (None, 10)):
+        if name is None:
             spec = _interval_spec(dirichlet_selector=lambda x: np.ones(np.shape(x), bool))
         else:
-            spec = builder()
+            spec = preset_problem(name)
         mesh = _mesh(spec, res)
         forms = assemble_forms(mesh, spec)
         vals = sla.eigh(forms.mass.toarray(), forms.k_plus.toarray(), eigvals_only=True)
@@ -718,7 +720,7 @@ def test_constant_principal_factored_once_and_geometry_built_once(monkeypatch):
     monkeypatch.setattr(
         meshing, "build_quadrature", counting("quadrature", meshing.build_quadrature)
     )
-    spec = build_disk()
+    spec = preset_problem("disk")
     # a drift makes the lower-order form read the factor too
     spec.first_order = [fields.constant_scalar(0.3), fields.constant_scalar(0.1j)]
     forms, basis = discretize(spec, 4, 5)
@@ -740,7 +742,7 @@ def test_assemble_forms_builds_one_scatter_plan(monkeypatch):
     monkeypatch.setattr(
         assembly, "build_scatter_plan", lambda mesh, keep: calls.append(len(keep)) or build(mesh, keep)
     )
-    spec = build_disk()
+    spec = preset_problem("disk")
     spec.dirichlet_selector = lambda x, y: y > 0.5
     spec.first_order = [fields.constant_scalar(0.3), fields.constant_scalar(0.1j)]
     mesh = _mesh(spec, 3)
@@ -757,13 +759,13 @@ def test_constant_scalar_carries_its_value():
 
 def test_lower_order_form_is_empty_without_drift_and_delta_a0():
     for name in ("heat1d", "zero1d", "forced1d", "heat2d", "disk", "robin_rect"):
-        forms, _ = discretize(PRESETS[name].build(), 4, 0)
+        forms, _ = discretize(preset_problem(name), 4, 0)
         assert forms.first_order.nnz == 0, name
         assert forms.first_order.shape == (forms.N, forms.N), name
     # drift1d and growth1d keep their forms, those of the coefficients
     # given as coordinate functions
     for name in ("drift1d", "growth1d"):
-        spec = PRESETS[name].build()
+        spec = preset_problem(name)
         forms, _ = discretize(spec, 8, 0)
         general = ProblemSpec(
             **{

@@ -11,6 +11,7 @@ from ncparab.cli import export_matrix_coo, export_mesh, main
 from ncparab.config import RunConfig, build_problem, parse_domain
 from ncparab.errors import ConfigError
 from ncparab.meshing import build_mesh
+from ncparab.presets import PRESETS
 from ncparab.problem import Interval, Rectangle, UnitDiskPolygon
 
 from tests.conftest import child_env
@@ -227,6 +228,52 @@ def test_cli_check_energy_identity_at_crank_nicolson(tmp_path):
     report = dict(_read_csv(os.path.join(out, "report.csv"))[1])
     assert report["energy_residual_pass"] == "true"
     assert float(report["energy_residual_max"]) <= 1e-9
+
+
+def test_cli_energy_identity_passes_at_small_steps(tmp_path):
+    # dt = 1e-8: the difference quotient cancels terms 1e7 times |g|^2
+    cfg = _write_cfg(
+        tmp_path, _INTERVAL + "problem.u0 = sine\nchecks.energy = true\nproblem.T = 1e-6\n"
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    report = dict(_read_csv(out / "report.csv")[1])
+    assert report["energy_residual_pass"] == "true"
+    assert float(report["energy_residual_max"]) <= 1e-9
+
+
+_RESULT_CSVS = ("trajectory.csv", "solution_final.csv", "report.csv")
+
+
+@pytest.mark.parametrize("key", ["u0", "a0", "b0", "b1"])
+def test_csv_prefix_is_matched_in_any_case_and_the_path_kept(tmp_path, key):
+    table = tmp_path / "Tables" / "One.csv"
+    table.parent.mkdir()
+    table.write_text("x,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
+    results = []
+    for prefix in ("csv", "CSV", "Csv"):
+        cfg = _write_cfg(
+            tmp_path, _INTERVAL + f"problem.{key} = {prefix}:{table}\nmesh.resolution = 8\n"
+        )
+        out = tmp_path / prefix
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        results.append([(out / name).read_bytes() for name in _RESULT_CSVS])
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_named_preset_is_its_inline_twin(tmp_path, name):
+    sizes = "mesh.resolution = 4\nbasis.k = 4\ntime.steps = 5\n"
+    inline = "".join(
+        f"{attr.replace('_', '.', 1)} = {value}\n" for attr, value in PRESETS[name].problem.items()
+    )
+    outputs = []
+    for text in (f"problem.preset = {name}\n", "problem.preset = inline\n" + inline):
+        cfg = _write_cfg(tmp_path, text + sizes)
+        out = tmp_path / str(len(outputs))
+        status = main(["solve", "--config", cfg, "--out", str(out)])
+        outputs.append((status, [(out / csv_name).read_bytes() for csv_name in _RESULT_CSVS]))
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_named_preset_rejects_problem_keys(tmp_path):

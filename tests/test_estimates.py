@@ -6,6 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from ncparab import fields
+from ncparab.config import preset_problem
 from ncparab.errors import NotSPD
 from ncparab.estimates import (
     apriori_bounds,
@@ -16,7 +17,6 @@ from ncparab.estimates import (
 )
 from ncparab.integrator import build_galerkin_system, discretize, solve_evolution
 from ncparab.meshing import build_mesh
-from ncparab.presets import build_forced1d, get_preset
 from ncparab.problem import Interval, ProblemSpec
 from tests.conftest import build_pipeline
 
@@ -146,7 +146,7 @@ def test_twin_solves_converge_at_first_order():
 
 
 def test_right_side_non_decreasing_in_final_time():
-    base = build_forced1d()
+    base = preset_problem("forced1d")
     rhs_values = []
     for T in (0.1, 0.5, 1.0):
         spec = ProblemSpec(**{**base.__dict__, "final_time": T})
@@ -186,23 +186,23 @@ def _dense_cauchy(forms):
 
 
 def test_exact_cauchy_constant_matches_dense_svd():
-    drift, _ = discretize(get_preset("drift1d").build(), 40, 0)
+    drift, _ = discretize(preset_problem("drift1d"), 40, 0)
     rng = np.random.default_rng(5)
     n = drift.N
     C = sp.random(n, n, density=0.1, random_state=rng, format="csr")
     C = C + 1j * sp.random(n, n, density=0.1, random_state=rng, format="csr")
     random_c = dataclasses.replace(drift, first_order=C.tocsr())
-    small, _ = discretize(get_preset("drift1d").build(), 3, 0)  # N = 2
+    small, _ = discretize(preset_problem("drift1d"), 3, 0)  # N = 2
     for forms in (drift, random_c, small):
         ratio, _ = check_cauchy_bound(forms, 1.0, 0.0)
         assert ratio == pytest.approx(_dense_cauchy(forms), rel=1e-10, abs=0.0)
     # N = 1: the closed form |C| / (K+ + M)
-    (one, _) = discretize(get_preset("drift1d").build(), 2, 0)
+    (one, _) = discretize(preset_problem("drift1d"), 2, 0)
     assert one.N == 1
     expected = abs(one.first_order[0, 0]) / (one.k_plus[0, 0] + one.mass[0, 0])
     assert check_cauchy_bound(one, 1.0, 0.0)[0] == pytest.approx(expected, rel=1e-14)
     # C = 0: the constant is 0 and any c passes
-    heat, _ = discretize(get_preset("heat1d").build(), 20, 0)
+    heat, _ = discretize(preset_problem("heat1d"), 20, 0)
     assert heat.first_order.count_nonzero() == 0
     assert check_cauchy_bound(heat, 0.0, 0.0) == (0.0, True)
 
@@ -211,7 +211,7 @@ def test_cauchy_check_refuses_indefinite_energy_at_any_size():
     # E = K+ + M = -2 M is negative definite: N = 2 (the dense branch) and
     # N = 19 (the ARPACK branch) go through the same factor of E
     for resolution in (3, 20):
-        forms, _ = discretize(get_preset("drift1d").build(), resolution, 0)
+        forms, _ = discretize(preset_problem("drift1d"), resolution, 0)
         assert forms.first_order.count_nonzero()
         negative = dataclasses.replace(forms, k_plus=-3.0 * forms.mass)
         with pytest.raises(NotSPD):
@@ -221,7 +221,7 @@ def test_cauchy_check_refuses_indefinite_energy_at_any_size():
 def test_exact_cauchy_check_fails_where_a_random_sample_passed():
     # drift1d at resolution 50 against c = 0.01: the largest ratio over 200
     # random vector pairs was 0.0012 and passed, the exact constant fails
-    forms, _ = discretize(get_preset("drift1d").build(), 50, 0)
+    forms, _ = discretize(preset_problem("drift1d"), 50, 0)
     ratio, ok = check_cauchy_bound(forms, 0.01, 0.0)
     assert ratio == pytest.approx(0.0855, abs=5e-4)
     assert not ok
@@ -232,7 +232,7 @@ def test_constants_see_a_spike_between_sample_points():
     # spacing of a 32-point grid, which read c2 = 0 here; the forms see the
     # spike at their quadrature points, so the maxima there are the exact
     # constants of the discrete problem.
-    spec = get_preset("heat1d").build()
+    spec = preset_problem("heat1d")
     spec.zero_order = lambda x: np.where(np.abs(x - 0.31) < 0.006, -400.0 + 0j, 0j)
     forms, _ = discretize(spec, 400, 0)
     c1, c2 = compute_constants(spec, forms.mesh)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ncparab import integrator
 from ncparab.assembly import assemble_load
+from ncparab.config import RunConfig, build_problem, preset_problem
 from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
 from ncparab.fields import axes
 from ncparab.integrator import (
@@ -23,7 +24,6 @@ from ncparab.integrator import (
     solve_evolution,
     solve_nodal,
 )
-from ncparab.presets import get_preset
 from ncparab.spectral import factor, generalized_eigenbasis
 from tests.conftest import build_pipeline
 
@@ -166,6 +166,24 @@ def test_backward_euler_energy_identity(heat_pipeline):
             assert np.max(energy_identity_residuals(trajectory)) <= 1e-9
 
 
+@pytest.mark.parametrize("T", [1e-6, 0.1])
+def test_energy_identity_holds_at_small_steps_and_flags_a_perturbed_step(T):
+    # a small dt makes the difference quotient cancel large terms; the
+    # defect is relative to them, so a correct run passes at any dt and a
+    # step off by a relative 1e-6 fails at every dt
+    cfg = RunConfig(
+        problem_preset="inline", problem_domain="interval(0,1)", problem_u0="sine", problem_T=T
+    )
+    spec, resolution, k, steps = build_problem(cfg)
+    forms, basis = discretize(spec, resolution, k)
+    trajectory = solve_evolution(spec, forms, basis, k, steps, 0.5)
+    assert np.max(energy_identity_residuals(trajectory)) <= 1e-9
+    trajectory.coefficients[50] *= 1.0 + 1e-6
+    res = energy_identity_residuals(trajectory)
+    assert np.max(res) > 1e-9
+    assert np.max(np.delete(res, [49, 50])) <= 1e-9  # the two steps next to it
+
+
 def test_theta_step_satisfies_galerkin_consistency():
     # the scheme itself is the discrete weak statement; residual is solver
     # roundoff only
@@ -247,7 +265,7 @@ def test_l2_trace_jumps_shrink_linearly_with_dt():
 def test_nodal_step_is_the_full_basis_galerkin_solution(name, resolution, steps, theta):
     # with k = N the modal system is the nodal one in another basis, so both
     # theta schemes give the same final state
-    spec = get_preset(name).build()
+    spec = preset_problem(name)
     forms, basis = discretize(spec, resolution, None)
     modal = solve_evolution(spec, forms, basis, basis.size, steps, theta)
     expected = basis.vectors @ modal.coefficients[-1]
@@ -276,7 +294,7 @@ def _dense_theta_state(spec, forms, steps, theta):
 
 def test_nodal_step_matches_a_direct_sparse_solve():
     # the final state after 1..6 steps against the dense theta recurrence
-    spec = get_preset("forced1d").build()
+    spec = preset_problem("forced1d")
     forms, _ = discretize(spec, 20, 0)
     for steps in range(1, 7):
         u = _dense_theta_state(spec, forms, steps, 0.5)
@@ -304,7 +322,7 @@ def test_nodal_step_matrix_is_factored_hermitian_exactly_when_c_vanishes(theta, 
         ("drift1d", 8, False),
         ("growth1d", 8, False),
     ):
-        spec = get_preset(name).build()
+        spec = preset_problem(name)
         forms, _ = discretize(spec, resolution, 0)
         nodal = solve_nodal(spec, forms, steps, theta)
         assert kinds["implicit step matrix"] is hermitian
@@ -317,7 +335,7 @@ def test_nodal_loads_stream_block_by_block():
     # real on forced1d (real pair, u0 and loads) and complex on drift1d
     theta, steps = 0.5, 150
     for name, dtype in (("forced1d", np.float64), ("drift1d", np.complex128)):
-        spec = get_preset(name).build()
+        spec = preset_problem(name)
         forms, _ = discretize(spec, 20, 0)
         u = _dense_theta_state(spec, forms, steps, theta)
         nodal = solve_nodal(spec, forms, steps, theta)
@@ -328,7 +346,7 @@ def test_nodal_loads_stream_block_by_block():
 def test_nodal_stepping_holds_one_load_block():
     # the loads of 4000 steps are never held at once: the peak stays below
     # the size of one (steps, N) array of them
-    spec = get_preset("forced1d").build()
+    spec = preset_problem("forced1d")
     forms, _ = discretize(spec, 200, 0)
     steps = 4000
     solve_nodal(spec, forms, 1)  # builds the mesh's load operator
@@ -344,7 +362,7 @@ def test_nodal_stepping_holds_one_load_block():
 @pytest.mark.parametrize("steps, calls", [(1, 1), (63, 1), (64, 2), (2000, 32)])
 def test_source_is_called_once_per_load_block(steps, calls):
     # ceil((steps + 1) / LOAD_BLOCK) calls, each with a whole block of times
-    spec = get_preset("forced1d").build()
+    spec = preset_problem("forced1d")
     forms, basis = discretize(spec, 20, 4)
     widths = []
 
@@ -361,7 +379,7 @@ def test_source_is_called_once_per_load_block(steps, calls):
 
 
 def test_nodal_step_refuses_indefinite_or_singular_forms():
-    spec = get_preset("heat1d").build()
+    spec = preset_problem("heat1d")
     forms, basis = discretize(spec, 10, 0)
     assert basis is None
     K = forms.k_plus.tolil()

@@ -17,6 +17,7 @@ from ncparab.problem import (
     PSD_TOL,
     Interval,
     ProblemSpec,
+    Rectangle,
     UnitDiskPolygon,
     factorize_principal,
     hermitian_sqrt_psd,
@@ -43,6 +44,14 @@ def _spec_with_principal(mat, domain=None):
 
 def _validate(spec):
     return validate_coefficients(spec, build_mesh(spec.domain, 4))
+
+
+def test_domain_dim_is_fixed_by_its_class():
+    domains = (Interval(0.0, 1.0), Rectangle(0.0, 1.0, 0.0, 1.0), UnitDiskPolygon(8))
+    assert [domain.dim for domain in domains] == [1, 2, 2]
+    for make in (lambda: Interval(0.0, 1.0, 2), lambda: UnitDiskPolygon(8, 1)):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_validate_identity():

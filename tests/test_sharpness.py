@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from ncparab.config import preset_problem
 from ncparab.errors import SOutOfRange
 from ncparab.meshing import build_mesh
-from ncparab.presets import build_disk
 from ncparab.problem import UnitDiskPolygon
 from ncparab.sharpness import (
     discrete_series_energy,
@@ -120,7 +120,7 @@ def test_discrete_energy_matches_series_within_tolerance():
     analytic = 2.0 * np.pi * float(np.sum((np.arange(K + 1) + 1.0) ** (-1.0 - eps)))
     rels = []
     for segments, rings in ((64, 16), (128, 32)):
-        spec = build_disk()
+        spec = preset_problem("disk")
         spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(spec.domain, rings, spec.dirichlet_selector)
         value = discrete_series_energy(mesh, spec, eps, K)

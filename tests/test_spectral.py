@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncparab import spectral
+from ncparab.config import preset_problem
 from ncparab.errors import NoConvergence, NotSPD, SingularStepMatrix
 from ncparab.integrator import discretize
-from ncparab.presets import PRESETS, get_preset
+from ncparab.presets import PRESETS
 from ncparab.spectral import (
     SPARSE_SHARE,
     EigenBasis,
@@ -103,7 +104,7 @@ def gc_disabled():
 def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, monkeypatch, gc_disabled):
     # the complex pencil (disk) goes through ARPACK's complex driver, which
     # holds the operator in a reference cycle; the real one (robin_rect) does not
-    forms, _ = discretize(get_preset(preset).build(), 8, 0)
+    forms, _ = discretize(preset_problem(preset), 8, 0)
     solves = []
 
     class Solve:  # a factor's solve, wrapped so that it takes a weak reference
@@ -129,7 +130,7 @@ def test_eigenbasis_makes_no_extra_copies_of_the_basis(gc_disabled):
     # traced peak in units of one complex N x k array: ARPACK's workspace, the
     # vectors, and the temporaries of the mass norms, 7.2; 10.8 with a copy
     # of the vectors per post-processing step
-    forms, _ = discretize(get_preset("disk").build(), 24, 0)
+    forms, _ = discretize(preset_problem("disk"), 24, 0)
     k = 30
     tracemalloc.start()
     try:

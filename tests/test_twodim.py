@@ -12,9 +12,9 @@ import pytest
 
 from ncparab import fields
 from ncparab.assembly import assemble_forms
+from ncparab.config import preset_problem
 from ncparab.integrator import discretize, reconstruct_solution, solve_evolution
 from ncparab.meshing import build_mesh
-from ncparab.presets import build_disk
 from ncparab.problem import ProblemSpec, Rectangle, UnitDiskPolygon
 
 DECAY_RATE = 2.0 * np.pi**2 + 1.0
@@ -77,7 +77,7 @@ def test_disk_mesh_fills_polygon_exactly():
     for segments, rings in ((24, 3), (48, 5)):
         mesh = build_mesh(UnitDiskPolygon(segments), rings, None)
         polygon_area = 0.5 * segments * np.sin(2.0 * np.pi / segments)
-        mass = assemble_forms(mesh, build_disk()).mass
+        mass = assemble_forms(mesh, preset_problem("disk")).mass
         assert mass.sum() == pytest.approx(polygon_area, rel=1e-12)
 
 
@@ -86,7 +86,7 @@ def test_disk_energy_form_closed_form_on_linear_fields():
     # fields are interpolated exactly, |D grad conj(z)|^2 = 4, and the chord
     # integral of |linear|^2 is L (|a|^2 + Re(a conj(b)) + |b|^2) / 3
     for segments, rings in ((24, 4), (64, 6)):
-        spec = build_disk()
+        spec = preset_problem("disk")
         spec.domain = UnitDiskPolygon(segments)
         mesh = build_mesh(spec.domain, rings, None)
         K = assemble_forms(mesh, spec).k_plus
