@@ -2,7 +2,8 @@
 
 Subcommands: ``solve`` (full pipeline plus report), ``eigs`` (basis
 eigenvalues), ``convergence`` (refinement study against the exact solution),
-``check`` (estimate verification only), ``sharpness`` (embedding series).
+``check`` (the ``solve`` report with the energy identity, report.csv only),
+``sharpness`` (embedding series).
 Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
 3 numerical failure, 4 internal error (any other exception; its traceback
 goes to stderr). Every output file, the mesh and matrix exports included,
@@ -132,30 +133,25 @@ def export_matrix_coo(path: str, matrix) -> None:
 
 
 def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
-    rows: list[list] = []
-    ok = True
     c1, c2 = compute_constants(spec, trajectory.forms.mesh)
-    rows += [["c1", _fmt(c1)], ["c2", _fmt(c2)]]
-    if cfg.checks_bounds:
-        report = apriori_bounds(trajectory, c1, c2)
-        rows += [
-            ["gronwall_factor", _fmt(report.gronwall_factor)],
-            ["sup_bound_lhs", _fmt(report.sup_lhs)],
-            ["sup_bound_rhs", _fmt(report.sup_rhs)],
-            ["sup_bound_margin", _fmt(report.sup_rhs - report.sup_lhs)],
-            ["sup_bound_pass", _fmt(report.sup_ok)],
-            ["energy_bound_lhs", _fmt(report.energy_lhs)],
-            ["energy_bound_rhs", _fmt(report.energy_rhs)],
-            ["energy_bound_margin", _fmt(report.energy_rhs - report.energy_lhs)],
-            ["energy_bound_pass", _fmt(report.energy_ok)],
-        ]
-        ok = ok and report.bounds_ok
-    if cfg.checks_uniqueness:
-        min_eig, uniq_ok = check_uniqueness_condition(trajectory.interaction)
-        rows += [["uniqueness_min_eig", _fmt(min_eig)], ["uniqueness_pass", _fmt(uniq_ok)]]
-        ok = ok and uniq_ok
-    if cfg.checks_continuity:
-        rows.append(["continuity_max_jump", _fmt(check_continuity(trajectory))])
+    rows = [["c1", _fmt(c1)], ["c2", _fmt(c2)]]
+    report = apriori_bounds(trajectory, c1, c2)
+    min_eig, uniq_ok = check_uniqueness_condition(trajectory.interaction)
+    rows += [
+        ["gronwall_factor", _fmt(report.gronwall_factor)],
+        ["sup_bound_lhs", _fmt(report.sup_lhs)],
+        ["sup_bound_rhs", _fmt(report.sup_rhs)],
+        ["sup_bound_margin", _fmt(report.sup_rhs - report.sup_lhs)],
+        ["sup_bound_pass", _fmt(report.sup_ok)],
+        ["energy_bound_lhs", _fmt(report.energy_lhs)],
+        ["energy_bound_rhs", _fmt(report.energy_rhs)],
+        ["energy_bound_margin", _fmt(report.energy_rhs - report.energy_lhs)],
+        ["energy_bound_pass", _fmt(report.energy_ok)],
+        ["uniqueness_min_eig", _fmt(min_eig)],
+        ["uniqueness_pass", _fmt(uniq_ok)],
+        ["continuity_max_jump", _fmt(check_continuity(trajectory))],
+    ]
+    ok = report.bounds_ok and uniq_ok
     if cfg.checks_energy:
         res = energy_identity_residuals(trajectory)
         energy_ok = bool(np.max(res) <= 1e-9) if len(res) else True
@@ -213,10 +209,9 @@ def run_solve(
 
 
 def run_check(cfg: RunConfig, out_dir: str) -> int:
-    """``run_solve`` with the bounds, uniqueness, continuity and energy
-    checks on, writing report.csv only."""
-    cfg.checks_bounds = cfg.checks_uniqueness = True
-    cfg.checks_continuity = cfg.checks_energy = True
+    """``run_solve`` with the energy-identity check on, writing report.csv
+    only. The Cauchy check stays as ``checks.cauchy`` sets it."""
+    cfg.checks_energy = True
     return run_solve(cfg, out_dir, report_only=True)
 
 

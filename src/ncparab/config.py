@@ -39,9 +39,6 @@ class RunConfig:
     basis_k: int = 0  # 0 means preset default
     time_steps: int = 0  # 0 means preset default
     time_theta: float = 0.5
-    checks_bounds: bool = True
-    checks_uniqueness: bool = True
-    checks_continuity: bool = True
     checks_energy: bool = False
     checks_cauchy: bool = False
     convergence_levels: int = 4
@@ -61,9 +58,13 @@ class RunConfig:
         return cls._KEYMAP
 
     def to_text(self) -> str:
+        # a problem.* key at its default is left out: under a named preset
+        # from_text refuses every problem.* key that the text sets
+        default = RunConfig()
         lines = [
             f"{key} = {_format_value(getattr(self, attr))}"
             for key, attr in sorted(self.keymap().items())
+            if not key.startswith("problem.") or getattr(self, attr) != getattr(default, attr)
         ]
         return "\n".join(lines) + "\n"
 
@@ -71,6 +72,7 @@ class RunConfig:
     def from_text(cls, text: str) -> "RunConfig":
         cfg = cls()
         keymap = cls.keymap()
+        keys = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -80,12 +82,14 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in keymap:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            keys.append(key)
             attr = keymap[key]
             try:
                 setattr(cfg, attr, _parse_value(value, type(getattr(cfg, attr))))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
         cfg.validate()
+        _refuse_problem_keys(cfg, keys)
         return cfg
 
     @classmethod
@@ -212,24 +216,25 @@ def _source_from_name(name: str, dim: int):
     raise ConfigError(f"unknown source preset {name!r}")
 
 
-def named_preset(cfg: RunConfig):
-    """The preset a config names. The other ``problem.*`` keys would be
-    ignored under it, so any of them set away from its default raises
-    ``ConfigError``."""
-    preset = get_preset(cfg.problem_preset)
-    default = RunConfig()
-    ignored = [
-        key
-        for key, attr in RunConfig.keymap().items()
-        if key.startswith("problem.")
-        and attr != "problem_preset"
-        and getattr(cfg, attr) != getattr(default, attr)
-    ]
-    if ignored:
+def _refuse_problem_keys(cfg: RunConfig, keys) -> None:
+    """A named preset would ignore the other ``problem.*`` keys, so any of
+    ``keys`` among them is a ``ConfigError``."""
+    ignored = [key for key in keys if key.startswith("problem.") and key != "problem.preset"]
+    if ignored and cfg.problem_preset not in ("", "inline"):
         raise ConfigError(
             f"{', '.join(ignored)} only apply with problem.preset = inline, "
             f"not with the named preset {cfg.problem_preset!r}"
         )
+
+
+def named_preset(cfg: RunConfig):
+    """The preset a config names. A config file may set no other
+    ``problem.*`` key (``RunConfig.from_text``), and a config built in code
+    may not set one away from its default: either is a ``ConfigError``."""
+    preset = get_preset(cfg.problem_preset)
+    default = RunConfig()
+    changed = [k for k, a in RunConfig.keymap().items() if getattr(cfg, a) != getattr(default, a)]
+    _refuse_problem_keys(cfg, changed)
     return preset
 
 

@@ -1,4 +1,5 @@
-"""A priori bounds, the uniqueness criterion, and trajectory diagnostics.
+"""A priori bounds, the uniqueness criterion and the continuity diagnostic,
+which every report carries, and the exact lower-order form bound.
 
 The energy argument for the evolution problem yields two exponential-in-time
 bounds: a sup bound on the squared L2 norm and an energy bound on the time
@@ -138,12 +139,13 @@ def check_cauchy_bound(forms, c1: float, c2: float) -> tuple[float, bool]:
     |v* C u| <= c ||u||_E ||v||_E with E = K+ + M. The smallest such
     constant over the whole discrete space is the largest generalized
     singular value of C in the E-norm: sqrt(mu) for the largest mu of
-    C* E^-1 C x = mu E x. It comes from one sparse factor of E (``NotSPD``
-    if E is not positive definite) and ARPACK with one wanted pair and a
-    fixed start vector, or, when N <= 2, below ARPACK's smallest size, from
-    one dense generalized eigensolve of the pair formed with that factor.
-    Returns the constant and whether it stays below c (with roundoff
-    headroom).
+    C* E^-1 C x = mu E x, the largest eigenvalue of E^-1 C* E^-1 C. It
+    comes from one sparse factor of E (``NotSPD`` if E is not positive
+    definite) and ARPACK in standard mode on that operator, with one wanted
+    eigenvalue and a fixed start vector, or, when N <= 2, below ARPACK's
+    smallest size, from one dense generalized eigensolve of the pair formed
+    with that factor. Returns the constant and whether it stays below c
+    (with roundoff headroom).
     """
     C = forms.first_order
     n = forms.N
@@ -156,13 +158,10 @@ def check_cauchy_bound(forms, c1: float, c2: float) -> tuple[float, bool]:
             mu = sla.eigh(CH @ solve(C.toarray()), E.toarray(), eigvals_only=True)[-1]
         else:
             dtype = np.result_type(C.dtype, E.dtype)
-            normal = spla.LinearOperator((n, n), matvec=lambda x: CH @ solve(C @ x), dtype=dtype)
-            e_inv = spla.LinearOperator((n, n), matvec=solve, dtype=dtype)
+            op = spla.LinearOperator((n, n), matvec=lambda x: solve(CH @ solve(C @ x)), dtype=dtype)
             v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
             try:
-                (mu,) = spla.eigsh(
-                    normal, 1, M=E, Minv=e_inv, which="LM", v0=v0, return_eigenvectors=False
-                )
+                (mu,) = spla.eigs(op, 1, which="LM", v0=v0, return_eigenvectors=False)
             except spla.ArpackError as exc:
                 raise NoConvergence(f"ARPACK: {exc}") from exc
     ratio = float(np.sqrt(max(float(np.real(mu)), 0.0)))

@@ -1,15 +1,19 @@
+import ast
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ncparab import cli, integrator
 from ncparab.cli import export_matrix_coo, export_mesh, main
-from ncparab.config import RunConfig, build_problem, parse_domain
-from ncparab.errors import ConfigError
+from ncparab.config import RunConfig, build_problem, parse_domain, preset_problem
+from ncparab.errors import ConfigError, NoConvergence
+from ncparab.estimates import check_cauchy_bound
 from ncparab.meshing import build_mesh
 from ncparab.presets import PRESETS
 from ncparab.problem import Interval, Rectangle, UnitDiskPolygon
@@ -276,11 +280,20 @@ def test_named_preset_is_its_inline_twin(tmp_path, name):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_named_preset_rejects_problem_keys(tmp_path):
-    # a named preset would silently drop these keys; they are a config error
-    for extra in ("problem.u0 = csv:/no_dir/missing.csv", "problem.T = 0.3", "problem.f = sine_cos"):
-        cfg = _write_cfg(tmp_path, f"problem.preset = heat1d\n{extra}\n")
+def test_cli_named_preset_rejects_problem_keys(tmp_path, capsys):
+    # a named preset would silently drop these keys; they are a config error,
+    # also where the value equals the RunConfig default (the last three)
+    for preset, extra in (
+        ("heat1d", "problem.u0 = csv:/no_dir/missing.csv"),
+        ("heat1d", "problem.T = 0.3"),
+        ("heat1d", "problem.f = sine_cos"),
+        ("disk", "problem.T = 0.1"),
+        ("heat1d", "problem.s = none"),
+        ("disk", "problem.u0 = zero"),
+    ):
+        cfg = _write_cfg(tmp_path, f"problem.preset = {preset}\n{extra}\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert extra.split(" ")[0] in capsys.readouterr().err
     cfg = _write_cfg(tmp_path, "problem.domain = interval(0,1)\nproblem.s = all\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -289,6 +302,52 @@ def test_cli_named_preset_rejects_problem_keys(tmp_path):
     # keys left at their defaults, and every key outside problem.*, still load
     cfg = RunConfig.from_text(RunConfig(problem_preset="disk", basis_k=12).to_text())
     assert build_problem(cfg)[2] == 12
+
+
+# the forced-drift-1d benchmark workload: source, drift, energy and Cauchy checks
+_FORCED_DRIFT = (
+    "problem.preset = inline\nproblem.domain = interval(0,1)\n"
+    "problem.first_order = 0.5\nproblem.a0 = -0.2j\nproblem.s = all\nproblem.u0 = sine\n"
+    "problem.f = sine_cos\nproblem.T = 0.5\nmesh.resolution = 400\nbasis.k = 25\n"
+    "time.steps = 2000\ntime.theta = 1\nchecks.energy = true\nchecks.cauchy = true\n"
+)
+
+
+def test_arpack_failure_in_the_cauchy_check_is_no_convergence(tmp_path, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigs", no_convergence)
+    forms, _ = integrator.discretize(preset_problem("drift1d"), 20, 0)
+    with pytest.raises(NoConvergence, match="ARPACK"):
+        check_cauchy_bound(forms, 1.0, 0.0)
+    cfg = _write_cfg(tmp_path, _FORCED_DRIFT)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: NoConvergence: ARPACK" in err
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_every_config_key_is_read():
+    # a field that no code reads is a key that changes nothing; seed is kept
+    # for the --seed flag that existing commands pass (README)
+    reads = set()
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                node.body = []  # its own methods do not count
+        reads |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+    unread = {f.name for f in dataclasses.fields(RunConfig)} - reads
+    assert unread <= {"seed"}
 
 
 def test_cli_eigs(tmp_path):
@@ -822,6 +881,10 @@ EXIT_CODES = {
     "bad-domain": (["solve"], "problem.preset = inline\nproblem.domain = interval(1,0)\n", 2),
     "theta-above-one": (["solve"], "problem.preset = zero1d\ntime.theta = 2\n", 2),
     "jobs-on-solve": (["solve", "--jobs", "2"], "problem.preset = zero1d\n", 2),
+    # the checks that every report carries have no switch
+    "checks-bounds-key": (["solve"], "problem.preset = zero1d\nchecks.bounds = false\n", 2),
+    "checks-uniqueness-key": (["check"], "problem.preset = zero1d\nchecks.uniqueness = false\n", 2),
+    "checks-continuity-key": (["solve"], "problem.preset = zero1d\nchecks.continuity = true\n", 2),
 }
 
 

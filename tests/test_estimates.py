@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncparab import fields
-from ncparab.config import preset_problem
+from ncparab.config import RunConfig, build_problem, preset_problem
 from ncparab.errors import NotSPD
 from ncparab.estimates import (
     apriori_bounds,
@@ -205,6 +207,30 @@ def test_exact_cauchy_constant_matches_dense_svd():
     heat, _ = discretize(preset_problem("heat1d"), 20, 0)
     assert heat.first_order.count_nonzero() == 0
     assert check_cauchy_bound(heat, 0.0, 0.0) == (0.0, True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), a0=st.sampled_from(["-1", "-0.2j"]))
+@example(n=1, a0="-1")
+@example(n=2, a0="-1")
+@example(n=3, a0="-1")
+@example(n=2, a0="-0.2j")
+@example(n=3, a0="-0.2j")
+def test_exact_cauchy_constant_matches_dense_svd_at_every_size(n, a0):
+    # drift 0.5 with a0 = -1 gives a real C (ARPACK's real driver), with
+    # a0 = -0.2j a complex one; N <= 2 takes the dense branch
+    cfg = RunConfig(
+        problem_preset="inline",
+        problem_domain="interval(0,1)",
+        problem_first_order="0.5",
+        problem_a0=a0,
+        problem_s="all",
+    )
+    forms, _ = discretize(build_problem(cfg)[0], n + 1, 0)
+    assert forms.N == n
+    assert (forms.first_order.dtype.kind == "f") == (a0 == "-1")
+    ratio, _ = check_cauchy_bound(forms, 1.0, 0.0)
+    assert ratio == pytest.approx(_dense_cauchy(forms), rel=1e-10, abs=0.0)
 
 
 def test_cauchy_check_refuses_indefinite_energy_at_any_size():
