@@ -23,13 +23,13 @@ def table(title, rows):
 def main():
     rows = []
     for resolution in (25, 50, 100, 200):
-        err = solve_error_vs_oracle("heat1d", resolution, resolution, 0.5)
+        _, err = solve_error_vs_oracle("heat1d", resolution, resolution, 0.5)
         rows.append((resolution, resolution, err))
     table("space-time refinement, theta = 1/2 (expected order 2)", rows)
 
     rows = []
     for steps in (10, 20, 40, 80):
-        err = solve_error_vs_oracle("heat1d", 200, steps, 1.0)
+        _, err = solve_error_vs_oracle("heat1d", 200, steps, 1.0)
         rows.append((200, steps, err))
     table("time refinement, theta = 1 (expected order 1)", rows)
 

@@ -4,6 +4,8 @@ Subcommands: ``solve`` (full pipeline plus report), ``eigs`` (basis
 eigenvalues), ``convergence`` (refinement study against the exact solution),
 ``check`` (the ``solve`` report with the energy identity, report.csv only),
 ``sharpness`` (embedding series).
+The config file says what is computed; the flags say where it is written
+(``--out``, created if missing) and how it runs (``--jobs``).
 Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
 3 numerical failure, 4 internal error (any other exception; its traceback
 goes to stderr). Every output file, the mesh and matrix exports included,
@@ -173,7 +175,6 @@ def run_solve(
 ) -> int:
     """Solve and check one problem. ``report_only`` writes report.csv alone,
     without the trajectory and the final solution."""
-    os.makedirs(out_dir, exist_ok=True)
     spec, resolution, k, steps = build_problem(cfg)
     forms, basis = discretize(spec, resolution, k)
     trajectory = solve_evolution(spec, forms, basis, basis.size, steps, cfg.time_theta)
@@ -216,7 +217,6 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
 
 
 def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     spec, resolution, k, _ = build_problem(cfg)
     _, basis = discretize(spec, resolution, k)
     _write_table(
@@ -229,17 +229,15 @@ def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     return 0
 
 
-def solve_error_vs_oracle(preset_name: str, resolution: int, steps: int, theta: float):
-    """Relative L2 error against the preset oracle at final time.
+def solve_error_vs_oracle(
+    preset_name: str, resolution: int, steps: int, theta: float
+) -> tuple[float, float]:
+    """Mesh size h and relative L2 error against the preset oracle at final
+    time.
 
     The Galerkin solution with the full basis (k = N) is the nodal theta
     scheme, so no eigenbasis is computed.
     """
-    return _nodal_level(preset_name, resolution, steps, theta)[1]
-
-
-def _nodal_level(preset_name: str, resolution: int, steps: int, theta: float):
-    """Mesh size h and ``solve_error_vs_oracle`` of one level."""
     preset = get_preset(preset_name)
     if preset.oracle is None:
         raise NoOracle(f"preset {preset_name!r} has no exact solution")
@@ -263,7 +261,7 @@ def _convergence_level(args) -> tuple[float, float]:
         forms, basis = discretize(preset_problem(preset_name), resolution, 3)
         exact = get_preset(preset_name).spectrum(basis.size)
         return forms.mesh.size, float(np.max(np.abs(basis.eigenvalues - exact) / exact))
-    return _nodal_level(preset_name, resolution, steps, theta)
+    return solve_error_vs_oracle(preset_name, resolution, steps, theta)
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
@@ -271,7 +269,6 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
     processes; ``jobs`` below 1 is a usage error (``ConfigError``)."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    os.makedirs(out_dir, exist_ok=True)
     preset = named_preset(cfg)
     mode = cfg.convergence_mode
     if preset.oracle is None or (mode == "eigs" and preset.spectrum is None):
@@ -322,7 +319,6 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
 
 
 def run_sharpness(cfg: RunConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     terms = cfg.sharpness_terms
     if cfg.sharpness_epsilon > 0.0:
         epsilon = cfg.sharpness_epsilon
@@ -354,9 +350,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "eigs", "convergence", "check", "sharpness"):
-        p = sub.add_parser(name)
+        # no abbreviations: a removed flag such as --s must not read as --seed
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="path to a key-value config file")
-        p.add_argument("--out", default=None, help="output directory (default: output.dir)")
+        p.add_argument("--out", default="out", help="output directory, created if missing")
         # accepted for existing scripts; no computation draws random numbers
         p.add_argument("--seed", type=int, default=None)
         if name == "convergence":
@@ -365,25 +362,16 @@ def main(argv=None) -> int:
             p.add_argument("--export-mesh", action="store_true")
         if name == "eigs":
             p.add_argument("--vectors", action="store_true")
-        if name == "sharpness":
-            p.add_argument("--s", type=float, default=None)
-            p.add_argument("--epsilon", type=float, default=None)
-            p.add_argument("--terms", type=int, default=None)
 
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out_dir = args.out if args.out is not None else cfg.output_dir
+        out_dir = args.out
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:  # an existing file, say: the flag is at fault
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         if args.command == "sharpness":
-            if args.s is not None:
-                cfg.sharpness_s = args.s
-            if args.epsilon is not None:
-                cfg.sharpness_epsilon = args.epsilon
-            if args.terms is not None:
-                cfg.sharpness_terms = args.terms
-            cfg.validate()
             return run_sharpness(cfg, out_dir)
         if args.command == "solve":
             return run_solve(cfg, out_dir, write_mesh=args.export_mesh)

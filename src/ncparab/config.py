@@ -2,7 +2,9 @@
 
 The format is one ``section.key = value`` pair per line with ``#`` comments,
 chosen over positional flags so numerical experiments stay auditable. A
-config serializes back to text and round-trips unchanged.
+config says what is computed, and each key is set at most once; where the
+results go and how the run is carried out are command-line flags. A config
+serializes back to text and round-trips unchanged.
 
 ``build_problem`` is the one path from named data to a ``ProblemSpec``: the
 ``problem.*`` keys name the domain, the coefficients, S, u0 and f from a
@@ -46,8 +48,6 @@ class RunConfig:
     sharpness_s: float = 0.75
     sharpness_epsilon: float = 0.0  # 0 means derive the witness from s
     sharpness_terms: int = 100_000
-    output_dir: str = "out"
-    seed: int = 0
 
     _KEYMAP = None
 
@@ -72,7 +72,7 @@ class RunConfig:
     def from_text(cls, text: str) -> "RunConfig":
         cfg = cls()
         keymap = cls.keymap()
-        keys = []
+        lines = {}  # key -> the line that set it
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -82,14 +82,16 @@ class RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in keymap:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            keys.append(key)
+            if key in lines:
+                raise ConfigError(f"line {lineno}: {key} is already set on line {lines[key]}")
+            lines[key] = lineno
             attr = keymap[key]
             try:
                 setattr(cfg, attr, _parse_value(value, type(getattr(cfg, attr))))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
         cfg.validate()
-        _refuse_problem_keys(cfg, keys)
+        _refuse_problem_keys(cfg, lines)
         return cfg
 
     @classmethod
@@ -178,8 +180,10 @@ def _selector_from_name(name: str, domain):
     if key in ("left", "right"):
         if not isinstance(domain, Interval):
             raise ConfigError(f"S selector {name!r} requires an interval domain")
+        # an interval's facets are its end nodes, which the mesh places
+        # exactly at a and b
         target = domain.a if key == "left" else domain.b
-        return lambda x: np.isclose(x, target)
+        return lambda x: x == target
     raise ConfigError(f"unknown S selector {name!r}")
 
 

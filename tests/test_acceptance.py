@@ -64,7 +64,7 @@ def test_criterion_1_manufactured_convergence():
     start = time.time()
     resolutions = (25, 50, 100, 200)
     errors = [
-        solve_error_vs_oracle("heat1d", res, res, 0.5) for res in resolutions
+        solve_error_vs_oracle("heat1d", res, res, 0.5)[1] for res in resolutions
     ]  # dt = h/10 makes steps = resolution at T = 0.1
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(3)]
     elapsed = time.time() - start

@@ -41,7 +41,6 @@ def test_config_round_trip_modified():
         time_theta=1.0 / 3.0,
         checks_energy=True,
         sharpness_s=0.6180339887498949,
-        seed=42,
     )
     text = cfg.to_text()
     assert "time.theta = " in text and "problem.preset = disk" in text
@@ -65,14 +64,45 @@ def test_config_comments_and_blanks_ignored():
 
 
 def test_config_output_dir_used_without_flag(tmp_path, monkeypatch):
+    # the output directory comes only from --out, whose default is ./out
     monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(
-        tmp_path,
-        "problem.preset = zero1d\nmesh.resolution = 8\nbasis.k = 4\ntime.steps = 10\n"
-        "output.dir = fromcfg\n",
+        tmp_path, "problem.preset = zero1d\nmesh.resolution = 8\nbasis.k = 4\ntime.steps = 10\n"
     )
     assert main(["solve", "--config", cfg]) == 0
-    assert (tmp_path / "fromcfg" / "trajectory.csv").exists()
+    assert sorted(os.listdir(tmp_path / "out")) == sorted(_RESULT_CSVS)
+
+
+def test_out_that_cannot_be_created_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out in (taken, taken / "below"):
+        assert main(["sharpness", "--out", str(out)]) == 2
+        assert f"config error: cannot create output directory {out}" in capsys.readouterr().err
+    assert taken.read_text() == "a file\n"
+
+
+def test_config_key_set_twice_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: time.steps is already set on line 1"):
+        RunConfig.from_text("time.steps = 10\n# again\ntime.steps = 10\n")
+
+
+@pytest.mark.parametrize(
+    "domain, side", [("interval(1e6,1000001)", "right"), ("interval(0,1e-9)", "left")]
+)
+def test_one_sided_s_tags_one_end_of_any_interval(tmp_path, domain, side):
+    # an absolute tolerance would also tag the other end: the far end of a
+    # short interval, or the near end of a unit interval far from 0
+    cfg = _write_cfg(
+        tmp_path,
+        f"problem.preset = inline\nproblem.domain = {domain}\nproblem.s = {side}\n"
+        "problem.u0 = sine\nmesh.resolution = 8\nbasis.k = 3\ntime.steps = 5\n",
+    )
+    out = tmp_path / "out"
+    main(["solve", "--config", cfg, "--out", str(out), "--export-mesh"])
+    _, rows = _read_csv(out / "facets.csv")
+    tags = {int(n0): tag for _, n0, tag in rows}
+    assert tags == ({0: "S", 8: "robin"} if side == "left" else {0: "robin", 8: "S"})
 
 
 def test_parse_domain_variants():
@@ -329,8 +359,7 @@ def test_arpack_failure_in_the_cauchy_check_is_no_convergence(tmp_path, monkeypa
 
 
 def test_every_config_key_is_read():
-    # a field that no code reads is a key that changes nothing; seed is kept
-    # for the --seed flag that existing commands pass (README)
+    # a field that no code reads is a key that changes nothing
     reads = set()
     package = os.path.dirname(cli.__file__)
     for name in sorted(os.listdir(package)):
@@ -347,7 +376,43 @@ def test_every_config_key_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         }
     unread = {f.name for f in dataclasses.fields(RunConfig)} - reads
-    assert unread <= {"seed"}
+    assert unread == set()
+
+
+def test_every_flag_is_read():
+    # a flag that main never reads changes nothing; --seed is the one kept,
+    # because existing commands pass it (README)
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    dests, reads = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            dest = [kw.value.value for kw in node.keywords if kw.arg == "dest"]
+            dests.add(dest[0] if dest else node.args[0].value.lstrip("-").replace("-", "_"))
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+            and isinstance(node.ctx, ast.Load)
+        ):
+            reads.add(node.attr)
+    assert {"config", "out", "jobs", "export_mesh", "vectors"} <= dests
+    assert dests - reads == {"seed"}
+
+
+@pytest.mark.parametrize("command", ["solve", "check", "eigs", "convergence", "sharpness"])
+def test_seed_flag_is_accepted_and_changes_nothing(tmp_path, command):
+    text = {
+        "convergence": "problem.preset = heat1d\nconvergence.levels = 2\nmesh.resolution = 10\n",
+        "sharpness": "sharpness.terms = 50\n",
+    }.get(command, "problem.preset = zero1d\nmesh.resolution = 8\nbasis.k = 4\ntime.steps = 5\n")
+    cfg = _write_cfg(tmp_path, text)
+    outputs = []
+    for seed in ([], ["--seed", "7"]):
+        out = tmp_path / str(len(outputs))
+        status = main([command, "--config", cfg, "--out", str(out), *seed])
+        outputs.append((status, {p.name: p.read_bytes() for p in sorted(out.iterdir())}))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 def test_cli_eigs(tmp_path):
@@ -473,9 +538,15 @@ def test_cli_solve_export_mesh_and_inline_disk(tmp_path):
     assert all(r[3] == "robin" for r in rows)
 
 
+def _sharpness(tmp_path, text):
+    """Exit code of ``sharpness`` on a config of ``text`` into tmp_path/out."""
+    cfg = _write_cfg(tmp_path, text)
+    return main(["sharpness", "--config", cfg, "--out", str(tmp_path / "out")])
+
+
 def test_cli_sharpness_witness(tmp_path):
     out = str(tmp_path / "out")
-    assert main(["sharpness", "--out", out, "--s", "0.75", "--terms", "20000"]) == 0
+    assert _sharpness(tmp_path, "sharpness.s = 0.75\nsharpness.terms = 20000\n") == 0
     header, rows = _read_csv(os.path.join(out, "sharpness.csv"))
     assert header == ["N", "partial_A", "tail_A", "partial_B", "verdict"]
     assert rows[-1][4] == "diverges"
@@ -485,21 +556,20 @@ def test_cli_sharpness_witness(tmp_path):
 
 def test_cli_sharpness_stops_at_the_requested_terms(tmp_path):
     out = str(tmp_path / "out")
-    assert main(["sharpness", "--out", out, "--s", "0.75", "--terms", "50"]) == 0
+    assert _sharpness(tmp_path, "sharpness.s = 0.75\nsharpness.terms = 50\n") == 0
     _, rows = _read_csv(os.path.join(out, "sharpness.csv"))
     sizes = [int(r[0]) for r in rows]
     assert sizes[-1] == 50 and max(sizes) == 50
 
 
 def test_cli_sharpness_out_of_range(tmp_path):
-    assert main(["sharpness", "--out", str(tmp_path / "o"), "--s", "0.4"]) == 3
+    assert _sharpness(tmp_path, "sharpness.s = 0.4\n") == 3
 
 
 def test_cli_sharpness_explicit_epsilon_converging(tmp_path):
     out = str(tmp_path / "out")
-    assert main(
-        ["sharpness", "--out", out, "--s", "0.75", "--epsilon", "1.0", "--terms", "5000"]
-    ) == 0
+    text = "sharpness.s = 0.75\nsharpness.epsilon = 1.0\nsharpness.terms = 5000\n"
+    assert _sharpness(tmp_path, text) == 0
     _, rows = _read_csv(os.path.join(out, "sharpness.csv"))
     assert rows[-1][4] == "converges"
     assert np.isfinite(float(rows[-1][1]))
@@ -872,11 +942,20 @@ EXIT_CODES = {
     "step-matrix-overflow": (
         ["solve"], _INTERVAL + "problem.u0 = sine\nproblem.T = 1e-320\n", 3
     ),
-    "sharpness-epsilon-flag": (["sharpness", "--epsilon", "-1"], None, 2),
+    # the sharpness values come only from the config: a removed flag is a
+    # usage error, even with a valid value
+    "sharpness-epsilon-flag": (["sharpness", "--epsilon", "1.0"], None, 2),
     "sharpness-epsilon-key": (["sharpness"], "sharpness.epsilon = -1\n", 2),
-    "sharpness-terms-flag": (["sharpness", "--terms", "0"], None, 2),
+    "sharpness-terms-flag": (["sharpness", "--terms", "5000"], None, 2),
     "sharpness-terms-key": (["sharpness"], "sharpness.terms = 0\n", 2),
-    "sharpness-s-out-of-range": (["sharpness", "--s", "0.4"], None, 3),
+    "sharpness-s-flag": (["sharpness", "--s", "0.75"], None, 2),
+    "abbreviated-flag": (["sharpness", "--s", "1"], None, 2),  # not --seed 1
+    "sharpness-s-out-of-range": (["sharpness"], "sharpness.s = 0.4\n", 3),
+    # the output directory comes only from --out, and no key is a seed
+    "output-dir-key": (["solve"], "problem.preset = zero1d\noutput.dir = elsewhere\n", 2),
+    "seed-key": (["solve"], "problem.preset = zero1d\nseed = 7\n", 2),
+    "key-set-twice": (["solve"], "problem.preset = zero1d\ntime.steps = 10\ntime.steps = 20\n", 2),
+    "out-is-a-file": (["solve", "--out", "{one}"], "problem.preset = zero1d\n", 2),
     "unknown-preset": (["solve"], "problem.preset = nosuch\n", 2),
     "bad-domain": (["solve"], "problem.preset = inline\nproblem.domain = interval(1,0)\n", 2),
     "theta-above-one": (["solve"], "problem.preset = zero1d\ntime.theta = 2\n", 2),
@@ -895,7 +974,9 @@ def _exit_code_case(tmp_path, name):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     one.write_text("x,re,im\n0.0,1.0,0.0\n1.0,1.0,0.0\n")
     two.write_text("x,y,re,im\n0.0,0.0,1.0,0.0\n1.0,1.0,1.0,0.0\n")
-    argv = argv + ["--out", str(tmp_path / "o")]
+    argv = [arg.format(one=one) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
     if text is not None:
         argv += ["--config", _write_cfg(tmp_path, text.format(one=one, two=two))]
     return argv, code
