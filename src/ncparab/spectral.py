@@ -3,15 +3,15 @@
 The basis vectors solve ``K+ h = lambda M h`` on the free dofs. They are
 normalized so that each is a unit vector of the energy product, which makes
 them orthonormal there and orthogonal (with norms 1/lambda) in L2. A basis
-of a few pairs comes from shift-invert Lanczos on the sparse pencil; a basis
-of a sizeable share of the spectrum from one dense generalized LAPACK call.
-A pencil with real entries, which real coefficients give, stays in real
-arithmetic in both kernels and has real eigenvectors. Both kernels fix
-signs deterministically so repeated runs emit identical output; the
-vectors are sorted, sign-fixed and scaled in place. M is taken to be
-positive definite, as ``assembly.assemble_forms`` checks on the mesh, so
-shift-invert factors only the shifted pencil, and lets it go when ARPACK
-returns.
+of a few pairs comes from ``arpack``, the package's one ARPACK call, on
+(K+ - sigma M)^-1 M and a Rayleigh-Ritz step; a basis of a sizeable share
+of the spectrum from one dense generalized LAPACK call. A pencil with real
+entries, which real coefficients give, stays in real arithmetic in both
+kernels and has real eigenvectors. Both kernels fix signs
+deterministically so repeated runs emit identical output; the vectors are
+sorted, sign-fixed and scaled in place. M is taken to be positive
+definite, as ``assembly.assemble_forms`` checks on the mesh, so the sparse
+kernel factors only the shifted pencil, and lets it go when ARPACK returns.
 
 Every sparse factor of the package comes from ``factor``, in the matrix's
 own dtype, by one of two kernels picked from the matrix's pattern alone: a
@@ -196,33 +196,45 @@ def factor(mat, name: str, hermitian: bool = False):
     return solve
 
 
-def _shift_invert(K, M, count: int):
-    """``count`` pairs nearest a negative shift sigma, by ARPACK: real
-    symmetric Lanczos for a real pencil, its complex routine otherwise.
-
-    With M definite and K+ semidefinite, K+ - sigma M is definite for every
-    sigma < 0 and the pairs nearest sigma are the smallest. |sigma| is
-    sqrt(eps) times the mean diagonal ratio tr K / tr M, which is of the
-    order of the largest eigenvalue: enough to keep the factor well
-    conditioned when K+ is singular, and far below the smallest eigenvalue
-    on the shipped meshes, so the shifted spectrum stays well separated.
-
-    ARPACK reaches the factor only through ``solves``, which is emptied when
-    it returns: its complex driver holds the operator in a reference cycle,
-    which would keep the factor alive until the next cyclic collection.
-    """
-    sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
-    shifted = K - sigma * M
-    solves = [factor(shifted, "shifted pencil K+ - sigma M", hermitian=True)]
-    operator = spla.LinearOperator(K.shape, matvec=lambda x: solves[0](x), dtype=shifted.dtype)
-    del shifted
-    v0 = np.random.default_rng(0).standard_normal(K.shape[0])
-    try:
-        return spla.eigsh(K, count, M, sigma=sigma, which="LM", v0=v0, OPinv=operator)
+def arpack(apply, n: int, dtype, count: int):
+    """The ``count`` largest-modulus eigenpairs ``(w, X)`` of the map
+    ``apply`` on vectors of length ``n`` and type ``dtype``: ``eigs`` in
+    standard mode, which forms no reference cycle, from the package's one
+    start vector. Its failure is ``NoConvergence``. For n <= 2, below
+    ARPACK's smallest size, a dense eigensolve of ``apply`` on the identity."""
+    if n <= 2:
+        w, X = np.linalg.eig(apply(np.eye(n, dtype=dtype)))
+        keep = np.argsort(-np.abs(w), kind="stable")[:count]
+        return w[keep], X[:, keep]
+    v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+    try:  # which="LM", the largest modulus, is the default of eigs
+        return spla.eigs(spla.LinearOperator((n, n), matvec=apply, dtype=dtype), count, v0=v0)
     except spla.ArpackError as exc:
         raise NoConvergence(f"ARPACK: {exc}") from exc
-    finally:
-        solves.clear()
+
+
+def _shift_invert(K, M, count: int):
+    """``count`` pairs nearest a negative shift sigma: ``arpack`` on
+    (K+ - sigma M)^-1 M, whose largest eigenvalues are 1/(lambda - sigma),
+    then one k x k Rayleigh-Ritz step with K+ and M, which makes the Ritz
+    vectors M-orthonormal. A real pencil keeps real vectors (or ``NoConvergence``).
+
+    With M definite and K+ semidefinite, K+ - sigma M is definite for every
+    sigma < 0, and the pairs nearest sigma are the smallest. |sigma| =
+    sqrt(eps) tr K / tr M, of the order of the largest eigenvalue, keeps the
+    factor well conditioned when K+ is singular and the shifted spectrum well
+    separated: it lies far below the smallest eigenvalue on the shipped meshes.
+    """
+    sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
+    solve = factor(K - sigma * M, "shifted pencil K+ - sigma M", hermitian=True)
+    real = np.result_type(K.dtype, M.dtype).kind != "c"
+    _, X = arpack(lambda x: solve(M @ x), K.shape[0], float if real else complex, count)
+    del solve
+    if real and np.any(X.imag):
+        raise NoConvergence("ARPACK gave a Ritz vector that is not real for a real pencil")
+    X = X.real.copy() if real else X
+    w, Y = sla.eigh(X.conj().T @ (K @ X), X.conj().T @ (M @ X))
+    return w, X @ Y
 
 
 def _dense_eigh(K, M, count: int):
@@ -241,9 +253,9 @@ def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
     (``NULL_FLOOR``), that is when K+ is singular.
 
     M must be Hermitian positive definite, as every assembled mass matrix
-    is (``assembly.assemble_forms`` checks it on the mesh). The dense
-    kernel refuses any other M (``NotSPD``, from LAPACK); the sparse kernel
-    does not check it."""
+    is (``assembly.assemble_forms`` checks it on the mesh). The dense kernel
+    refuses any other M (``NotSPD``, from LAPACK); the sparse kernel checks
+    it only on its Ritz vectors (scipy's ``LinAlgError``)."""
     K = sp.csc_matrix(k_plus)
     M = sp.csc_matrix(mass)
     if not (np.all(np.isfinite(K.data)) and np.all(np.isfinite(M.data))):
@@ -253,7 +265,7 @@ def generalized_eigenbasis(k_plus, mass, count: int) -> EigenBasis:
     order = np.argsort(w, kind="stable")
     w = w[order]
     # the basis is column-major, and this is the one copy of the vectors at
-    # most (real ARPACK returns them row-major); the rest works in place
+    # most (the sparse kernel returns them row-major); the rest works in place
     V = np.asfortranarray(V if np.array_equal(order, np.arange(len(w))) else V[:, order])
     _fix_signs(V)
     w, V = _tie_break(w, V)

@@ -930,6 +930,11 @@ def test_cli_convergence_runs_at_most_one_worker_per_level(tmp_path, monkeypatch
 _INTERVAL = "problem.preset = inline\nproblem.domain = interval(0,1)\n"
 _RECTANGLE = "problem.preset = inline\nproblem.domain = rectangle(0,1,0,1)\n"
 _HEAT = "problem.preset = heat1d\nconvergence.levels = 2\nmesh.resolution = 10\n"
+_TINY = _INTERVAL + (
+    "problem.s = all\nproblem.u0 = sine\nmesh.resolution = 5\nbasis.k = 2\ntime.steps = 4\n"
+)
+_HUGE_C1 = _TINY + "problem.first_order = 1e200\n"
+_HUGE_GRONWALL = _TINY + "problem.a0 = -5\nproblem.T = 1e300\n"
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table
@@ -942,6 +947,12 @@ EXIT_CODES = {
     "step-matrix-overflow": (
         ["solve"], _INTERVAL + "problem.u0 = sine\nproblem.T = 1e-320\n", 3
     ),
+    # an infinite c1 or Gronwall factor is an infinite bound, not a crash;
+    # both runs fail the uniqueness condition
+    "first-order-overflow-solve": (["solve"], _HUGE_C1, 1),
+    "first-order-overflow-check": (["check"], _HUGE_C1, 1),
+    "gronwall-overflow-solve": (["solve"], _HUGE_GRONWALL, 1),
+    "gronwall-overflow-check": (["check"], _HUGE_GRONWALL, 1),
     # the sharpness values come only from the config: a removed flag is a
     # usage error, even with a valid value
     "sharpness-epsilon-flag": (["sharpness", "--epsilon", "1.0"], None, 2),
@@ -994,12 +1005,25 @@ def test_cli_exit_code_contract(tmp_path, name, capsys):
     assert "Traceback" not in err and "internal error" not in err
 
 
-def test_cli_exit_code_contract_in_a_child_process(tmp_path):
-    # the real process status, with every warning an error as in the suite
-    argv, code = _exit_code_case(tmp_path, "step-matrix-overflow")
+def _exit_code_case_in_a_child(tmp_path, name):
+    """The stderr of one EXIT_CODES case run as ``python -W error``, after
+    checking its real process status and that no traceback escaped."""
+    argv, code = _exit_code_case(tmp_path, name)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "ncparab.cli", *argv],
         capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == code, proc.stderr
-    assert "Traceback" not in proc.stderr and "SingularStepMatrix" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def test_cli_exit_code_contract_in_a_child_process(tmp_path):
+    # the real process status, with every warning an error as in the suite
+    assert "SingularStepMatrix" in _exit_code_case_in_a_child(tmp_path, "step-matrix-overflow")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in EXIT_CODES if "-overflow-" in name))
+def test_overflowing_constants_exit_1_in_a_child_process(tmp_path, name):
+    # no overflow warning escapes the bounds: the run reports and exits 1
+    assert _exit_code_case_in_a_child(tmp_path, name) == ""

@@ -1,6 +1,8 @@
+import ast
 import gc
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncparab import spectral
 from ncparab.config import preset_problem
 from ncparab.errors import NoConvergence, NotSPD, SingularStepMatrix
+from ncparab.estimates import check_cauchy_bound
 from ncparab.integrator import discretize
 from ncparab.presets import PRESETS
 from ncparab.spectral import (
@@ -102,8 +105,9 @@ def gc_disabled():
 
 @pytest.mark.parametrize("preset", ["disk", "robin_rect"])
 def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, monkeypatch, gc_disabled):
-    # the complex pencil (disk) goes through ARPACK's complex driver, which
-    # holds the operator in a reference cycle; the real one (robin_rect) does not
+    # the complex pencil (disk) and the real one (robin_rect): ARPACK in
+    # standard mode forms no reference cycle, so reference counting alone
+    # frees the factor and the Arnoldi workspace
     forms, _ = discretize(preset_problem(preset), 8, 0)
     solves = []
 
@@ -120,9 +124,11 @@ def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, mon
         return solve
 
     monkeypatch.setattr(spectral, "factor", recording)
+    gc.collect()
     basis = generalized_eigenbasis(forms.k_plus, forms.mass, 4)
     assert basis.size == 4 and solves
     assert all(solve() is None for solve in solves)
+    assert gc.collect() == 0
 
 
 def test_eigenbasis_makes_no_extra_copies_of_the_basis(gc_disabled):
@@ -196,12 +202,104 @@ def test_in_place_post_processing_matches_the_copies_byte_for_byte(n, groups, se
 
 
 def test_arpack_failure_is_no_convergence(monkeypatch):
+    # one patch reaches both eigenvalue problems of the package: the sparse
+    # eigenbasis and the exact Cauchy constant
     def fail(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((40, 0)))
 
-    monkeypatch.setattr(spectral.spla, "eigsh", fail)
-    with pytest.raises(NoConvergence):
+    monkeypatch.setattr(spectral.spla, "eigs", fail)
+    with pytest.raises(NoConvergence, match="ARPACK"):
         generalized_eigenbasis(np.eye(40, dtype=complex), np.eye(40), 2)
+    forms, _ = discretize(preset_problem("drift1d"), 20, 0)
+    with pytest.raises(NoConvergence, match="ARPACK"):
+        check_cauchy_bound(forms, 1.0, 0.0)
+
+
+def test_ritz_vector_that_is_not_real_for_a_real_pencil_is_no_convergence(monkeypatch):
+    # the imaginary part is refused, not dropped
+    eigs = spla.eigs
+
+    def tilted(*args, **kwargs):
+        w, X = eigs(*args, **kwargs)
+        return w, X + 1e-3j
+
+    K = np.diag(np.arange(1.0, 41.0))
+    assert generalized_eigenbasis(K, np.eye(40), 2).vectors.dtype == np.float64
+    monkeypatch.setattr(spectral.spla, "eigs", tilted)
+    with pytest.raises(NoConvergence, match="not real"):
+        generalized_eigenbasis(K, np.eye(40), 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=1, complex_=False, seed=0)
+@example(n=2, complex_=True, seed=0)
+@example(n=3, complex_=True, seed=0)
+def test_arpack_matches_dense_generalized_eigh(n, complex_, seed):
+    # the largest-modulus eigenvalue of E^-1 A, A Hermitian and E Hermitian
+    # positive definite; n <= 2 takes the dense branch
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        B = rng.standard_normal((n, n))
+        return B + 1j * rng.standard_normal((n, n)) if complex_ else B
+
+    B, G = draw(), draw()
+    A, E = B + B.conj().T, G @ G.conj().T + n * np.eye(n)
+    (mu,), X = spectral.arpack(lambda x: sla.solve(E, A @ x), n, A.dtype, 1)
+    w = sla.eigh(A, E, eigvals_only=True)
+    assert abs(mu) == pytest.approx(np.max(np.abs(w)), rel=1e-10, abs=0.0)
+    assert abs(mu.imag) <= 1e-10 * abs(mu)
+    x = X[:, 0]
+    assert np.linalg.norm(A @ x - mu * (E @ x)) <= 1e-9 * np.linalg.norm(A) * np.linalg.norm(x)
+
+
+def test_sparse_kernel_is_orthonormal_to_roundoff_on_the_degenerate_disk():
+    # disk-degenerate's pencil: N = 1153, k = 30, complex, with repeated
+    # eigenvalues; generalized shift-invert Lanczos read 1.2e-12 here
+    forms, _ = discretize(preset_problem("disk"), 24, 0)
+    assert 30 * SPARSE_SHARE <= forms.N
+    basis = generalized_eigenbasis(forms.k_plus, forms.mass, 30)
+    rep = verify_orthogonality(basis, forms.k_plus, forms.mass)
+    assert rep.max_plus_residual <= 1e-12
+    assert rep.max_mass_offdiag <= 1e-12
+
+
+def _imported_modules(tree):
+    """The absolute module names that ``tree`` imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+
+
+def test_arpack_and_superlu_are_named_only_in_spectral():
+    # one eigensolver module: ARPACK's routines, its error and SuperLU's
+    # factor are named only in spectral.py, eigs once and eigsh nowhere,
+    # and estimates imports no scipy module
+    watched = {"eigs", "eigsh", "ArpackError", "splu"}
+    named = {}
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name in watched:
+                named.setdefault(name, []).append(path.name)
+        if path.name == "estimates.py":
+            assert not [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"]
+    assert named == {
+        "eigs": ["spectral.py"],
+        "ArpackError": ["spectral.py"],
+        "splu": ["spectral.py"],
+    }
 
 
 # (lo, hi) mesh resolutions per preset: N from 19 to 385

@@ -73,7 +73,7 @@ def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_pat
         if getattr(module, "factor", None) is factor:
             monkeypatch.setattr(module, "factor", counting)
     monkeypatch.setattr(spla, "splu", recording)
-    monkeypatch.setattr(sys.modules[spla.eigsh.__module__], "splu", recording)
+    monkeypatch.setattr(sys.modules[spla.eigs.__module__], "splu", recording)
     counts, superlu, kinds = {}, {}, {}
     for name, workload in sorted(workloads.WORKLOADS.items()):
         factored.clear()
