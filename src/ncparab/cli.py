@@ -34,6 +34,7 @@ from .estimates import (
     compute_constants,
 )
 from .integrator import (
+    ENERGY_TOL,
     discretize,
     energy_identity_residuals,
     reconstruct_solution,
@@ -156,7 +157,7 @@ def _run_estimates(cfg: RunConfig, spec, trajectory) -> tuple[list, bool]:
     ok = report.bounds_ok and uniq_ok
     if cfg.checks_energy:
         res = energy_identity_residuals(trajectory)
-        energy_ok = bool(np.max(res) <= 1e-9) if len(res) else True
+        energy_ok = bool(np.max(res) <= ENERGY_TOL) if len(res) else True
         rows += [
             ["energy_residual_max", _fmt(float(np.max(res)) if len(res) else 0.0)],
             ["energy_residual_pass", _fmt(energy_ok)],

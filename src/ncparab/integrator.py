@@ -7,28 +7,19 @@ the weak problem into a k-dimensional linear ODE system
 
 where ``Chat`` pairs the lower-order form against the basis and
 ``d_i`` is the squared L2 norm of the i-th basis vector, so the system is
-the pair (D, A) = (diag d, I + Chat). The system may be complex, and it is
-stepped in complex arithmetic with a one-parameter implicit theta scheme
-(theta = 1/2 Crank-Nicolson by default, theta = 1 backward Euler) by
-``evolve_theta``, which steps any pair (D, A). The coefficients do not
-depend on time, so the step matrix is factored once, by LAPACK, and each
-step applies a constant propagator.
-The source is called once per block of grid times; only the modal loads and
-the dual norms of each block are kept.
+the pair (D, A) = (diag d, I + Chat). It is stepped with a one-parameter
+implicit theta scheme (theta = 1/2 Crank-Nicolson by default, theta = 1
+backward Euler) by ``evolve_theta``, which steps any dense or sparse pair
+(D, A) and yields the state at each grid time, so that each caller keeps
+only what it needs of them. The coefficients do not depend on time, so the
+step matrix is factored once. The source is called once per block of grid
+times; only the modal loads and the dual norms of each block are kept.
 
 When the basis spans the whole finite element space (k = N), the modal
 system is the nodal system M u' + (K+ + C) u = F written in another basis.
-``solve_nodal`` steps that system directly with the same theta step over the
-sparse pair (M, K+ + C): one sparse factor of M/dt + theta (K+ + C)
-(``spectral.factor``) and one sparse product per step, with no eigensolve
-and no dense N x N array, and keeps only the current state and one block of
-loads. It runs in real arithmetic when the pair, the initial data and the
-loads are real. One more factor, of K+, checks that K+ is definite; M
-needs none, since assembly checks it on the mesh. When C vanishes the pair
-is (M, K+), both Hermitian positive definite, so the step matrix
-M/dt + theta K+ is too for every theta in [0, 1] and is factored as such
-(L D L^H in 1D, SuperLU's symmetric mode in 2D); otherwise with partial
-pivoting. The convergence studies take this path.
+``solve_nodal`` steps that system directly over the sparse pair
+(M, K+ + C), with no eigensolve and no dense N x N array, and keeps only
+the last state; the convergence studies take this path.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -40,8 +31,9 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -123,25 +115,6 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
     return (basis.vectors.conj().T @ Mu) / basis.mass_norms
 
 
-def _dense_factor(lhs):
-    """Solver for the dense modal step matrix, one LAPACK LU, refusing a
-    non-finite entry or a pivot below 1e-300. LAPACK's warning about an
-    exactly zero pivot is silenced: the SingularStepMatrix raised here
-    reports it."""
-    if not np.all(np.isfinite(lhs)):
-        raise SingularStepMatrix("implicit step matrix has a non-finite entry")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(lhs, overwrite_a=True)
-    if np.min(np.abs(np.diag(lu[0]))) < 1e-300:
-        raise SingularStepMatrix("implicit step matrix is singular")
-
-    def solve(b):
-        return sla.lu_solve(lu, b, overwrite_b=True)
-
-    return solve
-
-
 def evolve_theta(
     pair: tuple,
     g0: np.ndarray,
@@ -150,9 +123,11 @@ def evolve_theta(
     steps: int,
     loads: Optional[np.ndarray] = None,
     hermitian: bool = False,
-) -> np.ndarray:
-    """Theta-scheme states from ``g0`` on a uniform grid: all steps + 1 of
-    them (steps + 1, n) for a dense pair, the final one (n,) for a sparse pair.
+) -> Iterator[np.ndarray]:
+    """Theta-scheme states g_0, ..., g_steps from ``g0`` on a uniform grid,
+    yielded one at a time for a dense and a sparse pair alike; the step
+    matrix is factored at the first ``next``, so its errors come before any
+    state.
 
     Each step solves
 
@@ -160,79 +135,99 @@ def evolve_theta(
             = theta F_{m+1} + (1 - theta) F_m,
 
     that is lhs g_{m+1} = rhs g_m + q_m with lhs = D/dt + theta A,
-    rhs = D/dt - (1 - theta) A and q_m = theta F_{m+1} + (1 - theta) F_m.
-    ``pair`` is (D, A): the dense modal pair (diag d, I + Chat), the sparse
-    nodal pair (M, K+ + C), or (M, K+) when C vanishes.
-    ``loads`` holds F at the steps + 1 grid times, or None for a
-    source-free problem: a (steps + 1, n) array, or for a sparse pair also
-    any iterable of its consecutive row blocks.
-
-    A dense pair is stepped with the constant propagator P = lhs^-1 rhs and
-    the increments lhs^-1 q_m, all from one factorization; a sparse pair by
-    ``_step_sparse``. ``hermitian`` vouches that a sparse pair has D
-    Hermitian positive definite and A Hermitian positive semidefinite, as
-    ``solve_nodal`` knows of (M, K+): lhs is then Hermitian positive
-    definite for theta >= 0 and dt > 0 and is factored as such (``NotSPD``
-    if it is not). Any other sparse pair, a bare one included, gets partial
-    pivoting (``SingularStepMatrix``); a dense pair always gets LAPACK LU.
-    A step matrix with a non-finite entry, as D/dt is when dt is so small
-    that it overflows, is refused by the factor with the same error.
+    rhs = D/dt - (1 - theta) A and q_m from ``_theta_loads``. ``pair`` is
+    (D, A): the dense modal pair (diag d, I + Chat), stepped by
+    ``_step_dense``, or the sparse nodal pair (M, K+ + C), stepped by
+    ``_step_sparse``. ``loads`` holds F at the steps + 1 grid times, or None
+    for a source-free problem: a (steps + 1, n) array, which is one block,
+    or any iterable of its consecutive row blocks. ``hermitian`` vouches
+    that a sparse pair has D Hermitian positive definite and A Hermitian
+    positive semidefinite, as ``solve_nodal`` knows of (M, K+): lhs is then
+    Hermitian positive definite for theta >= 0 and dt > 0. A step matrix
+    with a non-finite entry, as D/dt is when dt is so small that it
+    overflows, is refused by the factor.
     """
     D, A = pair
     with np.errstate(over="ignore"):  # an infinite D/dt is refused with the factor
         lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
     del pair, D, A
+    increments = None if loads is None else _theta_loads(theta, loads)
     if sp.issparse(rhs):
-        return _step_sparse(lhs, rhs, g0, theta, steps, loads, hermitian)
-    solve = _dense_factor(lhs)
+        states = _step_sparse(lhs, rhs, g0, steps, increments, hermitian)
+    else:
+        states = _step_dense(lhs, rhs, g0, steps, increments)
+    del lhs, rhs  # the kernel lets them go once factored
+    yield from states
+
+
+def _theta_loads(theta: float, loads) -> Iterator[np.ndarray]:
+    """The increments q_m = theta F_{m+1} + (1 - theta) F_m, one array per
+    block of ``loads`` (an ndarray is one block): the q_m of a block need
+    only it and the last load of the block before."""
+    last = None
+    for F in [loads] if isinstance(loads, np.ndarray) else loads:
+        ext = F if last is None else np.concatenate([last[None], F])
+        yield theta * ext[1:] + (1.0 - theta) * ext[:-1]
+        last = ext[-1]
+
+
+def _step_dense(lhs, rhs, g0, steps: int, increments) -> Iterator[np.ndarray]:
+    """The theta recurrence over a dense pair in complex arithmetic, as
+    g_{m+1} = z_m + P g_m with the propagator P = lhs^-1 rhs and
+    z_m = lhs^-1 q_m (zero without loads), solved a block of increments at
+    a time, all from one LAPACK LU of lhs. The LU refuses a non-finite entry
+    or a pivot below 1e-300; LAPACK's warning about an exactly zero pivot is
+    silenced, since the SingularStepMatrix raised here reports it."""
+    if not np.all(np.isfinite(lhs)):
+        raise SingularStepMatrix("implicit step matrix has a non-finite entry")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(lhs, overwrite_a=True)
     del lhs
-    increments = None
-    if loads is not None:
-        increments = theta * loads[1:] + (1.0 - theta) * loads[:-1]
-    coeffs = np.zeros((steps + 1, len(g0)), dtype=complex)
-    coeffs[0] = g0
-    prop = solve(rhs)
+    if np.min(np.abs(np.diag(lu[0]))) < 1e-300:
+        raise SingularStepMatrix("implicit step matrix is singular")
+    prop = sla.lu_solve(lu, rhs, overwrite_b=True)
     del rhs
-    if increments is not None:
-        coeffs[1:] = solve(increments.T).T
-    del solve
-    for m in range(steps):
-        coeffs[m + 1] += prop @ coeffs[m]
-    return coeffs
+    g = np.array(g0, dtype=complex)
+    yield g
+    if increments is None:
+        rows = itertools.repeat(np.zeros(len(g), dtype=complex), steps)
+    else:
+        rows = itertools.chain.from_iterable(
+            sla.lu_solve(lu, q.T, overwrite_b=True).T for q in increments
+        )
+    for z in rows:
+        g = z + prop @ g
+        yield g
 
 
-def _step_sparse(lhs, rhs, g0, theta: float, steps: int, loads, hermitian: bool) -> np.ndarray:
+def _step_sparse(lhs, rhs, g0, steps: int, increments, hermitian: bool) -> Iterator[np.ndarray]:
     """The theta recurrence lhs g_{m+1} = rhs g_m + q_m over a sparse pair,
     carrying one state: one sparse factor of lhs, one product and one solve
-    per step. The loads come one row block at a time, and the increments
-    q_m of a block need only it and the last load of the previous one.
-    lhs is factored as Hermitian definite if ``hermitian`` (``?pttrf`` in
-    1D, where a solve costs about half of ``?gttrs``), with partial
-    pivoting otherwise.
-
-    The state dtype is picked once, from the pair, g0 and the first load
-    block, and lhs is factored in it, so real data step in real arithmetic.
-    The loads must then keep that dtype: a source is real or complex at
-    every time.
+    per step. lhs is factored as Hermitian definite if ``hermitian``
+    (``NotSPD`` if it is not; ``?pttrf`` in 1D, where a solve costs about
+    half of ``?gttrs``), with partial pivoting otherwise
+    (``SingularStepMatrix``). The state dtype is picked once, from the pair,
+    g0 and the first block of increments, and lhs is factored in it, so real
+    data step in real arithmetic; a source is then real or complex at every
+    time.
     """
-    blocks = (np.atleast_2d(F) for F in (() if loads is None else loads))
-    first = next(blocks, None)
+    first = None if increments is None else next(increments, None)
     dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))
     solve = factor(lhs.astype(dtype, copy=False), "implicit step matrix", hermitian=hermitian)
+    del lhs
     g = np.asarray(g0, dtype=dtype)
+    yield g
     if first is None:
-        for _ in range(steps):
-            g = solve(rhs @ g)
-        return g
-    last = first[0]
-    for F in itertools.chain([first[1:]], blocks):
-        ext = np.concatenate([last[None], F])
-        for q in theta * ext[1:] + (1.0 - theta) * ext[:-1]:
-            b = rhs @ g
+        rows = itertools.repeat(None, steps)
+    else:
+        rows = itertools.chain.from_iterable(itertools.chain([first], increments))
+    for q in rows:
+        b = rhs @ g
+        if q is not None:
             b += q
-            g = solve(b)
-        last = ext[-1]
-    return g
+        g = solve(b)
+        yield g
 
 
 def _load_blocks(source: Callable, forms: AssembledForms, times: np.ndarray):
@@ -297,18 +292,19 @@ def solve_evolution(
         modal_loads, dual_f_sq = _modal_loads(spec.source, forms, sub_basis.vectors, times)
     g0 = project_initial(u0, sub_basis, forms.mass)
     d = sub_basis.mass_norms
+    coeffs = np.zeros((time_steps + 1, k), dtype=complex)
     # the pair is built in the call, so the stepper can let it go
-    coeffs = evolve_theta(
+    states = evolve_theta(
         (np.diag(d), interaction + np.eye(k)), g0, theta, dt, time_steps, modal_loads
     )
+    for m, g in enumerate(states):
+        coeffs[m] = g
 
-    norm_plus_sq = np.sum(np.abs(coeffs) ** 2, axis=1)
-    norm_l2_sq = np.sum(d[None, :] * np.abs(coeffs) ** 2, axis=1)
     return GalerkinTrajectory(
         times=times,
         coefficients=coeffs,
-        norm_plus_sq=norm_plus_sq,
-        norm_l2_sq=norm_l2_sq,
+        norm_plus_sq=np.sum(np.abs(coeffs) ** 2, axis=1),
+        norm_l2_sq=np.sum(d[None, :] * np.abs(coeffs) ** 2, axis=1),
         dual_f_sq=dual_f_sq,
         theta=theta,
         initial=u0,
@@ -324,16 +320,17 @@ def solve_nodal(
 ) -> np.ndarray:
     """Reduced nodal state (N,) at T of M u' + (K+ + C) u = F on [0, T].
 
-    This is the Galerkin solution with k = N: the same theta step as
-    ``evolve_theta`` over the nodal pair (M, K+ + C), started from the nodal
-    u0, which the full basis would reproduce exactly. Without the eigenbasis
-    the definiteness of K+ is checked by its factor, as the eigensolver's
-    roundoff floor would (``NotSPD``); M is definite by the mesh check of
-    ``assemble_forms``. When C vanishes the pair is (M, K+), both Hermitian
-    positive definite, so the step matrix M/dt + theta K+ is too and is
-    factored as such; with C it is factored with partial pivoting. The
-    loads are stepped through block by block, so at most LOAD_BLOCK of them
-    are held at once.
+    This is the Galerkin solution with k = N: ``evolve_theta`` over the
+    nodal pair (M, K+ + C) from the nodal u0, which the full basis would
+    reproduce exactly, keeping the last state and one block of LOAD_BLOCK
+    loads. It runs in real arithmetic when the pair, u0 and the loads are.
+    K+ is factored once as Hermitian, which refuses an indefinite or an
+    exactly singular K+ (``NotSPD``) but, with no eigenbasis and its
+    ``NULL_FLOOR``, certifies no definiteness: a K+ singular up to roundoff
+    passes or not as roundoff signs a pivot (``spectral.factor``). M is
+    definite by the mesh check of ``assemble_forms``. When C vanishes the
+    step matrix M/dt + theta K+ is Hermitian positive definite for every
+    theta in [0, 1] and is factored as such; otherwise with partial pivoting.
     """
     factor(forms.k_plus, "energy matrix K+", hermitian=True)
     T = spec.final_time
@@ -344,7 +341,8 @@ def solve_nodal(
     hermitian = not forms.first_order.count_nonzero()
     A = forms.k_plus if hermitian else forms.k_plus + forms.first_order
     u0 = _initial_vector(spec, forms)
-    return evolve_theta((forms.mass, A), u0, theta, T / time_steps, time_steps, loads, hermitian)
+    states = evolve_theta((forms.mass, A), u0, theta, T / time_steps, time_steps, loads, hermitian)
+    return deque(states, maxlen=1).pop()
 
 
 def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray:
@@ -352,6 +350,11 @@ def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray
     constrained nodes."""
     reduced = trajectory.basis.vectors @ trajectory.coefficients[trajectory.time_index(t)]
     return trajectory.forms.dofmap.expand(reduced)
+
+
+# A trajectory passes the energy-identity check when no step's relative defect
+# (``energy_identity_residuals``) exceeds ENERGY_TOL.
+ENERGY_TOL = 1e-9
 
 
 def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:

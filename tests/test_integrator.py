@@ -37,7 +37,7 @@ def test_backward_euler_scalar_decay_closed_form():
     # rho g' + g = 0 discretizes to g_{m+1} = g_m / (1 + dt/rho)
     rho, dt = 0.7, 0.05
     pair = _modal_pair(np.array([rho]), np.zeros((1, 1), dtype=complex))
-    g = evolve_theta(pair, np.array([1.0 + 0.0j]), 1.0, dt, 3)
+    g = np.array(list(evolve_theta(pair, np.array([1.0 + 0.0j]), 1.0, dt, 3)))
     for m in range(3):
         assert g[m + 1, 0] == pytest.approx(g[m, 0] / (1.0 + dt / rho), rel=1e-14)
 
@@ -50,7 +50,7 @@ def test_constant_forcing_fixed_point():
     g_star = np.linalg.solve(np.eye(3) + C, Fhat)
     loads = np.tile(Fhat, (4, 1))
     for theta in (0.5, 1.0):
-        g = evolve_theta(pair, g_star, theta, 0.1, 3, loads)
+        g = np.array(list(evolve_theta(pair, g_star, theta, 0.1, 3, loads)))
         assert np.allclose(g, g_star[None, :], atol=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_crank_nicolson_local_error_third_order():
     pair = _modal_pair(np.array([rho]), np.zeros((1, 1), dtype=complex))
     errors = []
     for dt in (0.1, 0.05):
-        g1 = evolve_theta(pair, np.array([1.0 + 0.0j]), 0.5, dt, 1)[1]
+        g1 = np.array(list(evolve_theta(pair, np.array([1.0 + 0.0j]), 0.5, dt, 1)))[1]
         errors.append(abs(g1[0] - np.exp(-dt / rho)))
     ratio = errors[0] / errors[1]
     assert 6.0 <= ratio <= 10.0
@@ -403,7 +403,7 @@ def test_step_matrix_with_a_non_finite_entry_is_refused_without_a_warning():
     )
     for pair, hermitian, error in cases:
         with pytest.raises(error, match="non-finite"):
-            evolve_theta(pair, np.ones(4), 0.5, 1e-322, 2, hermitian=hermitian)
+            next(evolve_theta(pair, np.ones(4), 0.5, 1e-322, 2, hermitian=hermitian))
 
 
 def test_singular_step_matrix_raises_for_dense_and_sparse_pairs():
@@ -412,4 +412,4 @@ def test_singular_step_matrix_raises_for_dense_and_sparse_pairs():
     sparse = (sp.identity(2, format="csr"), -2.0 * sp.identity(2, format="csr"))
     for pair in (dense, sparse):
         with pytest.raises(SingularStepMatrix):
-            evolve_theta(pair, np.ones(2, dtype=complex), 1.0, 0.5, 3)
+            list(evolve_theta(pair, np.ones(2, dtype=complex), 1.0, 0.5, 3))
