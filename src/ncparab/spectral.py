@@ -18,9 +18,10 @@ own dtype, by one of two kernels picked from the matrix's pattern alone: a
 tridiagonal matrix of order 3 or more, which is every matrix of a 1D mesh,
 goes to LAPACK's tridiagonal routines, any other to SuperLU in minimum
 degree order on A^T + A. A Hermitian matrix gets L D L^H (?pttrf) or
-diagonal pivots in a symmetric order, so that its factor is its
-definiteness check (``NotSPD``); any other gets partial pivoting (?gttrf
-or SuperLU) with a pivot floor (``SingularStepMatrix``).
+diagonal pivots in a symmetric order, which refuse an indefinite or an
+exactly singular matrix (``NotSPD``) but not always a numerically singular
+one; any other gets partial pivoting (?gttrf or SuperLU) with a pivot floor
+(``SingularStepMatrix``).
 """
 
 from __future__ import annotations
@@ -67,9 +68,12 @@ class OrthogonalityReport:
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
-    """Rotate each column's phase, in place, so its largest-modulus entry is
-    real positive (first such index on ties)."""
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    """Rotate each column's phase, in place, so its pivot is real positive:
+    the first entry whose modulus is within 1e-8 of the column's largest, so
+    that roundoff does not choose between entries of equal modulus."""
+    mags = np.abs(vectors)
+    first = np.argmax(mags >= (1.0 - 1e-8) * mags.max(axis=0, initial=0.0), axis=0)
+    pivots = vectors[first, np.arange(vectors.shape[1])]
     vectors *= np.abs(pivots) / np.where(pivots == 0.0, 1.0, pivots)
 
 
@@ -166,9 +170,13 @@ def factor(mat, name: str, hermitian: bool = False):
     N <= 2 stays on SuperLU because scipy's wrappers refuse it: ?gttrf
     needs n >= 3 and ?pttrf n >= 2 ("unexpected array size").
 
-    A Hermitian matrix gets a factor whose pivots are real positive exactly
-    when it is positive definite (L D L^H, or diagonal pivots in a symmetric
-    order), so the factor doubles as the definiteness check (``NotSPD``).
+    A Hermitian matrix gets L D L^H, or diagonal pivots in a symmetric
+    order, and is refused (``NotSPD``) unless every pivot is real positive:
+    an indefinite or an exactly singular matrix is refused, but a positive
+    semidefinite one that is singular up to roundoff passes or not as
+    roundoff signs its last pivot (the pure Neumann K+ of ``interval(0,1)``
+    passes at 11 and 34 unknowns and is refused at 12 and 33). So the factor
+    certifies no definiteness; the eigenbasis's ``NULL_FLOOR`` does.
     Any other matrix is factored with partial pivoting and refuses an exactly
     singular matrix or a pivot below 1e-300 (``SingularStepMatrix``). A
     matrix with a non-finite entry is refused before it is factored, with

@@ -148,9 +148,29 @@ def test_eigenbasis_makes_no_extra_copies_of_the_basis(gc_disabled):
 
 
 def _fix_signs_copy(vectors):
-    """Sign fix as it was written with a copy, the byte reference."""
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    """Sign fix written with a copy and a loop over columns, the byte
+    reference: each column's pivot is its first entry whose modulus is within
+    1e-8 of the column's largest."""
+    pivots = np.empty(vectors.shape[1], dtype=vectors.dtype)
+    for j, col in enumerate(vectors.T):
+        mags = np.abs(col)
+        pivots[j] = col[np.flatnonzero(mags >= (1.0 - 1e-8) * mags.max())[0]]
     return vectors * (np.abs(pivots) / np.where(pivots == 0.0, 1.0, pivots))
+
+
+@pytest.mark.parametrize("phase", [1.0, -1.0, np.exp(0.7j)])
+def test_sign_fix_takes_no_pivot_from_roundoff(phase):
+    # the two largest moduli differ by one ulp, in either order, as in the
+    # mirror-antisymmetric modes of a square: the first of them is the
+    # pivot either way, so the column comes out the same
+    big, bigger = 0.31063468, np.nextafter(0.31063468, 1.0)
+    fixed = []
+    for col in ([0.1, big, -bigger, 0.2], [0.1, bigger, -big, 0.2]):
+        V = phase * np.array(col)[:, None]
+        spectral._fix_signs(V)
+        fixed.append(V[:, 0])
+    for col in fixed:
+        assert np.max(np.abs(col - [0.1, big, -big, 0.2])) <= 1e-15
 
 
 def _tie_break_copy(eigenvalues, vectors):
