@@ -208,17 +208,25 @@ def arpack(apply, n: int, dtype, count: int):
     """The ``count`` largest-modulus eigenpairs ``(w, X)`` of the map
     ``apply`` on vectors of length ``n`` and type ``dtype``: ``eigs`` in
     standard mode, which forms no reference cycle, from the package's one
-    start vector. Its failure is ``NoConvergence``. For n <= 2, below
-    ARPACK's smallest size, a dense eigensolve of ``apply`` on the identity."""
-    if n <= 2:
-        w, X = np.linalg.eig(apply(np.eye(n, dtype=dtype)))
-        keep = np.argsort(-np.abs(w), kind="stable")[:count]
-        return w[keep], X[:, keep]
-    v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
-    try:  # which="LM", the largest modulus, is the default of eigs
-        return spla.eigs(spla.LinearOperator((n, n), matvec=apply, dtype=dtype), count, v0=v0)
-    except spla.ArpackError as exc:
-        raise NoConvergence(f"ARPACK: {exc}") from exc
+    start vector. For n <= 2, below ARPACK's smallest size, a dense
+    eigensolve of ``apply`` on the identity. Its failure is
+    ``NoConvergence``, and so is a map that overflows: its infinite or NaN
+    values fail the eigensolve or give an eigenvalue that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+        try:
+            if n <= 2:
+                w, X = np.linalg.eig(apply(np.eye(n, dtype=dtype)))
+                keep = np.argsort(-np.abs(w), kind="stable")[:count]
+                w, X = w[keep], X[:, keep]
+            else:  # which="LM", the largest modulus, is the default of eigs
+                v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+                op = spla.LinearOperator((n, n), matvec=apply, dtype=dtype)
+                w, X = spla.eigs(op, count, v0=v0)
+        except (spla.ArpackError, np.linalg.LinAlgError) as exc:
+            raise NoConvergence(f"ARPACK: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise NoConvergence("ARPACK: an eigenvalue is not finite")
+    return w, X
 
 
 def _shift_invert(K, M, count: int):

@@ -1,13 +1,18 @@
 import ast
+import contextlib
 import csv
 import dataclasses
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncparab import cli, integrator
 from ncparab.cli import export_matrix_coo, export_mesh, main
@@ -274,6 +279,18 @@ def test_cli_energy_identity_passes_at_small_steps(tmp_path):
     report = dict(_read_csv(out / "report.csv")[1])
     assert report["energy_residual_pass"] == "true"
     assert float(report["energy_residual_max"]) <= 1e-9
+
+
+def test_energy_identity_gate_is_integrator_energy_tol(tmp_path, monkeypatch):
+    # the verdict reads the named tolerance; at 0 any defect fails the check
+    assert integrator.ENERGY_TOL == 1e-9
+    cfg = _write_cfg(tmp_path, "problem.preset = forced1d\nmesh.resolution = 25\nbasis.k = 8\n")
+    monkeypatch.setattr(cli, "ENERGY_TOL", 0.0)
+    out = tmp_path / "out"
+    assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+    report = dict(_read_csv(out / "report.csv")[1])
+    assert float(report["energy_residual_max"]) > 0.0
+    assert report["energy_residual_pass"] == "false"
 
 
 _RESULT_CSVS = ("trajectory.csv", "solution_final.csv", "report.csv")
@@ -935,6 +952,7 @@ _TINY = _INTERVAL + (
 )
 _HUGE_C1 = _TINY + "problem.first_order = 1e200\n"
 _HUGE_GRONWALL = _TINY + "problem.a0 = -5\nproblem.T = 1e300\n"
+_HUGE_CAUCHY = _TINY + "problem.a0 = -1e300j\nchecks.cauchy = true\n"
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table
@@ -953,6 +971,10 @@ EXIT_CODES = {
     "first-order-overflow-check": (["check"], _HUGE_C1, 1),
     "gronwall-overflow-solve": (["solve"], _HUGE_GRONWALL, 1),
     "gronwall-overflow-check": (["check"], _HUGE_GRONWALL, 1),
+    # an exact Cauchy constant that overflows is an eigensolver failure, from
+    # ARPACK (N = 4) or from the dense branch (N = 2)
+    "huge-cauchy-constant": (["solve"], _HUGE_CAUCHY, 3),
+    "huge-cauchy-constant-n2": (["solve"], _HUGE_CAUCHY.replace("resolution = 5", "resolution = 3"), 3),
     # the sharpness values come only from the config: a removed flag is a
     # usage error, even with a valid value
     "sharpness-epsilon-flag": (["sharpness", "--epsilon", "1.0"], None, 2),
@@ -969,6 +991,9 @@ EXIT_CODES = {
     "out-is-a-file": (["solve", "--out", "{one}"], "problem.preset = zero1d\n", 2),
     "unknown-preset": (["solve"], "problem.preset = nosuch\n", 2),
     "bad-domain": (["solve"], "problem.preset = inline\nproblem.domain = interval(1,0)\n", 2),
+    # the element forms of such domains overflow
+    "domain-too-small": (["solve"], _INTERVAL.replace("(0,1)", "(0,1e-300)"), 2),
+    "domain-too-large": (["eigs"], _RECTANGLE.replace("(0,1,0,1)", "(0,1e300,0,1)"), 2),
     "theta-above-one": (["solve"], "problem.preset = zero1d\ntime.theta = 2\n", 2),
     "jobs-on-solve": (["solve", "--jobs", "2"], "problem.preset = zero1d\n", 2),
     # the checks that every report carries have no switch
@@ -1027,3 +1052,81 @@ def test_cli_exit_code_contract_in_a_child_process(tmp_path):
 def test_overflowing_constants_exit_1_in_a_child_process(tmp_path, name):
     # no overflow warning escapes the bounds: the run reports and exits 1
     assert _exit_code_case_in_a_child(tmp_path, name) == ""
+
+
+# A tiny valid inline problem from the documented vocabulary, and extremes
+# of each key; a draw pushes one key to one of its extremes
+_TAME = {
+    "problem.domain": ("interval(0,1)", "rectangle(0,1,0,1)", "disk(8)"),
+    "problem.first_order": ("", "1"),
+    "problem.a0": ("0", "1"),
+    "problem.s": ("none", "all"),
+    "problem.u0": ("zero", "sine"),
+    "time.theta": ("0.5", "1"),
+    "mesh.resolution": ("2", "5"),
+    "basis.k": ("1", "3"),
+    "time.steps": ("1", "4"),
+    "checks.energy": ("false", "true"),
+    "checks.cauchy": ("false", "true"),
+}
+_EXTREME = {
+    "problem.domain": (
+        "interval(0,1e-300)", "interval(-1e300,1e300)", "rectangle(0,1e300,0,1)",
+        "rectangle(0,1e-300,0,1)", "disk(3)",
+    ),
+    "problem.principal": (
+        "diag(0,1)", "diag(1e300,1)", "diag(-1,1)", "diag(1e-300,1e-300)", "paper_disk", "diag(0)",
+    ),
+    "problem.first_order": ("1e200", "-1e300", "1j", "1e300,1e300", "1e-300"),
+    "problem.a0": ("-1e300", "1e300", "1e-300", "-5", "-5+1e300j"),
+    "problem.b0": ("0", "1e300", "-1e300", "1e-300", "1j"),
+    "problem.b1": ("0", "1e300", "1e-300", "-1", "1j"),
+    "problem.s": ("left", "right"),
+    "problem.u0": ("cosine", "z2"),
+    "problem.f": ("sine_cos",),
+    "problem.T": ("1e300", "1e-300", "1e-320"),
+    "time.theta": ("0",),
+    "mesh.resolution": ("1",),
+    "basis.k": ("0", "1000"),
+    "time.steps": ("0",),
+}
+
+
+@st.composite
+def _pushed_run(draw):
+    """A command and the config text of one draw."""
+    command = draw(st.sampled_from(["solve", "check", "eigs"]))
+    values = {key: draw(st.sampled_from(choices)) for key, choices in _TAME.items()}
+    key = draw(st.sampled_from(sorted(_EXTREME)))
+    values[key] = draw(st.sampled_from(_EXTREME[key]))
+    return command, "problem.preset = inline\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+
+
+def _argv(root, command, text):
+    config = os.path.join(root, "run.cfg")
+    with open(config, "w") as fh:
+        fh.write(text)
+    return [command, "--config", config, "--out", os.path.join(root, "o")]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(run=_pushed_run())
+def test_exit_code_contract_holds_over_the_config_vocabulary(run):
+    # in-process, where the suite makes every warning an error
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
+        status = main(_argv(root, *run))
+    assert status in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+
+
+@settings(max_examples=4, derandomize=True, deadline=None)
+@given(run=_pushed_run())
+def test_exit_code_contract_holds_in_a_warnings_as_errors_child(run):
+    with tempfile.TemporaryDirectory() as root:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "ncparab.cli", *_argv(root, *run)],
+            capture_output=True, text=True, env=child_env(), timeout=120,
+        )
+    assert proc.returncode in (0, 1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr and "internal error" not in proc.stderr
