@@ -166,14 +166,10 @@ def parse_domain(text: str):
 
 
 def _check_bounds(text: str, *bounds) -> None:
-    """Bounds of modulus at most 1e100 and extents of at least 1e-100: the
-    element forms multiply up to three lengths or inverse lengths, which
-    then stay finite."""
+    # the element forms multiply up to three lengths or inverse lengths, which stay finite
     for lo, hi in bounds:
         if not (abs(lo) <= 1e100 and abs(hi) <= 1e100 and hi - lo >= 1e-100):
-            raise ConfigError(
-                f"domain {text!r} needs bounds of modulus at most 1e100 and upper - lower >= 1e-100"
-            )
+            raise ConfigError(f"domain {text!r} needs |bounds| <= 1e100, upper - lower >= 1e-100")
 
 
 def _selector_from_name(name: str, domain):

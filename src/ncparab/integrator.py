@@ -116,13 +116,7 @@ def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
 
 
 def evolve_theta(
-    pair: tuple,
-    g0: np.ndarray,
-    theta: float,
-    dt: float,
-    steps: int,
-    loads: Optional[np.ndarray] = None,
-    hermitian: bool = False,
+    pair: tuple, g0: np.ndarray, theta: float, dt: float, steps: int, loads=None, hermitian=False
 ) -> Iterator[np.ndarray]:
     """Theta-scheme states g_0, ..., g_steps from ``g0`` on a uniform grid,
     yielded one at a time for a dense and a sparse pair alike; the step
@@ -143,9 +137,8 @@ def evolve_theta(
     or any iterable of its consecutive row blocks. ``hermitian`` vouches
     that a sparse pair has D Hermitian positive definite and A Hermitian
     positive semidefinite, as ``solve_nodal`` knows of (M, K+): lhs is then
-    Hermitian positive definite for theta >= 0 and dt > 0. A step matrix
-    with a non-finite entry, as D/dt is when dt is so small that it
-    overflows, is refused by the factor.
+    Hermitian positive definite for theta >= 0 and dt > 0. Either factor
+    refuses a non-finite entry, as D/dt has when dt is tiny.
     """
     D, A = pair
     with np.errstate(over="ignore"):  # an infinite D/dt is refused with the factor
@@ -173,11 +166,10 @@ def _theta_loads(theta: float, loads) -> Iterator[np.ndarray]:
 
 def _step_dense(lhs, rhs, g0, steps: int, increments) -> Iterator[np.ndarray]:
     """The theta recurrence over a dense pair in complex arithmetic, as
-    g_{m+1} = z_m + P g_m with the propagator P = lhs^-1 rhs and
-    z_m = lhs^-1 q_m (zero without loads), solved a block of increments at
-    a time, all from one LAPACK LU of lhs. The LU refuses a non-finite entry
-    or a pivot below 1e-300; LAPACK's warning about an exactly zero pivot is
-    silenced, since the SingularStepMatrix raised here reports it."""
+    g_{m+1} = z_m + P g_m with P = lhs^-1 rhs and z_m = lhs^-1 q_m (zero
+    without loads), solved a block at a time, from one LAPACK LU of lhs. The
+    LU refuses a pivot below 1e-300 (``SingularStepMatrix``), so LAPACK's
+    warning about an exactly zero pivot is silenced."""
     if not np.all(np.isfinite(lhs)):
         raise SingularStepMatrix("implicit step matrix has a non-finite entry")
     with warnings.catch_warnings():
@@ -191,12 +183,10 @@ def _step_dense(lhs, rhs, g0, steps: int, increments) -> Iterator[np.ndarray]:
     g = np.array(g0, dtype=complex)
     yield g
     if increments is None:
-        rows = itertools.repeat(np.zeros(len(g), dtype=complex), steps)
+        blocks = [[np.zeros(len(g), dtype=complex)] * steps]
     else:
-        rows = itertools.chain.from_iterable(
-            sla.lu_solve(lu, q.T, overwrite_b=True).T for q in increments
-        )
-    for z in rows:
+        blocks = (sla.lu_solve(lu, q.T, overwrite_b=True).T for q in increments)
+    for z in itertools.chain.from_iterable(blocks):
         g = z + prop @ g
         yield g
 
@@ -218,11 +208,8 @@ def _step_sparse(lhs, rhs, g0, steps: int, increments, hermitian: bool) -> Itera
     del lhs
     g = np.asarray(g0, dtype=dtype)
     yield g
-    if first is None:
-        rows = itertools.repeat(None, steps)
-    else:
-        rows = itertools.chain.from_iterable(itertools.chain([first], increments))
-    for q in rows:
+    blocks = [[None] * steps] if first is None else itertools.chain([first], increments)
+    for q in itertools.chain.from_iterable(blocks):
         b = rhs @ g
         if q is not None:
             b += q
@@ -280,15 +267,9 @@ def solve_evolution(
     times = np.linspace(0.0, T, time_steps + 1)
 
     u0 = _initial_vector(spec, forms)
-    sub_basis = EigenBasis(
-        eigenvalues=basis.eigenvalues[:k],
-        vectors=basis.vectors[:, :k],
-        mass_norms=basis.mass_norms[:k],
-    )
-    if spec.source is None:
-        modal_loads = None
-        dual_f_sq = np.zeros(time_steps + 1)
-    else:
+    sub_basis = EigenBasis(basis.eigenvalues[:k], basis.vectors[:, :k], basis.mass_norms[:k])
+    modal_loads, dual_f_sq = None, np.zeros(time_steps + 1)
+    if spec.source is not None:
         modal_loads, dual_f_sq = _modal_loads(spec.source, forms, sub_basis.vectors, times)
     g0 = project_initial(u0, sub_basis, forms.mass)
     d = sub_basis.mass_norms
@@ -320,17 +301,16 @@ def solve_nodal(
 ) -> np.ndarray:
     """Reduced nodal state (N,) at T of M u' + (K+ + C) u = F on [0, T].
 
-    This is the Galerkin solution with k = N: ``evolve_theta`` over the
-    nodal pair (M, K+ + C) from the nodal u0, which the full basis would
-    reproduce exactly, keeping the last state and one block of LOAD_BLOCK
-    loads. It runs in real arithmetic when the pair, u0 and the loads are.
-    K+ is factored once as Hermitian, which refuses an indefinite or an
-    exactly singular K+ (``NotSPD``) but, with no eigenbasis and its
-    ``NULL_FLOOR``, certifies no definiteness: a K+ singular up to roundoff
-    passes or not as roundoff signs a pivot (``spectral.factor``). M is
-    definite by the mesh check of ``assemble_forms``. When C vanishes the
-    step matrix M/dt + theta K+ is Hermitian positive definite for every
-    theta in [0, 1] and is factored as such; otherwise with partial pivoting.
+    This is the Galerkin solution with k = N: the last state of
+    ``evolve_theta`` over the nodal pair (M, K+ + C) from the nodal u0, which
+    the full basis would reproduce exactly, with one block of loads held at a
+    time; in real arithmetic when the pair, u0 and the loads are real. K+ is
+    factored once as Hermitian, which refuses an indefinite or exactly
+    singular K+ (``NotSPD``) but, without the eigenbasis's ``NULL_FLOOR``,
+    certifies no definiteness (``spectral.factor``); M is definite by the
+    mesh check of ``assemble_forms``. When C vanishes the step matrix
+    M/dt + theta K+ is Hermitian positive definite for every theta in [0, 1]
+    and is factored as such; otherwise with partial pivoting.
     """
     factor(forms.k_plus, "energy matrix K+", hermitian=True)
     T = spec.final_time
@@ -352,8 +332,7 @@ def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray
     return trajectory.forms.dofmap.expand(reduced)
 
 
-# A trajectory passes the energy-identity check when no step's relative defect
-# (``energy_identity_residuals``) exceeds ENERGY_TOL.
+# The largest relative defect per step that the energy-identity check passes.
 ENERGY_TOL = 1e-9
 
 

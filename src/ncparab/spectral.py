@@ -171,12 +171,11 @@ def factor(mat, name: str, hermitian: bool = False):
     needs n >= 3 and ?pttrf n >= 2 ("unexpected array size").
 
     A Hermitian matrix gets L D L^H, or diagonal pivots in a symmetric
-    order, and is refused (``NotSPD``) unless every pivot is real positive:
-    an indefinite or an exactly singular matrix is refused, but a positive
-    semidefinite one that is singular up to roundoff passes or not as
-    roundoff signs its last pivot (the pure Neumann K+ of ``interval(0,1)``
-    passes at 11 and 34 unknowns and is refused at 12 and 33). So the factor
-    certifies no definiteness; the eigenbasis's ``NULL_FLOOR`` does.
+    order, and is refused (``NotSPD``) unless every pivot is real positive.
+    That refuses an indefinite or exactly singular matrix, but a positive
+    semidefinite one singular up to roundoff passes or not as roundoff signs
+    its last pivot (the pure Neumann K+ of ``interval(0,1)`` passes at 11 and
+    34 unknowns, not at 12 and 33): ``NULL_FLOOR`` certifies definiteness.
     Any other matrix is factored with partial pivoting and refuses an exactly
     singular matrix or a pivot below 1e-300 (``SingularStepMatrix``). A
     matrix with a non-finite entry is refused before it is factored, with
