@@ -411,5 +411,27 @@ def test_singular_step_matrix_raises_for_dense_and_sparse_pairs():
     dense = _modal_pair(np.ones(2), -3.0 * np.eye(2))
     sparse = (sp.identity(2, format="csr"), -2.0 * sp.identity(2, format="csr"))
     for pair in (dense, sparse):
-        with pytest.raises(SingularStepMatrix):
-            list(evolve_theta(pair, np.ones(2, dtype=complex), 1.0, 0.5, 3))
+        states = evolve_theta(pair, np.ones(2, dtype=complex), 1.0, 0.5, 3)
+        with pytest.raises(SingularStepMatrix):  # at the first next, before any state
+            next(states)
+
+
+@pytest.mark.parametrize("source", [False, True])
+def test_dense_and_sparse_pairs_yield_every_state_alike(source):
+    # one nonsymmetric pair, dense and sparse, with the loads as one array and
+    # in row blocks of 3 that split the grid: steps + 1 states each, equal to
+    # roundoff, and each its own array
+    rng = np.random.default_rng(3)
+    n, steps = 5, 7
+    D = sp.diags(rng.uniform(1.0, 2.0, n)).tocsr()
+    off = rng.uniform(-0.3, 0.3, (2, n - 1))
+    A = sp.diags([off[0], rng.uniform(2.0, 3.0, n), off[1]], [-1, 0, 1]).tocsr()
+    g0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    loads = rng.standard_normal((steps + 1, n)) if source else None
+    blocks = None if loads is None else (loads[i : i + 3] for i in range(0, steps + 1, 3))
+    dense = list(evolve_theta((D.toarray(), A.toarray()), g0, 0.5, 0.1, steps, loads))
+    sparse = list(evolve_theta((D, A), g0, 0.5, 0.1, steps, blocks))
+    assert len(dense) == len(sparse) == steps + 1
+    assert np.array_equal(dense[0], g0) and np.array_equal(sparse[0], g0)
+    assert np.max(np.abs(np.array(dense) - np.array(sparse))) <= 1e-12
+    assert np.max(np.abs(np.diff(np.array(sparse), axis=0))) > 0.0
