@@ -39,8 +39,13 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+# the compiled kernel that ``rhs @ g`` ends in for a CSR matrix and a vector
+# (scipy.sparse._compressed._matmul_vector); tests/test_integrator.py pins
+# the two to the same bits
+from scipy.sparse._sparsetools import csr_matvec
+
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
-from .errors import SingularStepMatrix, TimeOffGrid
+from .errors import NumericalError, SingularStepMatrix, TimeOffGrid
 from .fields import axes
 from .meshing import build_mesh
 from .problem import ProblemSpec, validate_coefficients
@@ -142,7 +147,8 @@ def evolve_theta(
     """
     D, A = pair
     with np.errstate(over="ignore"):  # an infinite D/dt is refused with the factor
-        lhs, rhs = D / dt + theta * A, D / dt - (1.0 - theta) * A
+        D = D / dt
+        lhs, rhs = D + theta * A, D - (1.0 - theta) * A
     del pair, D, A
     increments = None if loads is None else _theta_loads(theta, loads)
     if sp.issparse(rhs):
@@ -191,26 +197,47 @@ def _step_dense(lhs, rhs, g0, steps: int, increments) -> Iterator[np.ndarray]:
         yield g
 
 
+def _csr_product(mat, dtype):
+    """The product g -> mat @ g for vectors g of type ``dtype``, bit for bit
+    as scipy forms it: ``mat`` is converted once to CSR in ``dtype``, and
+    each product is one call of scipy's compiled ``csr_matvec`` into zeros,
+    the call that ``mat @ g`` ends in. Called directly, it skips the Python
+    dispatch of ``@``, which costs more than the kernel's work on a 1D mesh."""
+    mat = mat.tocsr().astype(dtype, copy=False)
+    rows, cols = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+    def product(g):
+        b = np.zeros(rows, dtype)
+        csr_matvec(rows, cols, indptr, indices, data, g, b)
+        return b
+
+    return product
+
+
 def _step_sparse(lhs, rhs, g0, steps: int, increments, hermitian: bool) -> Iterator[np.ndarray]:
     """The theta recurrence lhs g_{m+1} = rhs g_m + q_m over a sparse pair,
-    carrying one state: one sparse factor of lhs, one product and one solve
-    per step. lhs is factored as Hermitian definite if ``hermitian``
+    carrying one state: one sparse factor of lhs, then per step one compiled
+    CSR product with rhs (``_csr_product``, the kernel behind ``rhs @ g``)
+    and one solve. lhs is factored as Hermitian definite if ``hermitian``
     (``NotSPD`` if it is not; ``?pttrf`` in 1D, where a solve costs about
     half of ``?gttrs``), with partial pivoting otherwise
     (``SingularStepMatrix``). The state dtype is picked once, from the pair,
-    g0 and the first block of increments, and lhs is factored in it, so real
-    data step in real arithmetic; a source is then real or complex at every
-    time.
+    g0 and the first block of increments, and lhs and rhs are cast to it,
+    so real data step in real arithmetic; a source is then real or complex
+    at every time.
     """
     first = None if increments is None else next(increments, None)
     dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))
     solve = factor(lhs.astype(dtype, copy=False), "implicit step matrix", hermitian=hermitian)
     del lhs
+    product = _csr_product(rhs, dtype)
+    del rhs
     g = np.asarray(g0, dtype=dtype)
     yield g
     blocks = [[None] * steps] if first is None else itertools.chain([first], increments)
     for q in itertools.chain.from_iterable(blocks):
-        b = rhs @ g
+        b = product(g)
         if q is not None:
             b += q
         g = solve(b)
@@ -278,14 +305,20 @@ def solve_evolution(
     states = evolve_theta(
         (np.diag(d), interaction + np.eye(k)), g0, theta, dt, time_steps, modal_loads
     )
-    for m, g in enumerate(states):
-        coeffs[m] = g
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        for m, g in enumerate(states):
+            coeffs[m] = g
+        norm_plus_sq = np.sum(np.abs(coeffs) ** 2, axis=1)
+        norm_l2_sq = np.sum(d[None, :] * np.abs(coeffs) ** 2, axis=1)
+    # a coefficient that is not finite makes both traces so
+    if not np.isfinite([norm_plus_sq, norm_l2_sq]).all():
+        raise NumericalError("the theta scheme overflowed: the trajectory is not finite")
 
     return GalerkinTrajectory(
         times=times,
         coefficients=coeffs,
-        norm_plus_sq=np.sum(np.abs(coeffs) ** 2, axis=1),
-        norm_l2_sq=np.sum(d[None, :] * np.abs(coeffs) ** 2, axis=1),
+        norm_plus_sq=norm_plus_sq,
+        norm_l2_sq=norm_l2_sq,
         dual_f_sq=dual_f_sq,
         theta=theta,
         initial=u0,

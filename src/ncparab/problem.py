@@ -153,7 +153,7 @@ def split_zero_order(a0) -> tuple[np.ndarray, np.ndarray]:
 def robin_weight(b0, b1) -> np.ndarray:
     """The Robin weight b0/b1 from values at points outside the constrained
     set, where the energy product takes b0/b1 as it is: b1 must be real and
-    nonzero, and b0/b1 real and nonnegative. Anything else raises
+    nonzero, and b0/b1 finite, real and nonnegative. Anything else raises
     :class:`ConfigError`, since no form would represent it exactly, except
     b1 = 0, which raises :class:`DivisionByZeroB1`."""
     b0 = np.asarray(b0, dtype=complex)
@@ -164,7 +164,15 @@ def robin_weight(b0, b1) -> np.ndarray:
     b1 = b1.real
     if np.any(b1 == 0.0):
         raise DivisionByZeroB1("b1 vanishes at a Robin boundary point (outside S)")
-    ratio = b0 / b1
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        ratio = b0 / b1
+    bad = ~np.isfinite(ratio)
+    if np.any(bad):
+        b0, b1 = np.broadcast_arrays(b0, b1)
+        raise ConfigError(
+            f"b0/b1 = {b0[bad].flat[0]}/{b1[bad].flat[0]} at a Robin boundary point "
+            "(outside S) is not finite"
+        )
     wrong = (ratio.imag != 0.0) | ~(ratio.real >= 0.0)
     if np.any(wrong):
         raise ConfigError(

@@ -193,7 +193,7 @@ def factor(mat, name: str, hermitian: bool = False):
 
     def solve(rhs):
         rhs = np.asarray(rhs)
-        if not np.iscomplexobj(rhs):
+        if rhs.dtype.kind != "c":
             return solve_factor(rhs)
         cols = rhs.reshape(len(rhs), -1)
         x = solve_factor(np.hstack([cols.real, cols.imag]))
