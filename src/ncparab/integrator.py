@@ -199,11 +199,13 @@ def _step_dense(lhs, rhs, g0, steps: int, increments) -> Iterator[np.ndarray]:
 
 def _csr_product(mat, dtype):
     """The product g -> mat @ g for vectors g of type ``dtype``, bit for bit
-    as scipy forms it: ``mat`` is converted once to CSR in ``dtype``, and
-    each product is one call of scipy's compiled ``csr_matvec`` into zeros,
-    the call that ``mat @ g`` ends in. Called directly, it skips the Python
-    dispatch of ``@``, which costs more than the kernel's work on a 1D mesh."""
-    mat = mat.tocsr().astype(dtype, copy=False)
+    as scipy forms it: one call of scipy's compiled ``csr_matvec`` on the
+    CSR form of ``mat`` into zeros of ``dtype``, the call that ``mat @ g``
+    ends in. ``mat`` is not cast, since scipy's cast sums duplicates and
+    sorts indices, which can reorder a row's sum; the kernel takes a real
+    matrix with a complex vector itself. Called directly, it skips the
+    Python dispatch of ``@``, which costs more than its work on a 1D mesh."""
+    mat = mat.tocsr()
     rows, cols = mat.shape
     indptr, indices, data = mat.indptr, mat.indices, mat.data
 
@@ -223,9 +225,9 @@ def _step_sparse(lhs, rhs, g0, steps: int, increments, hermitian: bool) -> Itera
     (``NotSPD`` if it is not; ``?pttrf`` in 1D, where a solve costs about
     half of ``?gttrs``), with partial pivoting otherwise
     (``SingularStepMatrix``). The state dtype is picked once, from the pair,
-    g0 and the first block of increments, and lhs and rhs are cast to it,
-    so real data step in real arithmetic; a source is then real or complex
-    at every time.
+    g0 and the first block of increments, and lhs is factored in it, so real
+    data step in real arithmetic; a source is then real or complex at every
+    time.
     """
     first = None if increments is None else next(increments, None)
     dtype = np.result_type(lhs.dtype, rhs.dtype, g0, *(() if first is None else (first,)))

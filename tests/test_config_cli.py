@@ -953,6 +953,7 @@ _TINY = _INTERVAL + (
 _HUGE_C1 = _TINY + "problem.first_order = 1e200\n"
 _HUGE_GRONWALL = _TINY + "problem.a0 = -5\nproblem.T = 1e300\n"
 _HUGE_CAUCHY = _TINY + "problem.a0 = -1e300j\nchecks.cauchy = true\n"
+_HUGE_ROBIN = _TINY.replace("s = all", "s = none") + "problem.b0 = 1e300\nproblem.b1 = 1e-300\n"
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table
@@ -965,6 +966,10 @@ EXIT_CODES = {
     "step-matrix-overflow": (
         ["solve"], _INTERVAL + "problem.u0 = sine\nproblem.T = 1e-320\n", 3
     ),
+    # a Robin weight b0/b1 that overflows is no form; an explicit modal
+    # step that overflows is no trajectory
+    "robin-weight-overflow": (["solve"], _HUGE_ROBIN, 2),
+    "modal-step-overflow": (["solve"], _TINY + "problem.a0 = 1e300\ntime.theta = 0\n", 3),
     # an infinite c1 or Gronwall factor is an infinite bound, not a crash;
     # both runs fail the uniqueness condition
     "first-order-overflow-solve": (["solve"], _HUGE_C1, 1),
@@ -1046,6 +1051,15 @@ def _exit_code_case_in_a_child(tmp_path, name):
 def test_cli_exit_code_contract_in_a_child_process(tmp_path):
     # the real process status, with every warning an error as in the suite
     assert "SingularStepMatrix" in _exit_code_case_in_a_child(tmp_path, "step-matrix-overflow")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("robin-weight-overflow", "b0/b1 = "), ("modal-step-overflow", "trajectory is not finite")],
+)
+def test_overflows_are_refused_in_a_warnings_as_errors_child(tmp_path, name, message):
+    # no overflow warning escapes before the refusal
+    assert message in _exit_code_case_in_a_child(tmp_path, name)
 
 
 @pytest.mark.parametrize("name", sorted(name for name in EXIT_CODES if "-overflow-" in name))

@@ -121,11 +121,13 @@ def test_split_b1_zero_raises():
         (-3.0, 1.0, "b0/b1"),
         (1.0, -2.0, "b0/b1"),
         (1.0, 1.0 + 1.0j, "b1"),
+        (1e300, 1e-300, "b0/b1"),
     ],
 )
 def test_robin_weight_refuses_what_no_form_represents(b0, b1, quantity):
     # a complex or negative b0/b1 and a complex b1 would otherwise be
-    # dropped in part; each is a config error naming the quantity
+    # dropped in part, and a b0/b1 that overflows would make every form
+    # infinite; each is a config error naming the quantity, with no warning
     with pytest.raises(ConfigError, match=f"^{quantity} = "):
         robin_weight(np.array([b0, 1.0]), np.array([b1, 1.0]))
 

@@ -294,8 +294,10 @@ def _imported_modules(tree):
 def test_arpack_and_superlu_are_named_only_in_spectral():
     # one eigensolver module: ARPACK's routines, its error and SuperLU's
     # factor are named only in spectral.py, eigs once and eigsh nowhere,
-    # and estimates imports no scipy module
-    watched = {"eigs", "eigsh", "ArpackError", "splu"}
+    # and estimates imports no scipy module; scipy's private CSR kernel is
+    # imported and called once, in integrator.py, so a scipy release that
+    # moves it fails in one place
+    watched = {"eigs", "eigsh", "ArpackError", "splu", "csr_matvec"}
     named = {}
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -316,6 +318,7 @@ def test_arpack_and_superlu_are_named_only_in_spectral():
         "eigs": ["spectral.py"],
         "ArpackError": ["spectral.py"],
         "splu": ["spectral.py"],
+        "csr_matvec": ["integrator.py", "integrator.py"],
     }
 
 
