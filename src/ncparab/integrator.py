@@ -19,7 +19,9 @@ When the basis spans the whole finite element space (k = N), the modal
 system is the nodal system M u' + (K+ + C) u = F written in another basis.
 ``solve_nodal`` steps that system directly over the sparse pair
 (M, K+ + C), with no eigensolve and no dense N x N array, and keeps only
-the last state; the convergence studies take this path.
+the last state; the convergence studies take this path. Each nodal step is
+one compiled CSR product, the kernel behind ``rhs @ g`` called directly
+because its dispatch cost more than its work, and one solve.
 
 ``discretize`` is the one path from a problem to its forms and energy basis;
 ``solve_evolution`` the one place that projects the system and the initial
@@ -288,7 +290,8 @@ def solve_evolution(
     The dual-norm trace uses the full discrete load, not its truncation to
     the first k modes. The modal pair (diag d, I + Chat) is stepped by
     ``evolve_theta``; the trajectory keeps Chat and the reduced nodal
-    initial vector for the checks.
+    initial vector for the checks. A trajectory that overflows (an
+    explicit step on a large A, say) raises ``NumericalError``.
     """
     interaction = build_galerkin_system(forms, basis, k)
     T = spec.final_time
