@@ -56,7 +56,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConstraintOnAllDofs, NotSPD
+from .errors import ConfigError, ConstraintOnAllDofs, NotSPD
 from .fields import axes
 from .meshing import Mesh, Quadrature
 from .problem import ProblemSpec, factorize_principal, robin_weight, split_zero_order
@@ -177,7 +177,9 @@ def _element_data(mesh: Mesh, spec: ProblemSpec, lower: bool):
     """Element matrices of K+ (its element part) and of the lower-order
     form, the latter only if ``lower`` (None otherwise), from one walk over
     the element quadrature points that evaluates the principal factor
-    (``factorize_principal(spec)``) and a0 once per point for both."""
+    (``factorize_principal(spec)``) and a0 once per point for both. A drift
+    coefficient whose product with the principal factor overflows is no
+    form: :class:`ConfigError`, which names it."""
     quad = mesh.quadrature
     ndof = mesh.elements.shape[1]
     coeffs = list(spec.first_order or []) if lower else []
@@ -197,7 +199,15 @@ def _element_data(mesh: Mesh, spec: ProblemSpec, lower: bool):
             if coeffs:
                 drift = np.zeros((len(mesh.elements), ndof), dtype=complex)
                 for l, a_l in enumerate(coeffs):
-                    drift += np.asarray(a_l(*coords), dtype=complex)[:, None] * B[:, l, :]
+                    a = np.asarray(a_l(*coords), dtype=complex)
+                    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                        drift += a[:, None] * B[:, l, :]
+                    bad = ~np.all(np.isfinite(drift), axis=1)
+                    if np.any(bad):
+                        raise ConfigError(
+                            f"problem.first_order entry {l + 1} = {np.broadcast_to(a, bad.shape)[bad][0]}"
+                            " times the principal factor overflows at an element quadrature point"
+                        )
                 C += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
             if spec.zero_order is not None:
                 C += (wts * delta_a0)[:, None, None] * np.outer(phi, phi)

@@ -143,15 +143,23 @@ def check_cauchy_bound(forms, c1: float, c2: float) -> tuple[float, bool]:
     sparse factor of E (``NotSPD`` if E is not positive definite) and
     ``spectral.arpack``. Returns the constant and whether it stays below c
     (with roundoff headroom).
+
+    The factor's certificate is read once ARPACK has returned, or as its
+    error propagates, and a failed one replaces that error
+    (``spectral.factor``); so on a 2D mesh SuperLU's copies of L and U are
+    made only after the Arnoldi workspace is gone.
     """
     C = forms.first_order
     mu = 0.0
     if C.count_nonzero():
         E = forms.k_plus + forms.mass
-        solve = factor(E, "K+ + M", hermitian=True)
+        solve = factor(E, "K+ + M", hermitian=True, deferred=True)
         CH = C.conj().T.tocsr()
         dtype = np.result_type(C.dtype, E.dtype)
-        (mu,), _ = arpack(lambda x: solve(CH @ solve(C @ x)), forms.N, dtype, 1)
+        try:
+            (mu,), _ = arpack(lambda x: solve(CH @ solve(C @ x)), forms.N, dtype, 1)
+        finally:  # a failed certificate replaces any error of ARPACK
+            solve.certify()
     ratio = float(np.sqrt(max(float(np.real(mu)), 0.0)))
     c = c1 + c2
     return ratio, ratio <= c * (1.0 + 1e-9) + 1e-12

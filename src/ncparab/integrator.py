@@ -111,9 +111,14 @@ def discretize(
 
 def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> np.ndarray:
     """The modal matrix Chat = H* C H of the lower-order form on the first
-    k basis vectors."""
+    k basis vectors. A product that overflows (the energy-normalized H is
+    large where K+ is tiny) raises ``NumericalError``."""
     H = basis.vectors[:, :k]
-    return H.conj().T @ (forms.first_order @ H)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        interaction = H.conj().T @ (forms.first_order @ H)
+    if not np.all(np.isfinite(interaction)):
+        raise NumericalError("the modal matrix H* C H of the lower-order form is not finite")
+    return interaction
 
 
 def project_initial(u0: np.ndarray, basis: EigenBasis, mass) -> np.ndarray:
@@ -391,7 +396,8 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
     size of the terms the difference quotient cancels: a small dt makes
     those terms, and the rounding they leave, large against the balance.
     Chat, d (the basis's ``mass_norms``) and the modal loads come from the
-    trajectory; nothing is reassembled.
+    trajectory; nothing is reassembled. A step whose terms overflow (a tiny
+    dt) has no finite defect, and gets an infinite one, so the check fails.
     """
     g = trajectory.coefficients
     theta = trajectory.theta
@@ -399,21 +405,24 @@ def energy_identity_residuals(trajectory: GalerkinTrajectory) -> np.ndarray:
     d = trajectory.basis.mass_norms
     loads = trajectory.modal_loads
     res = np.zeros(len(g) - 1)
-    for start in range(0, len(res), LOAD_BLOCK):
-        block = slice(start, start + LOAD_BLOCK)
-        old, new = g[:-1][block], g[1:][block]
-        g_th = theta * new + (1.0 - theta) * old
-        norm_sq = np.sum(np.abs(g_th) ** 2, axis=1)
-        lhs = (
-            np.real(np.sum(g_th.conj() * (d * (new - old) / dt), axis=1))
-            + norm_sq
-            + np.real(np.sum(g_th.conj() * (g_th @ trajectory.interaction.T), axis=1))
-        )
-        rhs = np.zeros(len(g_th))
-        if loads is not None:
-            f_th = theta * loads[1:][block] + (1.0 - theta) * loads[:-1][block]
-            rhs = np.real(np.sum(g_th.conj() * f_th, axis=1))
-        cancelled = np.sum(np.abs(g_th) * d * (np.abs(new) + np.abs(old)), axis=1) / dt
-        scale = np.maximum.reduce([np.abs(lhs), np.abs(rhs), norm_sq, cancelled])
-        res[block] = np.abs(lhs - rhs) / np.maximum(scale, 1e-30)
+    # an overflow leaves a defect that is not finite, made infinite below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(res), LOAD_BLOCK):
+            block = slice(start, start + LOAD_BLOCK)
+            old, new = g[:-1][block], g[1:][block]
+            g_th = theta * new + (1.0 - theta) * old
+            norm_sq = np.sum(np.abs(g_th) ** 2, axis=1)
+            lhs = (
+                np.real(np.sum(g_th.conj() * (d * (new - old) / dt), axis=1))
+                + norm_sq
+                + np.real(np.sum(g_th.conj() * (g_th @ trajectory.interaction.T), axis=1))
+            )
+            rhs = np.zeros(len(g_th))
+            if loads is not None:
+                f_th = theta * loads[1:][block] + (1.0 - theta) * loads[:-1][block]
+                rhs = np.real(np.sum(g_th.conj() * f_th, axis=1))
+            cancelled = np.sum(np.abs(g_th) * d * (np.abs(new) + np.abs(old)), axis=1) / dt
+            scale = np.maximum.reduce([np.abs(lhs), np.abs(rhs), norm_sq, cancelled])
+            res[block] = np.abs(lhs - rhs) / np.maximum(scale, 1e-30)
+    res[~np.isfinite(res)] = np.inf
     return res

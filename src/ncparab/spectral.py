@@ -11,7 +11,8 @@ kernels and has real eigenvectors. Both kernels fix signs
 deterministically so repeated runs emit identical output; the vectors are
 sorted, sign-fixed and scaled in place. M is taken to be positive
 definite, as ``assembly.assemble_forms`` checks on the mesh, so the sparse
-kernel factors only the shifted pencil, and lets it go when ARPACK returns.
+kernel factors only the shifted pencil, reads its certificate once ARPACK
+returns, and then lets it go.
 
 Every sparse factor of the package comes from ``factor``, in the matrix's
 own dtype, by one of two kernels picked from the matrix's pattern alone: a
@@ -21,7 +22,9 @@ degree order on A^T + A. A Hermitian matrix gets L D L^H (?pttrf) or
 diagonal pivots in a symmetric order, which refuse an indefinite or an
 exactly singular matrix (``NotSPD``) but not always a numerically singular
 one; any other gets partial pivoting (?gttrf or SuperLU) with a pivot floor
-(``SingularStepMatrix``).
+(``SingularStepMatrix``). Every certificate is read as the matrix is
+factored, except a Hermitian SuperLU factor's when its caller defers the
+read past its one ARPACK call (``factor``).
 """
 
 from __future__ import annotations
@@ -130,36 +133,46 @@ def _lapack_tridiagonal(A, name: str, hermitian: bool):
         if info > 0 or not np.all(d > 0.0):
             raise NotSPD(f"{name} is not positive definite")
         if e.dtype.kind != "c":
-            return lambda rhs: pttrs(d, e, rhs)[0]
+            return lambda rhs: pttrs(d, e, rhs)[0], _certified
         # e holds the subdiagonal, that is the factor L of L D L^H
-        return lambda rhs: pttrs(d, e, rhs, lower=1)[0]
+        return lambda rhs: pttrs(d, e, rhs, lower=1)[0], _certified
     dl, d, du = A.diagonal(-1), A.diagonal(), A.diagonal(1)
     gttrf, gttrs = sla.get_lapack_funcs(("gttrf", "gttrs"), (dl, d, du))
     dl, d, du, du2, ipiv, info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info > 0 or np.min(np.abs(d)) < 1e-300:  # d is the diagonal of U
         raise SingularStepMatrix(f"{name} is singular")
-    return lambda rhs: gttrs(dl, d, du, du2, ipiv, rhs)[0]
+    return lambda rhs: gttrs(dl, d, du, du2, ipiv, rhs)[0], _certified
+
+
+def _certified():
+    """The certificate of a factor whose kernel read it as it factored."""
 
 
 def _superlu(A, name: str, hermitian: bool):
-    """The solve of SuperLU's factor of ``A`` (see ``factor``): diagonal
-    pivots in a symmetric order if it is Hermitian, partial pivoting
-    otherwise."""
+    """The solve of SuperLU's factor of ``A`` and the reading of its
+    certificate (see ``factor``): diagonal pivots in a symmetric order if it
+    is Hermitian, whose certificate is read when the reading is called;
+    partial pivoting otherwise, whose pivot floor is read here."""
     error = NotSPD if hermitian else SingularStepMatrix
     symmetric = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", **(symmetric if hermitian else {}))
     except RuntimeError as exc:  # SuperLU: factor is exactly singular
         raise error(f"{name} is singular: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if hermitian and not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
-        raise NotSPD(f"{name} is not positive definite")
-    if not hermitian and np.min(np.abs(pivots)) < 1e-300:
-        raise SingularStepMatrix(f"{name} is singular")
-    return lu.solve
+    # lu.U makes SuperLU build CSC copies of L and U, kept as long as lu lives
+    if not hermitian:
+        if np.min(np.abs(lu.U.diagonal())) < 1e-300:
+            raise SingularStepMatrix(f"{name} is singular")
+        return lu.solve, _certified
+
+    def certify():
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal().real > 0.0)):
+            raise NotSPD(f"{name} is not positive definite")
+
+    return lu.solve, certify
 
 
-def factor(mat, name: str, hermitian: bool = False):
+def factor(mat, name: str, hermitian: bool = False, deferred: bool = False):
     """The solve of a factor of ``mat``, the one sparse factor of the package.
 
     A matrix of order N >= 3 whose stored entries all lie on its three
@@ -182,24 +195,41 @@ def factor(mat, name: str, hermitian: bool = False):
     the error of its kind.
     The factor has the matrix's dtype; a real one takes complex right sides,
     whose real and imaginary parts go through one call as extra columns.
+
+    Each certificate is read here, as the matrix is factored, unless
+    ``deferred``. The pivots of a Hermitian SuperLU factor are read from
+    ``lu.U``, which makes SuperLU build CSC copies of L and U and keep them
+    as long as the factor lives. With ``deferred`` that read waits for the
+    returned solve's ``certify()``, which raises ``NotSPD`` as the eager
+    read would; the caller must call it before any result built from the
+    factor leaves it. The two callers whose factor lives through one ARPACK
+    call, ``_shift_invert`` and ``estimates.check_cauchy_bound``, read it
+    once ARPACK is done, so the copies never sit beside its workspace. The
+    LAPACK kernels, and SuperLU's pivot floor, read theirs here in any case:
+    it costs no copy.
     """
     A = sp.csc_matrix(mat)
     if not np.all(np.isfinite(A.data)):
         raise (NotSPD if hermitian else SingularStepMatrix)(f"{name} has a non-finite entry")
     tridiagonal = A.shape[0] >= 3 and _is_tridiagonal(A)
-    solve_factor = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
-    if A.dtype.kind == "c":
-        return solve_factor
+    solve_factor, certify = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
+    real = A.dtype.kind != "c"
+    if not deferred:
+        certify()
+        if not real:
+            return solve_factor
 
     def solve(rhs):
         rhs = np.asarray(rhs)
-        if rhs.dtype.kind != "c":
+        if not real or rhs.dtype.kind != "c":
             return solve_factor(rhs)
         cols = rhs.reshape(len(rhs), -1)
         x = solve_factor(np.hstack([cols.real, cols.imag]))
         n = cols.shape[1]
         return (x[:, :n] + 1j * x[:, n:]).reshape(rhs.shape)
 
+    if deferred:
+        solve.certify = certify
     return solve
 
 
@@ -239,15 +269,25 @@ def _shift_invert(K, M, count: int):
     sqrt(eps) tr K / tr M, of the order of the largest eigenvalue, keeps the
     factor well conditioned when K+ is singular and the shifted spectrum well
     separated: it lies far below the smallest eigenvalue on the shipped meshes.
+
+    The factor's certificate (``NotSPD``, see ``factor``) is read once
+    ARPACK has returned and a real pencil's Ritz vectors are reduced to
+    real, so the copies of L and U that the read makes never sit beside the
+    Arnoldi workspace; the factor goes right after it. If ARPACK or that
+    reduction raises, the certificate is read as the error propagates, and
+    a failed one replaces it.
     """
     sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
-    solve = factor(K - sigma * M, "shifted pencil K+ - sigma M", hermitian=True)
+    solve = factor(K - sigma * M, "shifted pencil K+ - sigma M", hermitian=True, deferred=True)
     real = np.result_type(K.dtype, M.dtype).kind != "c"
-    _, X = arpack(lambda x: solve(M @ x), K.shape[0], float if real else complex, count)
+    try:
+        _, X = arpack(lambda x: solve(M @ x), K.shape[0], float if real else complex, count)
+        if real and np.any(X.imag):
+            raise NoConvergence("ARPACK gave a Ritz vector that is not real for a real pencil")
+        X = X.real.copy() if real else X
+    finally:  # a failed certificate replaces any error raised above
+        solve.certify()
     del solve
-    if real and np.any(X.imag):
-        raise NoConvergence("ARPACK gave a Ritz vector that is not real for a real pencil")
-    X = X.real.copy() if real else X
     w, Y = sla.eigh(X.conj().T @ (K @ X), X.conj().T @ (M @ X))
     return w, X @ Y
 

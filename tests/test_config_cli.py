@@ -954,6 +954,10 @@ _HUGE_C1 = _TINY + "problem.first_order = 1e200\n"
 _HUGE_GRONWALL = _TINY + "problem.a0 = -5\nproblem.T = 1e300\n"
 _HUGE_CAUCHY = _TINY + "problem.a0 = -1e300j\nchecks.cauchy = true\n"
 _HUGE_ROBIN = _TINY.replace("s = all", "s = none") + "problem.b0 = 1e300\nproblem.b1 = 1e-300\n"
+_HUGE_DRIFT = _TINY + "problem.principal = diag(1e300)\nproblem.first_order = -1e300\n"
+_TINY_2D = _TINY.replace("interval(0,1)", "rectangle(0,1,0,1)")
+_HUGE_MODAL = _TINY_2D + "problem.principal = diag(1e-300,1e-300)\nproblem.a0 = -1e300j\n"
+_HUGE_ENERGY = _TINY_2D + "problem.principal = diag(1e300,1)\nproblem.T = 1e-320\nchecks.energy = true\n"
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table
@@ -970,6 +974,12 @@ EXIT_CODES = {
     # step that overflows is no trajectory
     "robin-weight-overflow": (["solve"], _HUGE_ROBIN, 2),
     "modal-step-overflow": (["solve"], _TINY + "problem.a0 = 1e300\ntime.theta = 0\n", 3),
+    # a drift that overflows against the principal factor is no form; a
+    # modal matrix H* C H that overflows is no system
+    "drift-overflow": (["solve"], _HUGE_DRIFT, 2),
+    "modal-matrix-overflow": (["solve"], _HUGE_MODAL, 3),
+    # an energy identity whose terms overflow (dt = 2.5e-321) fails
+    "energy-identity-overflow-solve": (["solve"], _HUGE_ENERGY, 1),
     # an infinite c1 or Gronwall factor is an infinite bound, not a crash;
     # both runs fail the uniqueness condition
     "first-order-overflow-solve": (["solve"], _HUGE_C1, 1),
@@ -1055,7 +1065,12 @@ def test_cli_exit_code_contract_in_a_child_process(tmp_path):
 
 @pytest.mark.parametrize(
     "name, message",
-    [("robin-weight-overflow", "b0/b1 = "), ("modal-step-overflow", "trajectory is not finite")],
+    [
+        ("robin-weight-overflow", "b0/b1 = "),
+        ("modal-step-overflow", "trajectory is not finite"),
+        ("drift-overflow", "problem.first_order entry 1 = "),
+        ("modal-matrix-overflow", "H* C H"),
+    ],
 )
 def test_overflows_are_refused_in_a_warnings_as_errors_child(tmp_path, name, message):
     # no overflow warning escapes before the refusal

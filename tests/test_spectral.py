@@ -118,6 +118,9 @@ def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, mon
         def __call__(self, rhs):
             return self.solve(rhs)
 
+        def certify(self):
+            return self.solve.certify()
+
     def recording(*args, **kwargs):
         solve = Solve(factor(*args, **kwargs))
         solves.append(weakref.ref(solve))
@@ -133,9 +136,9 @@ def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, mon
 
 def test_eigenbasis_makes_no_extra_copies_of_the_basis(gc_disabled):
     # disk-degenerate's eigensolve: N = 1153 and k = 30 on the complex pencil;
-    # traced peak in units of one complex N x k array: ARPACK's workspace, the
-    # vectors, and the temporaries of the mass norms, 7.2; 10.8 with a copy
-    # of the vectors per post-processing step
+    # traced peak in units of one complex N x k array: 4.76 with the shifted
+    # factor's pivots read after ARPACK, 6.56 with SuperLU's copies of L and U
+    # made before it, beside the Arnoldi workspace
     forms, _ = discretize(preset_problem("disk"), 24, 0)
     k = 30
     tracemalloc.start()
@@ -144,7 +147,97 @@ def test_eigenbasis_makes_no_extra_copies_of_the_basis(gc_disabled):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (forms.N * k * 16) < 8.5
+    assert peak / (forms.N * k * 16) < 5.5
+
+
+def _grid_pencil(n, shift, complex_):
+    """The 5-point Laplacian on an n x n grid minus ``shift`` I, Hermitian
+    with a pattern of bandwidth n, so not tridiagonal; a complex one has a
+    purely imaginary coupling along the grid's columns."""
+    path = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n))
+    K = sp.kronsum(path, path).tocsc() - shift * sp.eye(n * n)
+    if complex_:
+        couple = sp.kron(sp.diags([1.0, -1.0], [-1, 1], shape=(n, n)), sp.eye(n))
+        K = (K + 0.1j * couple).tocsc()
+    return K
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("arpack_fails", [False, True])
+def test_indefinite_superlu_pencil_is_not_spd_after_arpack(complex_, arpack_fails, monkeypatch):
+    # the certificate of the shifted factor is read after ARPACK, so an
+    # indefinite pencil (eigenvalues from -1.85 up) reaches ARPACK, and a
+    # failed certificate replaces ARPACK's own failure
+    K = _grid_pencil(7, 2.0, complex_)
+    assert K.shape[0] == 49 and 2 * SPARSE_SHARE <= 49 and not spectral._is_tridiagonal(K)
+    if arpack_fails:
+
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((49, 0)))
+
+        monkeypatch.setattr(spectral.spla, "eigs", fail)
+    with pytest.raises(NotSPD, match="shifted pencil") as caught:
+        generalized_eigenbasis(K, sp.eye(49), 2)
+    assert isinstance(caught.value.__context__, NoConvergence) == arpack_fails
+    # a definite pencil of the same pattern keeps ARPACK's failure
+    if arpack_fails:
+        with pytest.raises(NoConvergence, match="ARPACK"):
+            generalized_eigenbasis(_grid_pencil(7, 0.0, complex_), sp.eye(49), 2)
+
+
+def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monkeypatch):
+    # a proxy around each SuperLU factor records its first read of U (which
+    # builds SuperLU's copies of L and U), and a wrapper around arpack its
+    # return: the shifted pencil of the complex (disk) and the real
+    # (robin_rect) eigenbasis, and K+ + M of the exact Cauchy constant on a
+    # 2D mesh
+    import ncparab.estimates as estimates
+    from ncparab.config import RunConfig, build_problem
+
+    events = []
+    splu, arpack = spla.splu, spectral.arpack
+
+    class Proxy:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                events.append(name)
+            return getattr(self.lu, name)
+
+    def proxied(*args, **kwargs):
+        events.append("factored")
+        return Proxy(splu(*args, **kwargs))
+
+    def returning(*args, **kwargs):
+        result = arpack(*args, **kwargs)
+        events.append("arpack returned")
+        return result
+
+    drift = build_problem(
+        RunConfig(
+            problem_preset="inline",
+            problem_domain="rectangle(0,1,0,1)",
+            problem_first_order="0.5,0.5",
+            problem_a0="-0.2j",
+            problem_s="all",
+        )
+    )[0]
+    cases = [
+        (discretize(preset_problem(name), 8, 0)[0], 4) for name in ("disk", "robin_rect")
+    ] + [(discretize(drift, 8, 0)[0], None)]
+    monkeypatch.setattr(spla, "splu", proxied)
+    monkeypatch.setattr(spectral, "arpack", returning)
+    monkeypatch.setattr(estimates, "arpack", returning)
+    for forms, count in cases:
+        events.clear()
+        if count is None:
+            assert forms.first_order.count_nonzero()
+            check_cauchy_bound(forms, 1.0, 0.0)
+        else:
+            generalized_eigenbasis(forms.k_plus, forms.mass, count)
+        assert events == ["factored", "arpack returned", "U"]
 
 
 def _fix_signs_copy(vectors):

@@ -61,9 +61,9 @@ def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_pat
     factor, splu = spectral.factor, spla.splu
     factored, callers = [], []
 
-    def counting(mat, name, hermitian=False):
+    def counting(mat, name, hermitian=False, **kwargs):
         factored.append(hermitian)
-        return factor(mat, name, hermitian)
+        return factor(mat, name, hermitian, **kwargs)
 
     def recording(*args, **kwargs):
         callers.append(sys._getframe(1).f_code)
