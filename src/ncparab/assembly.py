@@ -204,9 +204,10 @@ def _element_data(mesh: Mesh, spec: ProblemSpec, lower: bool):
                         drift += a[:, None] * B[:, l, :]
                     bad = ~np.all(np.isfinite(drift), axis=1)
                     if np.any(bad):
+                        value = np.broadcast_to(a, bad.shape)[bad][0]
                         raise ConfigError(
-                            f"problem.first_order entry {l + 1} = {np.broadcast_to(a, bad.shape)[bad][0]}"
-                            " times the principal factor overflows at an element quadrature point"
+                            f"problem.first_order entry {l + 1} = {value} times the principal "
+                            "factor overflows at an element quadrature point"
                         )
                 C += wts[:, None, None] * phi[None, :, None] * drift[:, None, :]
             if spec.zero_order is not None:

@@ -957,7 +957,9 @@ _HUGE_ROBIN = _TINY.replace("s = all", "s = none") + "problem.b0 = 1e300\nproble
 _HUGE_DRIFT = _TINY + "problem.principal = diag(1e300)\nproblem.first_order = -1e300\n"
 _TINY_2D = _TINY.replace("interval(0,1)", "rectangle(0,1,0,1)")
 _HUGE_MODAL = _TINY_2D + "problem.principal = diag(1e-300,1e-300)\nproblem.a0 = -1e300j\n"
-_HUGE_ENERGY = _TINY_2D + "problem.principal = diag(1e300,1)\nproblem.T = 1e-320\nchecks.energy = true\n"
+_HUGE_ENERGY = _TINY_2D + (
+    "problem.principal = diag(1e300,1)\nproblem.T = 1e-320\nchecks.energy = true\n"
+)
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table

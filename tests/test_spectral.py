@@ -13,8 +13,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncparab import spectral
-from ncparab.config import preset_problem
+from ncparab import estimates, spectral
+from ncparab.config import RunConfig, build_problem, preset_problem
 from ncparab.errors import NoConvergence, NotSPD, SingularStepMatrix
 from ncparab.estimates import check_cauchy_bound
 from ncparab.integrator import discretize
@@ -166,14 +166,14 @@ def _grid_pencil(n, shift, complex_):
 @pytest.mark.parametrize("arpack_fails", [False, True])
 def test_indefinite_superlu_pencil_is_not_spd_after_arpack(complex_, arpack_fails, monkeypatch):
     # the certificate of the shifted factor is read after ARPACK, so an
-    # indefinite pencil (eigenvalues from -1.85 up) reaches ARPACK, and a
+    # indefinite pencil (8 of its 49 eigenvalues below 0, from -1.70) reaches ARPACK, and a
     # failed certificate replaces ARPACK's own failure
     K = _grid_pencil(7, 2.0, complex_)
     assert K.shape[0] == 49 and 2 * SPARSE_SHARE <= 49 and not spectral._is_tridiagonal(K)
     if arpack_fails:
 
         def fail(*args, **kwargs):
-            raise spla.ArpackNoConvergence("ARPACK did not converge", np.empty(0), np.empty((49, 0)))
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((49, 0)))
 
         monkeypatch.setattr(spectral.spla, "eigs", fail)
     with pytest.raises(NotSPD, match="shifted pencil") as caught:
@@ -191,9 +191,6 @@ def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monk
     # return: the shifted pencil of the complex (disk) and the real
     # (robin_rect) eigenbasis, and K+ + M of the exact Cauchy constant on a
     # 2D mesh
-    import ncparab.estimates as estimates
-    from ncparab.config import RunConfig, build_problem
-
     events = []
     splu, arpack = spla.splu, spectral.arpack
 
