@@ -123,7 +123,8 @@ def _is_tridiagonal(A) -> bool:
 def _lapack_tridiagonal(A, name: str, hermitian: bool):
     """The solve of LAPACK's factor of the tridiagonal ``A`` (see ``factor``):
     L D L^H (?pttrf) if it is Hermitian, LU with partial pivoting (?gttrf)
-    otherwise."""
+    otherwise; its certificate is read here, so its reading is
+    ``_certified``."""
     if hermitian:
         d, e = A.diagonal().real, A.diagonal(-1)
         pttrf, pttrs = sla.get_lapack_funcs(("pttrf", "pttrs"), (d, e))
