@@ -80,16 +80,15 @@ def apriori_bounds(trajectory: GalerkinTrajectory, c1: float, c2: float) -> Esti
     """
     u0 = trajectory.initial
     u0_sq = float(np.real(np.vdot(u0, trajectory.forms.mass @ u0)))
-    f_int = float(np.trapezoid(trajectory.dual_f_sq, trajectory.times))
     T = trajectory.times[-1]
-    with np.errstate(over="ignore"):  # an infinite bound, not an exception
+    with np.errstate(over="ignore"):  # an infinite bound or integral, not an exception
+        f_int = float(np.trapezoid(trajectory.dual_f_sq, trajectory.times))
         factor = float(np.exp((2.0 * c2 + 2.0 * np.float64(c1) ** 2) * T))
+        energy_int = float(np.trapezoid(trajectory.norm_plus_sq, trajectory.times))
     rhs = (u0_sq + f_int) * factor
 
     sup_lhs = float(np.max(trajectory.norm_l2_sq))
-    energy_lhs = 0.5 * float(
-        np.trapezoid(trajectory.norm_plus_sq, trajectory.times)
-    ) + float(trajectory.norm_l2_sq[-1])
+    energy_lhs = 0.5 * energy_int + float(trajectory.norm_l2_sq[-1])
 
     return EstimateReport(
         gronwall_factor=factor,

@@ -88,10 +88,6 @@ class ProblemSpec:
     source: Optional[Callable] = None
     initial: Optional[Callable] = None
 
-    @property
-    def dim(self) -> int:
-        return self.domain.dim
-
 
 @dataclass
 class ValidationReport:

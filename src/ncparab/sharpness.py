@@ -34,16 +34,6 @@ class SeriesLowerBound:
     growth_observed: bool
 
 
-def _power_sum(exponent: float, start: int, stop: int) -> float:
-    """sum_{k=start}^{stop-1} (k+1)^exponent, chunked for large ranges."""
-    total = 0.0
-    for lo in range(start, stop, _CHUNK):
-        hi = min(lo + _CHUNK, stop)
-        k = np.arange(lo, hi, dtype=float)
-        total += float(np.sum((k + 1.0) ** exponent))
-    return total
-
-
 def _weighted_power_sum(s: float, epsilon: float, start: int, stop: int) -> float:
     """sum_{k=start}^{stop-1} k^(2s-1) (k+1)^(-1-eps); k = 0 contributes
     0**0 = 1 at s = 1/2, following the literal formula."""
@@ -61,12 +51,13 @@ def _weighted_power_sum(s: float, epsilon: float, start: int, stop: int) -> floa
 
 def series_plus_norm(epsilon: float, terms: int) -> tuple[float, float]:
     """Partial sum of A(eps) through k = terms and an integral-test tail
-    bound, so the limit lies in [partial, partial + tail]."""
+    bound, so the limit lies in [partial, partial + tail]. A(eps) is
+    2 B(1/2, eps): the weight k^0 is 1 for every k, k = 0 included."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     if terms < 1:
         terms = 0
-    partial = 2.0 * np.pi * _power_sum(-1.0 - epsilon, 0, terms + 1)
+    partial = 2.0 * np.pi * _weighted_power_sum(0.5, epsilon, 0, terms + 1)
     tail = 2.0 * np.pi * terms ** (-epsilon) / epsilon if terms >= 1 else float("inf")
     return partial, tail
 

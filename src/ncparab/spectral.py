@@ -240,17 +240,25 @@ def arpack(apply, n: int, dtype, count: int):
     standard mode, which forms no reference cycle, from the package's one
     start vector. For n <= 2, below ARPACK's smallest size, a dense
     eigensolve of ``apply`` on the identity. Its failure is
-    ``NoConvergence``, and so is a map that overflows: its infinite or NaN
-    values fail the eigensolve or give an eigenvalue that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails below
+    ``NoConvergence``, and so is a map that overflows: its first value that
+    is not finite raises before ARPACK or LAPACK sees it, and an eigenvalue
+    that is not finite raises after."""
+
+    def finite(x):
+        y = apply(x)
+        if not np.all(np.isfinite(y)):
+            raise NoConvergence("ARPACK: the map overflows (a value is not finite)")
+        return y
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in finite
         try:
             if n <= 2:
-                w, X = np.linalg.eig(apply(np.eye(n, dtype=dtype)))
+                w, X = np.linalg.eig(finite(np.eye(n, dtype=dtype)))
                 keep = np.argsort(-np.abs(w), kind="stable")[:count]
                 w, X = w[keep], X[:, keep]
             else:  # which="LM", the largest modulus, is the default of eigs
                 v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
-                op = spla.LinearOperator((n, n), matvec=apply, dtype=dtype)
+                op = spla.LinearOperator((n, n), matvec=finite, dtype=dtype)
                 w, X = spla.eigs(op, count, v0=v0)
         except (spla.ArpackError, np.linalg.LinAlgError) as exc:
             raise NoConvergence(f"ARPACK: {exc}") from exc

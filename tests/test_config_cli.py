@@ -960,6 +960,10 @@ _HUGE_MODAL = _TINY_2D + "problem.principal = diag(1e-300,1e-300)\nproblem.a0 = 
 _HUGE_ENERGY = _TINY_2D + (
     "problem.principal = diag(1e300,1)\nproblem.T = 1e-320\nchecks.energy = true\n"
 )
+_HUGE_ENERGY_BOUND = _INTERVAL + (
+    "problem.s = left\nproblem.u0 = sine\nproblem.a0 = 1e300\nproblem.T = 1e300\n"
+    "mesh.resolution = 2\nbasis.k = 3\ntime.steps = 1\ntime.theta = 0.5\n"
+)
 
 # (command and flags, config text or None, documented exit code); {one} and
 # {two} name a 1D and a 2D CSV field table
@@ -980,8 +984,11 @@ EXIT_CODES = {
     # modal matrix H* C H that overflows is no system
     "drift-overflow": (["solve"], _HUGE_DRIFT, 2),
     "modal-matrix-overflow": (["solve"], _HUGE_MODAL, 3),
-    # an energy identity whose terms overflow (dt = 2.5e-321) fails
+    # an energy identity whose terms overflow (dt = 2.5e-321) fails, and so
+    # does an energy bound whose left side overflows (dt = 1e300)
     "energy-identity-overflow-solve": (["solve"], _HUGE_ENERGY, 1),
+    "energy-bound-overflow-solve": (["solve"], _HUGE_ENERGY_BOUND, 1),
+    "energy-bound-overflow-check": (["check"], _HUGE_ENERGY_BOUND, 1),
     # an infinite c1 or Gronwall factor is an infinite bound, not a crash;
     # both runs fail the uniqueness condition
     "first-order-overflow-solve": (["solve"], _HUGE_C1, 1),
@@ -992,6 +999,10 @@ EXIT_CODES = {
     # ARPACK (N = 4) or from the dense branch (N = 2)
     "huge-cauchy-constant": (["solve"], _HUGE_CAUCHY, 3),
     "huge-cauchy-constant-n2": (["solve"], _HUGE_CAUCHY.replace("resolution = 5", "resolution = 3"), 3),
+    # a map that overflows is refused at its first value that is not finite
+    "arpack-map-overflow": (
+        ["solve"], _TINY + "problem.first_order = -1e300\nchecks.cauchy = true\n", 3
+    ),
     # the sharpness values come only from the config: a removed flag is a
     # usage error, even with a valid value
     "sharpness-epsilon-flag": (["sharpness", "--epsilon", "1.0"], None, 2),
@@ -1017,6 +1028,13 @@ EXIT_CODES = {
     "checks-bounds-key": (["solve"], "problem.preset = zero1d\nchecks.bounds = false\n", 2),
     "checks-uniqueness-key": (["check"], "problem.preset = zero1d\nchecks.uniqueness = false\n", 2),
     "checks-continuity-key": (["solve"], "problem.preset = zero1d\nchecks.continuity = true\n", 2),
+    # refusals of the config itself
+    "config-unreadable": (["solve", "--config", "{one}.missing"], None, 2),
+    "resolution-negative": (["solve"], "problem.preset = zero1d\nmesh.resolution = -1\n", 2),
+    "convergence-mode-unknown": (["convergence"], _HEAT + "convergence.mode = nosuch\n", 2),
+    "bool-key-not-bool": (["check"], "problem.preset = zero1d\nchecks.energy = maybe\n", 2),
+    "s-selector-unknown": (["solve"], _INTERVAL + "problem.s = nosuch\n", 2),
+    "source-unknown": (["solve"], _INTERVAL + "problem.f = nosuch\n", 2),
 }
 
 
@@ -1048,8 +1066,8 @@ def test_cli_exit_code_contract(tmp_path, name, capsys):
 
 
 def _exit_code_case_in_a_child(tmp_path, name):
-    """The stderr of one EXIT_CODES case run as ``python -W error``, after
-    checking its real process status and that no traceback escaped."""
+    """The finished process of one EXIT_CODES case run as ``python -W
+    error``, after checking its real status and that no traceback escaped."""
     argv, code = _exit_code_case(tmp_path, name)
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "ncparab.cli", *argv],
@@ -1057,12 +1075,13 @@ def _exit_code_case_in_a_child(tmp_path, name):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    return proc.stderr
+    return proc
 
 
 def test_cli_exit_code_contract_in_a_child_process(tmp_path):
     # the real process status, with every warning an error as in the suite
-    assert "SingularStepMatrix" in _exit_code_case_in_a_child(tmp_path, "step-matrix-overflow")
+    proc = _exit_code_case_in_a_child(tmp_path, "step-matrix-overflow")
+    assert "SingularStepMatrix" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -1076,13 +1095,21 @@ def test_cli_exit_code_contract_in_a_child_process(tmp_path):
 )
 def test_overflows_are_refused_in_a_warnings_as_errors_child(tmp_path, name, message):
     # no overflow warning escapes before the refusal
-    assert message in _exit_code_case_in_a_child(tmp_path, name)
+    assert message in _exit_code_case_in_a_child(tmp_path, name).stderr
 
 
 @pytest.mark.parametrize("name", sorted(name for name in EXIT_CODES if "-overflow-" in name))
 def test_overflowing_constants_exit_1_in_a_child_process(tmp_path, name):
     # no overflow warning escapes the bounds: the run reports and exits 1
-    assert _exit_code_case_in_a_child(tmp_path, name) == ""
+    assert _exit_code_case_in_a_child(tmp_path, name).stderr == ""
+
+
+def test_an_overflowing_arpack_map_is_refused_before_lapack_sees_it(tmp_path):
+    # LAPACK's LASCL complaint and ARPACK's workspace advice would misname
+    # the failure; LAPACK writes to stdout
+    proc = _exit_code_case_in_a_child(tmp_path, "arpack-map-overflow")
+    assert "NoConvergence: ARPACK: the map overflows" in proc.stderr
+    assert "LASCL" not in proc.stdout + proc.stderr and "workspace" not in proc.stderr
 
 
 # A tiny valid inline problem from the documented vocabulary, and extremes

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,8 @@ from ncparab.assembly import assemble_forms
 from ncparab.errors import InvalidDomain
 from ncparab.meshing import build_mesh
 from ncparab.problem import Interval, ProblemSpec, Rectangle, UnitDiskPolygon
+
+from tests.conftest import child_env
 
 
 def _edge_counts(mesh):
@@ -193,3 +197,14 @@ def test_mesh_size_is_the_longest_edge():
         p = mesh.nodes[mesh.elements]
         edges = np.linalg.norm(p - np.roll(p, 1, axis=1), axis=2)
         assert np.max(edges) == pytest.approx(mesh.size, rel=1e-14)
+
+
+def test_importing_the_mesher_leaves_scipy_unloaded():
+    # the package namespace loads no submodule, so the mesher and the
+    # modules it imports need numpy alone
+    code = "import sys, ncparab.meshing; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
