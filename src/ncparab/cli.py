@@ -230,39 +230,30 @@ def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     return 0
 
 
-def solve_error_vs_oracle(
-    preset_name: str, resolution: int, steps: int, theta: float
-) -> tuple[float, float]:
-    """Mesh size h and relative L2 error against the preset oracle at final
-    time.
+def _convergence_level(args) -> tuple[float, float]:
+    """Mesh size h and error of one level, from the level's own mesh.
 
-    The Galerkin solution with the full basis (k = N) is the nodal theta
-    scheme, so no eigenbasis is computed.
+    In ``eigs`` mode the error is that of the first three pencil
+    eigenvalues; otherwise it is the relative L2 error at final time against
+    the preset oracle. The Galerkin solution with the full basis (k = N) is
+    the nodal theta scheme, so no eigenbasis is computed there.
     """
+    mode, preset_name, resolution, steps, theta = args
     preset = get_preset(preset_name)
-    if preset.oracle is None:
-        raise NoOracle(f"preset {preset_name!r} has no exact solution")
     spec = preset_problem(preset_name)
+    if mode == "eigs":
+        forms, basis = discretize(spec, resolution, 3)
+        exact = preset.spectrum(basis.size)
+        return forms.mesh.size, float(np.max(np.abs(basis.eigenvalues - exact) / exact))
     forms, _ = discretize(spec, resolution, 0)
     numeric = solve_nodal(spec, forms, steps, theta)
-    mesh = forms.mesh
-    coords = axes(mesh.nodes[forms.dofmap.free])
+    coords = axes(forms.mesh.nodes[forms.dofmap.free])
     exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
     diff = numeric - exact
     M = forms.mass
     err = np.sqrt(np.real(np.vdot(diff, M @ diff)))
     ref = np.sqrt(np.real(np.vdot(exact, M @ exact)))
-    return mesh.size, float(err / ref)
-
-
-def _convergence_level(args) -> tuple[float, float]:
-    """Mesh size h and error of one level, from the level's own mesh."""
-    mode, preset_name, resolution, steps, theta = args
-    if mode == "eigs":
-        forms, basis = discretize(preset_problem(preset_name), resolution, 3)
-        exact = get_preset(preset_name).spectrum(basis.size)
-        return forms.mesh.size, float(np.max(np.abs(basis.eigenvalues - exact) / exact))
-    return solve_error_vs_oracle(preset_name, resolution, steps, theta)
+    return forms.mesh.size, float(err / ref)
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:

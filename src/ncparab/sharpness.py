@@ -94,52 +94,3 @@ def witness_epsilon(s: float) -> float:
     if not (0.5 < s < 1.0):
         raise SOutOfRange("s must lie in the open interval (1/2, 1)")
     return (2.0 * s - 1.0) / 2.0
-
-
-def find_divergence_epsilon(s: float, terms: int = 100_000) -> dict:
-    """Witness epsilon for a given s in (1/2, 1) together with the evaluated
-    partial sums and verdicts."""
-    epsilon = witness_epsilon(s)
-    partial_a, tail_a = series_plus_norm(epsilon, terms)
-    lower = series_hs_lower_bound(s, epsilon, terms)
-    return {
-        "s": s,
-        "epsilon": epsilon,
-        "partial_A": partial_a,
-        "tail_A": tail_a,
-        "partial_B": lower.partial_sum,
-        "B_diverges": lower.diverges,
-        "B_growth_observed": lower.growth_observed,
-    }
-
-
-def truncated_series_coefficients(epsilon: float, K: int) -> np.ndarray:
-    """Time-integrated Gram weights of the truncated series.
-
-    With c_k(t) = t^(k/2) / (T^((k+1)/2) (k+1)^(eps/2)), the matrix
-    G[j, k] = int_0^T conj(c_j) c_k dt = ((j+k)/2 + 1)^-1 ((j+1)(k+1))^(-eps/2)
-    is independent of T; evaluating it analytically avoids time quadrature.
-    """
-    k = np.arange(K + 1, dtype=float)
-    weights = (k[:, None] + k[None, :]) / 2.0 + 1.0
-    scale = ((k[:, None] + 1.0) * (k[None, :] + 1.0)) ** (-epsilon / 2.0)
-    return scale / weights
-
-
-def discrete_series_energy(mesh, spec, epsilon: float, K: int) -> float:
-    """Discrete Bochner energy norm of the truncated series on a disk mesh.
-
-    Interpolates z^k at the free nodes (those off the closure of S, all of
-    them on the paper's disk), forms the Gram matrix of the powers in the
-    energy product K+ of ``assemble_forms``, and contracts it with the
-    analytic time weights. Converges to 2 pi sum_{k<=K} (k+1)^(-1-eps)
-    under mesh refinement.
-    """
-    from .assembly import assemble_forms
-
-    forms = assemble_forms(mesh, spec)
-    z = forms.dofmap.reduce(mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1])
-    W = np.stack([z**k for k in range(K + 1)], axis=1)
-    gram = W.conj().T @ (forms.k_plus @ W)
-    G = truncated_series_coefficients(epsilon, K)
-    return float(np.real(np.sum(G * gram)))

@@ -6,6 +6,9 @@ import ncparab
 from ncparab.config import RunConfig, build_problem
 from ncparab.integrator import discretize
 
+# The committed example studies, one config each.
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
 
 def build_pipeline(preset_name, resolution=None, k=None):
     """Discretize a preset, at its defaults where no size is given; shared

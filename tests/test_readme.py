@@ -7,6 +7,7 @@ from pathlib import Path
 from ncparab.config import RunConfig, build_problem
 from ncparab.errors import ConfigError
 from ncparab.presets import PRESETS
+from tests.conftest import EXAMPLES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -71,3 +72,19 @@ def test_every_readme_u0_name_is_accepted(tmp_path):
                 continue
             accepted.append(domain)
         assert accepted, name
+
+
+def test_readme_example_paths_exist():
+    named = set(re.findall(r"\bexamples/[\w./-]*\w", README.read_text()))
+    assert named
+    for path in named:
+        assert (EXAMPLES.parent / path).is_file(), path
+
+
+def test_every_example_is_in_the_readme_and_loads():
+    text = README.read_text()
+    examples = sorted(EXAMPLES.iterdir())
+    assert examples
+    for path in examples:
+        assert f"examples/{path.name}" in text, path.name
+        RunConfig.load(str(path))

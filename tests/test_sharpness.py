@@ -4,18 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from ncparab.assembly import assemble_forms
 from ncparab.config import preset_problem
 from ncparab.errors import SOutOfRange
 from ncparab.meshing import build_mesh
 from ncparab.problem import UnitDiskPolygon
-from ncparab.sharpness import (
-    discrete_series_energy,
-    find_divergence_epsilon,
-    series_hs_lower_bound,
-    series_plus_norm,
-    truncated_series_coefficients,
-    witness_epsilon,
-)
+from ncparab.sharpness import series_hs_lower_bound, series_plus_norm, witness_epsilon
+from tests.test_acceptance import discrete_series_energy
 
 
 def test_plus_norm_single_term():
@@ -86,19 +81,19 @@ def test_lower_bound_s_one_large_epsilon_converges():
     assert result.partial_sum < np.pi * zeta(2.0) + np.pi
 
 
-def test_find_divergence_epsilon_midpoint_formula():
+def test_witness_epsilon_midpoint_formula():
     for s, expected in ((0.75, 0.25), (0.6, 0.1), (0.9, 0.4)):
-        result = find_divergence_epsilon(s, terms=50_000)
-        assert result["epsilon"] == witness_epsilon(s) == pytest.approx(expected)
-        assert result["B_diverges"]
-        assert np.isfinite(result["partial_A"] + result["tail_A"])
-        assert result["B_growth_observed"]
+        epsilon = witness_epsilon(s)
+        assert epsilon == pytest.approx(expected)
+        partial, tail = series_plus_norm(epsilon, 50_000)
+        lower = series_hs_lower_bound(s, epsilon, 50_000)
+        assert lower.diverges
+        assert np.isfinite(partial + tail)
+        assert lower.growth_observed
 
 
-def test_find_divergence_epsilon_rejects_out_of_range():
+def test_witness_epsilon_rejects_out_of_range():
     for s in (0.4, 0.5, 1.0, 1.2):
-        with pytest.raises(SOutOfRange):
-            find_divergence_epsilon(s)
         with pytest.raises(SOutOfRange):
             witness_epsilon(s)
     with pytest.raises(SOutOfRange):
@@ -106,11 +101,24 @@ def test_find_divergence_epsilon_rejects_out_of_range():
 
 
 def test_time_weight_matrix_values():
-    # G[j, k] = ((j + k)/2 + 1)^-1 ((j+1)(k+1))^(-eps/2); spot values
-    G = truncated_series_coefficients(1.0, 2)
-    assert G[0, 0] == pytest.approx(1.0)
-    assert G[1, 1] == pytest.approx(0.25)
-    assert G[0, 2] == pytest.approx((1.0 / 2.0) * 3.0 ** (-0.5))
+    # G[j, k] = ((j + k)/2 + 1)^-1 ((j+1)(k+1))^(-eps/2), written out at
+    # eps = 1 and K = 2, contracts the Gram matrix of 1, z, z^2 in K+
+    G = np.array(
+        [
+            [1.0, (2.0 / 3.0) * 2.0 ** (-0.5), (1.0 / 2.0) * 3.0 ** (-0.5)],
+            [(2.0 / 3.0) * 2.0 ** (-0.5), 0.25, (2.0 / 5.0) * 6.0 ** (-0.5)],
+            [(1.0 / 2.0) * 3.0 ** (-0.5), (2.0 / 5.0) * 6.0 ** (-0.5), 1.0 / 9.0],
+        ]
+    )
+    spec = preset_problem("disk")
+    spec.domain = UnitDiskPolygon(16)
+    mesh = build_mesh(spec.domain, 4, spec.dirichlet_selector)
+    forms = assemble_forms(mesh, spec)
+    z = forms.dofmap.reduce(mesh.nodes[:, 0] + 1j * mesh.nodes[:, 1])
+    W = np.stack([np.ones_like(z), z, z**2], axis=1)
+    gram = W.conj().T @ (forms.k_plus @ W)
+    expected = float(np.real(np.sum(G * gram)))
+    assert discrete_series_energy(mesh, spec, 1.0, 2) == pytest.approx(expected, rel=1e-12)
 
 
 def test_discrete_energy_matches_series_within_tolerance():
