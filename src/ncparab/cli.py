@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: ``solve`` (full pipeline plus report), ``eigs`` (basis
-eigenvalues), ``convergence`` (refinement study against the exact solution),
-``check`` (the ``solve`` report with the energy identity, report.csv only),
-``sharpness`` (embedding series).
+eigenvalues), ``convergence`` (refinement study against the exact solution
+or spectrum), ``check`` (the ``solve`` report with the energy identity,
+report.csv only), ``sharpness`` (embedding series).
 The config file says what is computed; the flags say where it is written
 (``--out``, created if missing) and how it runs (``--jobs``).
 Exit codes: 0 all checks passed, 1 a check failed, 2 config or usage error,
@@ -24,7 +24,7 @@ import traceback
 
 import numpy as np
 
-from .config import RunConfig, build_problem, named_preset, preset_problem
+from .config import RunConfig, build_problem
 from .errors import ConfigError, NcparabError, NoOracle
 from .estimates import (
     apriori_bounds,
@@ -43,7 +43,7 @@ from .integrator import (
 )
 from .fields import axes
 from .meshing import Mesh, build_mesh
-from .presets import get_preset
+from .presets import PRESETS
 from .sharpness import series_hs_lower_bound, series_plus_norm, witness_epsilon
 
 
@@ -230,60 +230,71 @@ def run_eigs(cfg: RunConfig, out_dir: str, vectors: bool = False) -> int:
     return 0
 
 
-def _convergence_level(args) -> tuple[float, float]:
-    """Mesh size h and error of one level, from the level's own mesh.
-
-    In ``eigs`` mode the error is that of the first three pencil
-    eigenvalues; otherwise it is the relative L2 error at final time against
-    the preset oracle. The Galerkin solution with the full basis (k = N) is
-    the nodal theta scheme, so no eigenbasis is computed there.
-    """
-    mode, preset_name, resolution, steps, theta = args
-    preset = get_preset(preset_name)
-    spec = preset_problem(preset_name)
-    if mode == "eigs":
-        forms, basis = discretize(spec, resolution, 3)
-        exact = preset.spectrum(basis.size)
-        return forms.mesh.size, float(np.max(np.abs(basis.eigenvalues - exact) / exact))
+def _nodal_error(level) -> tuple[float, float, float]:
+    """h, dt and the relative L2 error at final time against the exact
+    solution. The Galerkin solution with the full basis (k = N) is the nodal
+    theta scheme, so no eigenbasis is computed."""
+    oracle, cfg, resolution, steps = level
+    spec = build_problem(cfg)[0]
     forms, _ = discretize(spec, resolution, 0)
-    numeric = solve_nodal(spec, forms, steps, theta)
     coords = axes(forms.mesh.nodes[forms.dofmap.free])
-    exact = np.asarray(preset.oracle(*coords, spec.final_time), dtype=complex)
-    diff = numeric - exact
-    M = forms.mass
-    err = np.sqrt(np.real(np.vdot(diff, M @ diff)))
-    ref = np.sqrt(np.real(np.vdot(exact, M @ exact)))
-    return forms.mesh.size, float(err / ref)
+    exact = np.asarray(oracle(*coords, spec.final_time), dtype=complex)
+    diff = solve_nodal(spec, forms, steps, cfg.time_theta) - exact
+    err, ref = (np.sqrt(np.real(np.vdot(v, forms.mass @ v))) for v in (diff, exact))
+    return forms.mesh.size, spec.final_time / steps, float(err / ref)
+
+
+def _eigs_error(level) -> tuple[float, float, float]:
+    """h, no dt and the largest relative error of the first three pencil
+    eigenvalues against the exact spectrum."""
+    spectrum, cfg, resolution, _ = level
+    forms, basis = discretize(build_problem(cfg)[0], resolution, 3)
+    exact = spectrum(basis.size)
+    return forms.mesh.size, float("nan"), float(np.max(np.abs(basis.eigenvalues - exact) / exact))
+
+
+def _doubling(cfg: RunConfig, spec) -> list[tuple[int, int]]:
+    """(resolution, steps) per level: mesh.resolution (default 25) doubled, one step."""
+    return [((cfg.mesh_resolution or 25) * 2**i, 1) for i in range(cfg.convergence_levels)]
+
+
+def _space_time(cfg: RunConfig, spec) -> list[tuple[int, int]]:
+    """``_doubling`` with dt = h/10 rounded to whole steps on the coarsest
+    level, then halved with h, so both errors fall by the same factor. Only
+    the coarsest mesh is built here (none for zero levels)."""
+    levels = _doubling(cfg, spec)
+    dt = [build_mesh(spec.domain, r).size / 10.0 for r, _ in levels[:1]]
+    return [(r, max(1, round(spec.final_time / dt[0])) * 2**i) for i, (r, _) in enumerate(levels)]
+
+
+def _fixed_mesh(cfg: RunConfig, spec) -> list[tuple[int, int]]:
+    """One mesh (default resolution 200); time.steps (default 10) doubles."""
+    count = range(cfg.convergence_levels)
+    return [(cfg.mesh_resolution or 200, (cfg.time_steps or 10) * 2**i) for i in count]
+
+
+# convergence.mode -> (level schedule, level function, the exact data it compares with)
+_STUDIES = {
+    "space_time": (_space_time, _nodal_error, "oracle"),
+    "time": (_fixed_mesh, _nodal_error, "oracle"),
+    "eigs": (_doubling, _eigs_error, "spectrum"),
+}
 
 
 def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
-    """Write convergence.csv, running the levels in min(jobs, levels)
-    processes; ``jobs`` below 1 is a usage error (``ConfigError``)."""
+    """Write convergence.csv for any problem that ``build_problem`` accepts
+    and that has the exact solution (or spectrum) the mode compares with,
+    else ``NoOracle``. Each level rebuilds the problem from ``cfg``, in
+    min(jobs, levels) processes; ``jobs`` below 1 is a usage error."""
     if jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    preset = named_preset(cfg)
-    mode = cfg.convergence_mode
-    if preset.oracle is None or (mode == "eigs" and preset.spectrum is None):
-        raise NoOracle(f"preset {cfg.problem_preset!r} has no exact solution")
-    spec = preset_problem(cfg.problem_preset)
-    count = range(cfg.convergence_levels)
-    if mode == "time":
-        resolutions = [cfg.mesh_resolution or 200 for _ in count]
-        steps = [(cfg.time_steps or 10) * 2**i for i in count]
-    else:
-        resolutions = [(cfg.mesh_resolution or 25) * 2**i for i in count]
-    if mode == "space_time":
-        # dt = h/10 rounded to whole steps on the coarsest level, then halved
-        # with h, so both errors fall by the same factor; only the coarsest
-        # mesh is built here (none for zero levels), each level builds its own
-        coarsest = [build_mesh(spec.domain, r).size for r in resolutions[:1]]
-        steps = [max(1, round(spec.final_time / (coarsest[0] / 10.0))) * 2**i for i in count]
-    elif mode == "eigs":
-        steps = [1 for _ in count]
-    levels = [
-        (mode, cfg.problem_preset, resolution, n, cfg.time_theta)
-        for resolution, n in zip(resolutions, steps)
-    ]
+    schedule, level, attr = _STUDIES[cfg.convergence_mode]
+    spec = build_problem(cfg)[0]
+    exact = getattr(PRESETS.get(cfg.problem_preset), attr, None)  # inline problems have none
+    if exact is None:
+        noun = "spectrum" if attr == "spectrum" else "solution"
+        raise NoOracle(f"problem {cfg.problem_preset!r} has no exact {noun} to compare with")
+    levels = [(exact, cfg, resolution, steps) for resolution, steps in schedule(cfg, spec)]
 
     workers = min(jobs, len(levels))  # a pool starts all its workers at once
     if workers > 1:
@@ -291,21 +302,15 @@ def run_convergence(cfg: RunConfig, out_dir: str, jobs: int = 1) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_convergence_level, levels))
+            rows = list(pool.map(level, levels))
     else:
-        results = [_convergence_level(level) for level in levels]
-    sizes = [h for h, _ in results]
-    errors = [err for _, err in results]
-
-    dts = [float("nan") if mode == "eigs" else spec.final_time / n for n in steps]
-    orders = [
-        float("nan") if i == 0 else float(np.log2(errors[i - 1] / err))
-        for i, err in enumerate(errors)
-    ]
+        rows = [level(args) for args in levels]
+    # the one reducer: log2 of each level's error ratio to the level before
+    orders = [float("nan")] + [float(np.log2(a[2] / b[2])) for a, b in zip(rows, rows[1:])]
     _write_table(
         os.path.join(out_dir, "convergence.csv"),
         ["h", "dt", "error", "observed_order"],
-        [sizes, dts, errors, orders],
+        [*np.reshape(rows, (-1, 3)).T, orders[: len(rows)]],
     )
     return 0
 

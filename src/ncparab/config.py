@@ -232,27 +232,21 @@ def _refuse_problem_keys(cfg: RunConfig, keys) -> None:
         )
 
 
-def named_preset(cfg: RunConfig):
-    """The preset a config names. A config file may set no other
-    ``problem.*`` key (``RunConfig.from_text``), and a config built in code
-    may not set one away from its default: either is a ``ConfigError``."""
-    preset = get_preset(cfg.problem_preset)
-    default = RunConfig()
-    changed = [k for k, a in RunConfig.keymap().items() if getattr(cfg, a) != getattr(default, a)]
-    _refuse_problem_keys(cfg, changed)
-    return preset
-
-
 def build_problem(cfg: RunConfig) -> tuple[ProblemSpec, int, int, int]:
     """Resolve a config to a problem plus mesh/basis/step counts.
 
     A named preset is its ``problem`` values over a fresh ``RunConfig``,
-    built as an inline problem. Returns (spec, resolution, basis size, time
-    steps) with the preset's (or the inline) defaults filled in where the
-    config left zeros.
+    built as an inline problem. A config file may then set no other
+    ``problem.*`` key (``RunConfig.from_text``), and a config built in code
+    may not set one away from its default: either is a ``ConfigError``.
+    Returns (spec, resolution, basis size, time steps) with the preset's (or
+    the inline) defaults filled in where the config left zeros.
     """
     if cfg.problem_preset and cfg.problem_preset != "inline":
-        preset = named_preset(cfg)
+        preset = get_preset(cfg.problem_preset)
+        default = RunConfig()
+        changed = [k for k, a in cfg.keymap().items() if getattr(cfg, a) != getattr(default, a)]
+        _refuse_problem_keys(cfg, changed)
         spec = _inline_problem(RunConfig(**preset.problem))
         defaults = preset.default_resolution, preset.default_k, preset.default_steps
     else:

@@ -34,8 +34,8 @@ class DivisionByZeroB1(NumericalError):
     """b1 vanishes on a boundary point outside the constrained set."""
 
 
-class InvalidDomain(NumericalError):
-    """Unsupported or malformed domain description."""
+class InvalidDomain(ConfigError):
+    """Unsupported domain, or a mesh resolution below 2."""
 
 
 class ConstraintOnAllDofs(NumericalError):

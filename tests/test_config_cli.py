@@ -461,9 +461,40 @@ def test_cli_convergence_heat(tmp_path):
     assert all(abs(o - 2.0) <= 0.3 for o in orders)
 
 
-def test_cli_convergence_without_oracle_fails(tmp_path):
-    cfg = _write_cfg(tmp_path, "problem.preset = zero1d\n")
-    assert main(["convergence", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+def test_cli_convergence_without_oracle_fails(tmp_path, monkeypatch, capsys):
+    # the parent looks up the exact solution (spectrum in eigs mode) before
+    # any level runs or any pool starts, for a named or an inline problem
+    import concurrent.futures
+
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level ran without an oracle")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_level)
+    monkeypatch.setattr(cli, "discretize", no_level)
+    for problem, name in (
+        ("problem.preset = zero1d\n", "'zero1d'"),
+        ("problem.preset = disk\n", "'disk'"),
+        (_INTERVAL + "problem.s = all\nproblem.u0 = sine\n", "'inline'"),
+    ):
+        for mode in ("space_time", "time", "eigs"):
+            missing = "spectrum" if mode == "eigs" else "solution"
+            cfg = _write_cfg(tmp_path, f"{problem}convergence.mode = {mode}\nmesh.resolution = 4\n")
+            argv = ["convergence", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"config error: problem {name} has no exact {missing}" in err
+
+
+def test_convergence_level_runs_an_inline_problem_like_its_named_twin():
+    # each level rebuilds its problem from the config, so an inline config
+    # reaches the level functions; heat1d is an inline problem by name
+    twin = RunConfig(
+        problem_preset="inline", problem_domain="interval(0,1)", problem_s="all", problem_u0="sine"
+    )
+    heat = PRESETS["heat1d"]
+    for level, exact in ((cli._nodal_error, heat.oracle), (cli._eigs_error, heat.spectrum)):
+        named = level((exact, RunConfig(problem_preset="heat1d"), 8, 5))
+        np.testing.assert_array_equal(level((exact, twin, 8, 5)), named)
 
 
 def test_cli_convergence_time_mode_first_order(tmp_path):
@@ -520,17 +551,20 @@ def test_cli_convergence_builds_each_level_mesh_once(tmp_path, monkeypatch, mode
 
 
 def test_cli_convergence_parallel_matches_serial(tmp_path):
-    cfg = _write_cfg(
-        tmp_path,
-        "problem.preset = heat1d\nconvergence.levels = 3\nmesh.resolution = 10\n",
-    )
-    outputs = []
-    for name, jobs in (("serial", "1"), ("parallel", "2")):
-        out = str(tmp_path / name)
-        assert main(["convergence", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
-        with open(os.path.join(out, "convergence.csv"), "rb") as fh:
-            outputs.append(fh.read())
-    assert outputs[0] == outputs[1]
+    for preset in ("heat1d", "heat2d"):
+        for mode in ("space_time", "time", "eigs"):
+            cfg = _write_cfg(
+                tmp_path,
+                f"problem.preset = {preset}\nconvergence.mode = {mode}\n"
+                "convergence.levels = 3\nmesh.resolution = 8\n",
+            )
+            outputs = []
+            for jobs in ("1", "2"):
+                out = str(tmp_path / f"{preset}-{mode}-{jobs}")
+                assert main(["convergence", "--config", cfg, "--out", out, "--jobs", jobs]) == 0
+                with open(os.path.join(out, "convergence.csv"), "rb") as fh:
+                    outputs.append(fh.read())
+            assert outputs[0] == outputs[1], (preset, mode)
     # only convergence takes --jobs; elsewhere it is a usage error
     with pytest.raises(SystemExit, match="^2$"):
         main(["solve", "--config", cfg, "--jobs", "2"])
@@ -973,6 +1007,15 @@ EXIT_CODES = {
     "csv-1d-b1-on-rectangle": (["solve"], _RECTANGLE + "problem.b1 = csv:{one}\n", 2),
     "jobs-zero": (["convergence", "--jobs", "0"], _HEAT, 2),
     "jobs-negative": (["convergence", "--jobs", "-3"], _HEAT, 2),
+    # a mesh of one cell, or a problem without an exact solution to compare
+    # with, is refused as the config's fault
+    "resolution-one-solve": (["solve"], "problem.preset = zero1d\nmesh.resolution = 1\n", 2),
+    "resolution-one-convergence": (
+        ["convergence"], "problem.preset = heat1d\nconvergence.levels = 2\nmesh.resolution = 1\n", 2
+    ),
+    "convergence-inline-no-oracle": (
+        ["convergence"], _INTERVAL + "problem.s = all\nproblem.u0 = sine\nmesh.resolution = 8\n", 2
+    ),
     "step-matrix-overflow": (
         ["solve"], _INTERVAL + "problem.u0 = sine\nproblem.T = 1e-320\n", 3
     ),
