@@ -196,7 +196,7 @@ def run_solve(
                 *np.abs(trajectory.coefficients[:, :shown]).T,
             ],
         )
-        final = reconstruct_solution(trajectory, trajectory.times[-1])
+        final = reconstruct_solution(trajectory)
         _write_table(
             os.path.join(out_dir, "solution_final.csv"),
             ["id", "re", "im"],

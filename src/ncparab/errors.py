@@ -54,13 +54,9 @@ class SingularStepMatrix(NumericalError):
     """Implicit time-step matrix cannot be factorized."""
 
 
-class TimeOffGrid(NumericalError):
-    """Requested time does not lie on the trajectory grid."""
-
-
 class NoOracle(ConfigError):
     """Convergence study requested for a preset without an exact solution."""
 
 
-class SOutOfRange(NumericalError):
+class SOutOfRange(ConfigError):
     """Sobolev index outside the admissible open interval (1/2, 1)."""

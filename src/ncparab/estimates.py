@@ -27,7 +27,7 @@ import numpy as np
 from .integrator import GalerkinTrajectory
 from .fields import axes
 from .problem import ProblemSpec, split_zero_order
-from .spectral import arpack, factor
+from .spectral import arpack
 
 UNIQUENESS_TOL = 1e-10
 BOUND_SLACK = 0.02
@@ -138,27 +138,22 @@ def check_cauchy_bound(forms, c1: float, c2: float) -> tuple[float, bool]:
     |v* C u| <= c ||u||_E ||v||_E with E = K+ + M. The smallest such
     constant over the whole discrete space is the largest generalized
     singular value of C in the E-norm: sqrt(mu) for the largest mu of
-    C* E^-1 C x = mu E x, the largest eigenvalue of E^-1 C* E^-1 C, from one
-    sparse factor of E (``NotSPD`` if E is not positive definite) and
-    ``spectral.arpack``. Returns the constant and whether it stays below c
-    (with roundoff headroom).
+    C* E^-1 C x = mu E x, the largest eigenvalue of E^-1 C* E^-1 C, from
+    ``spectral.arpack`` on the factor of E (``NotSPD`` if E is not positive
+    definite). Returns the constant and whether it stays below c (with
+    roundoff headroom).
 
-    The factor's certificate is read once ARPACK has returned, or as its
-    error propagates, and a failed one replaces that error
-    (``spectral.factor``); so on a 2D mesh SuperLU's copies of L and U are
-    made only after the Arnoldi workspace is gone.
+    ``arpack`` reads the factor's certificate once ARPACK has returned, so
+    on a 2D mesh SuperLU's copies of L and U are made only after the Arnoldi
+    workspace is gone.
     """
     C = forms.first_order
     mu = 0.0
     if C.count_nonzero():
         E = forms.k_plus + forms.mass
-        solve = factor(E, "K+ + M", hermitian=True, deferred=True)
         CH = C.conj().T.tocsr()
         dtype = np.result_type(C.dtype, E.dtype)
-        try:
-            (mu,), _ = arpack(lambda x: solve(CH @ solve(C @ x)), forms.N, dtype, 1)
-        finally:  # a failed certificate replaces any error of ARPACK
-            solve.certify()
+        (mu,), _ = arpack(E, "K+ + M", lambda solve: lambda x: solve(CH @ solve(C @ x)), dtype, 1)
     ratio = float(np.sqrt(max(float(np.real(mu)), 0.0)))
     c = c1 + c2
     return ratio, ratio <= c * (1.0 + 1e-9) + 1e-12

@@ -47,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
 
 from .assembly import AssembledForms, assemble_forms, assemble_load, dual_norm, real_if_exact
-from .errors import NumericalError, SingularStepMatrix, TimeOffGrid
+from .errors import NumericalError, SingularStepMatrix
 from .fields import axes
 from .meshing import build_mesh
 from .problem import ProblemSpec, validate_coefficients
@@ -81,19 +81,13 @@ class GalerkinTrajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def time_index(self, t: float) -> int:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[idx] - t) > 1e-12 * max(1.0, float(self.times[-1])):
-            raise TimeOffGrid(f"t = {t} is not on the trajectory grid")
-        return idx
-
 
 def discretize(
-    spec: ProblemSpec, resolution: int, k: Optional[int]
+    spec: ProblemSpec, resolution: int, k: int
 ) -> tuple[AssembledForms, Optional[EigenBasis]]:
     """Validated forms of ``spec`` on a mesh of the given resolution and the
-    first min(k, N) pairs of their energy basis (all N pairs for k = None,
-    no basis and no eigensolve for k = 0).
+    first min(k, N) pairs of their energy basis (no basis and no eigensolve
+    for k = 0).
 
     The coefficients are validated at the mesh's quadrature points, where
     the forms evaluate them, so the mesh is built first. Each stage is
@@ -105,8 +99,7 @@ def discretize(
     forms = assemble_forms(mesh, spec)
     if k == 0:
         return forms, None
-    count = forms.N if k is None else min(k, forms.N)
-    return forms, generalized_eigenbasis(forms.k_plus, forms.mass, count)
+    return forms, generalized_eigenbasis(forms.k_plus, forms.mass, min(k, forms.N))
 
 
 def build_galerkin_system(forms: AssembledForms, basis: EigenBasis, k: int) -> np.ndarray:
@@ -368,10 +361,9 @@ def solve_nodal(
     return deque(states, maxlen=1).pop()
 
 
-def reconstruct_solution(trajectory: GalerkinTrajectory, t: float) -> np.ndarray:
-    """Nodal solution values at a grid time, zeros reinstated on the
-    constrained nodes."""
-    reduced = trajectory.basis.vectors @ trajectory.coefficients[trajectory.time_index(t)]
+def reconstruct_solution(trajectory: GalerkinTrajectory) -> np.ndarray:
+    """Nodal solution values at T, zeros reinstated on the constrained nodes."""
+    reduced = trajectory.basis.vectors @ trajectory.coefficients[-1]
     return trajectory.forms.dofmap.expand(reduced)
 
 

@@ -14,17 +14,17 @@ definite, as ``assembly.assemble_forms`` checks on the mesh, so the sparse
 kernel factors only the shifted pencil, reads its certificate once ARPACK
 returns, and then lets it go.
 
-Every sparse factor of the package comes from ``factor``, in the matrix's
-own dtype, by one of two kernels picked from the matrix's pattern alone: a
-tridiagonal matrix of order 3 or more, which is every matrix of a 1D mesh,
-goes to LAPACK's tridiagonal routines, any other to SuperLU in minimum
-degree order on A^T + A. A Hermitian matrix gets L D L^H (?pttrf) or
+Every sparse factor of the package comes from ``factor`` or ``arpack``,
+in the matrix's own dtype, by one of two kernels picked from the matrix's
+pattern alone: a tridiagonal matrix of order 3 or more, which is every
+matrix of a 1D mesh, goes to LAPACK's tridiagonal routines, any other to
+SuperLU in minimum degree order on A^T + A. A Hermitian matrix gets L D L^H (?pttrf) or
 diagonal pivots in a symmetric order, which refuse an indefinite or an
 exactly singular matrix (``NotSPD``) but not always a numerically singular
 one; any other gets partial pivoting (?gttrf or SuperLU) with a pivot floor
-(``SingularStepMatrix``). Every certificate is read as the matrix is
-factored, except a Hermitian SuperLU factor's when its caller defers the
-read past its one ARPACK call (``factor``).
+(``SingularStepMatrix``). ``factor`` reads the certificate as the matrix
+is factored; ``arpack``, which factors the Hermitian matrix of its map,
+reads it once ARPACK has returned.
 """
 
 from __future__ import annotations
@@ -173,8 +173,31 @@ def _superlu(A, name: str, hermitian: bool):
     return lu.solve, certify
 
 
-def factor(mat, name: str, hermitian: bool = False, deferred: bool = False):
-    """The solve of a factor of ``mat``, the one sparse factor of the package.
+def _factor(mat, name: str, hermitian: bool):
+    """The solve of a factor of ``mat`` (see ``factor``) and the reading of
+    its certificate, which ``factor`` calls at once and ``arpack`` last."""
+    A = sp.csc_matrix(mat)
+    if not np.all(np.isfinite(A.data)):
+        raise (NotSPD if hermitian else SingularStepMatrix)(f"{name} has a non-finite entry")
+    tridiagonal = A.shape[0] >= 3 and _is_tridiagonal(A)
+    solve_factor, certify = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
+    if A.dtype.kind == "c":
+        return solve_factor, certify
+
+    def solve(rhs):
+        rhs = np.asarray(rhs)
+        if rhs.dtype.kind != "c":
+            return solve_factor(rhs)
+        cols = rhs.reshape(len(rhs), -1)
+        x = solve_factor(np.hstack([cols.real, cols.imag]))
+        n = cols.shape[1]
+        return (x[:, :n] + 1j * x[:, n:]).reshape(rhs.shape)
+
+    return solve, certify
+
+
+def factor(mat, name: str, hermitian: bool = False):
+    """The solve of a factor of ``mat``, whose certificate is read here.
 
     A matrix of order N >= 3 whose stored entries all lie on its three
     central diagonals, which is every matrix of a 1D mesh, is factored by
@@ -197,73 +220,62 @@ def factor(mat, name: str, hermitian: bool = False, deferred: bool = False):
     The factor has the matrix's dtype; a real one takes complex right sides,
     whose real and imaginary parts go through one call as extra columns.
 
-    Each certificate is read here, as the matrix is factored, unless
-    ``deferred``. The pivots of a Hermitian SuperLU factor are read from
-    ``lu.U``, which makes SuperLU build CSC copies of L and U and keep them
-    as long as the factor lives. With ``deferred`` that read waits for the
-    returned solve's ``certify()``, which raises ``NotSPD`` as the eager
-    read would; the caller must call it before any result built from the
-    factor leaves it. The two callers whose factor lives through one ARPACK
-    call, ``_shift_invert`` and ``estimates.check_cauchy_bound``, read it
-    once ARPACK is done, so the copies never sit beside its workspace. The
-    LAPACK kernels, and SuperLU's pivot floor, read theirs here in any case:
-    it costs no copy.
+    The pivots of a Hermitian SuperLU factor are read from ``lu.U``, which
+    makes SuperLU build CSC copies of L and U and keep them as long as the
+    factor lives; the factors that live through one ARPACK call come from
+    ``arpack``, which reads them once ARPACK is done.
     """
-    A = sp.csc_matrix(mat)
-    if not np.all(np.isfinite(A.data)):
-        raise (NotSPD if hermitian else SingularStepMatrix)(f"{name} has a non-finite entry")
-    tridiagonal = A.shape[0] >= 3 and _is_tridiagonal(A)
-    solve_factor, certify = (_lapack_tridiagonal if tridiagonal else _superlu)(A, name, hermitian)
-    real = A.dtype.kind != "c"
-    if not deferred:
-        certify()
-        if not real:
-            return solve_factor
-
-    def solve(rhs):
-        rhs = np.asarray(rhs)
-        if not real or rhs.dtype.kind != "c":
-            return solve_factor(rhs)
-        cols = rhs.reshape(len(rhs), -1)
-        x = solve_factor(np.hstack([cols.real, cols.imag]))
-        n = cols.shape[1]
-        return (x[:, :n] + 1j * x[:, n:]).reshape(rhs.shape)
-
-    if deferred:
-        solve.certify = certify
+    solve, certify = _factor(mat, name, hermitian)
+    certify()
     return solve
 
 
-def arpack(apply, n: int, dtype, count: int):
+def arpack(mat, name: str, make_map, dtype, count: int):
     """The ``count`` largest-modulus eigenpairs ``(w, X)`` of the map
-    ``apply`` on vectors of length ``n`` and type ``dtype``: ``eigs`` in
+    ``make_map(solve)`` on vectors of type ``dtype``, where ``solve`` is the
+    solve of the Hermitian factor of ``mat`` (``factor``): ``eigs`` in
     standard mode, which forms no reference cycle, from the package's one
     start vector. For n <= 2, below ARPACK's smallest size, a dense
-    eigensolve of ``apply`` on the identity. Its failure is
+    eigensolve of the map on the identity. Its failure is
     ``NoConvergence``, and so is a map that overflows: its first value that
     is not finite raises before ARPACK or LAPACK sees it, and an eigenvalue
-    that is not finite raises after."""
+    that is not finite raises after. A real map's Ritz vectors come back
+    real when their imaginary parts are exactly 0.
 
-    def finite(x):
-        y = apply(x)
-        if not np.all(np.isfinite(y)):
-            raise NoConvergence("ARPACK: the map overflows (a value is not finite)")
-        return y
+    The factor's certificate (``NotSPD``) is read last, after that
+    reduction or as an error propagates, and a failed one replaces that
+    error. So SuperLU's copies of L and U never sit beside the Arnoldi
+    workspace, and the factor goes when this returns.
+    """
+    solve, certify = _factor(mat, name, hermitian=True)
+    n = mat.shape[0]
+    try:
+        apply = make_map(solve)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in finite
-        try:
-            if n <= 2:
-                w, X = np.linalg.eig(finite(np.eye(n, dtype=dtype)))
-                keep = np.argsort(-np.abs(w), kind="stable")[:count]
-                w, X = w[keep], X[:, keep]
-            else:  # which="LM", the largest modulus, is the default of eigs
-                v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
-                op = spla.LinearOperator((n, n), matvec=finite, dtype=dtype)
-                w, X = spla.eigs(op, count, v0=v0)
-        except (spla.ArpackError, np.linalg.LinAlgError) as exc:
-            raise NoConvergence(f"ARPACK: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise NoConvergence("ARPACK: an eigenvalue is not finite")
+        def finite(x):
+            y = apply(x)
+            if not np.all(np.isfinite(y)):
+                raise NoConvergence("ARPACK: the map overflows (a value is not finite)")
+            return y
+
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in finite
+            try:
+                if n <= 2:
+                    w, X = np.linalg.eig(finite(np.eye(n, dtype=dtype)))
+                    keep = np.argsort(-np.abs(w), kind="stable")[:count]
+                    w, X = w[keep], X[:, keep]
+                else:  # which="LM", the largest modulus, is the default of eigs
+                    v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+                    op = spla.LinearOperator((n, n), matvec=finite, dtype=dtype)
+                    w, X = spla.eigs(op, count, v0=v0)
+            except (spla.ArpackError, np.linalg.LinAlgError) as exc:
+                raise NoConvergence(f"ARPACK: {exc}") from exc
+        if not np.all(np.isfinite(w)):
+            raise NoConvergence("ARPACK: an eigenvalue is not finite")
+        if np.dtype(dtype).kind != "c" and not np.any(X.imag):
+            X = X.real.copy()
+    finally:  # a failed certificate replaces any error raised above
+        certify()
     return w, X
 
 
@@ -278,25 +290,14 @@ def _shift_invert(K, M, count: int):
     sqrt(eps) tr K / tr M, of the order of the largest eigenvalue, keeps the
     factor well conditioned when K+ is singular and the shifted spectrum well
     separated: it lies far below the smallest eigenvalue on the shipped meshes.
-
-    The factor's certificate (``NotSPD``, see ``factor``) is read once
-    ARPACK has returned and a real pencil's Ritz vectors are reduced to
-    real, so the copies of L and U that the read makes never sit beside the
-    Arnoldi workspace; the factor goes right after it. If ARPACK or that
-    reduction raises, the certificate is read as the error propagates, and
-    a failed one replaces it.
     """
     sigma = -np.sqrt(np.finfo(float).eps) * np.sum(K.diagonal().real) / np.sum(M.diagonal().real)
-    solve = factor(K - sigma * M, "shifted pencil K+ - sigma M", hermitian=True, deferred=True)
     real = np.result_type(K.dtype, M.dtype).kind != "c"
-    try:
-        _, X = arpack(lambda x: solve(M @ x), K.shape[0], float if real else complex, count)
-        if real and np.any(X.imag):
-            raise NoConvergence("ARPACK gave a Ritz vector that is not real for a real pencil")
-        X = X.real.copy() if real else X
-    finally:  # a failed certificate replaces any error raised above
-        solve.certify()
-    del solve
+    dtype = float if real else complex
+    name = "shifted pencil K+ - sigma M"
+    _, X = arpack(K - sigma * M, name, lambda solve: lambda x: solve(M @ x), dtype, count)
+    if real and X.dtype.kind == "c":
+        raise NoConvergence("ARPACK gave a Ritz vector that is not real for a real pencil")
     w, Y = sla.eigh(X.conj().T @ (K @ X), X.conj().T @ (M @ X))
     return w, X @ Y
 

@@ -614,7 +614,7 @@ def test_cli_sharpness_stops_at_the_requested_terms(tmp_path):
 
 
 def test_cli_sharpness_out_of_range(tmp_path):
-    assert _sharpness(tmp_path, "sharpness.s = 0.4\n") == 3
+    assert _sharpness(tmp_path, "sharpness.s = 0.4\n") == 2
 
 
 def test_cli_sharpness_explicit_epsilon_converging(tmp_path):
@@ -1054,7 +1054,9 @@ EXIT_CODES = {
     "sharpness-terms-key": (["sharpness"], "sharpness.terms = 0\n", 2),
     "sharpness-s-flag": (["sharpness", "--s", "0.75"], None, 2),
     "abbreviated-flag": (["sharpness", "--s", "1"], None, 2),  # not --seed 1
-    "sharpness-s-out-of-range": (["sharpness"], "sharpness.s = 0.4\n", 3),
+    # an s outside (1/2, 1), or outside (0, 1] with epsilon set, is the config's fault
+    "sharpness-s-out-of-range": (["sharpness"], "sharpness.s = 0.4\n", 2),
+    "sharpness-s-above-one": (["sharpness"], "sharpness.s = 1.5\nsharpness.epsilon = 0.1\n", 2),
     # the output directory comes only from --out, and no key is a seed
     "output-dir-key": (["solve"], "problem.preset = zero1d\noutput.dir = elsewhere\n", 2),
     "seed-key": (["solve"], "problem.preset = zero1d\nseed = 7\n", 2),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ncparab import integrator
 from ncparab.assembly import assemble_load
 from ncparab.config import RunConfig, build_problem, preset_problem
-from ncparab.errors import NotSPD, SingularStepMatrix, TimeOffGrid
+from ncparab.errors import NotSPD, SingularStepMatrix
 from ncparab.fields import axes
 from ncparab.integrator import (
     LOAD_BLOCK,
@@ -97,7 +97,7 @@ def test_projection_does_not_increase_l2_norm(heat_pipeline):
 def test_heat_solution_matches_separation_of_variables():
     spec, mesh, forms, basis, k = build_pipeline("heat1d", resolution=100, k=40)
     trajectory = solve_evolution(spec, forms, basis, k, 100, 0.5)  # dt = 1e-3
-    u = reconstruct_solution(trajectory, spec.final_time)
+    u = reconstruct_solution(trajectory)
     x = mesh.nodes[:, 0]
     exact = np.exp(-np.pi**2 * spec.final_time) * np.sin(np.pi * x)
     err = np.linalg.norm(u - exact) / np.linalg.norm(exact)
@@ -123,14 +123,12 @@ def test_disk_l2_norm_non_increasing(disk_pipeline):
 def test_norm_traces_match_reconstruction(heat_pipeline):
     spec, mesh, forms, basis, k = heat_pipeline
     trajectory = solve_evolution(spec, forms, basis, k, 25, 0.5)
-    m = 10
-    t = trajectory.times[m]
-    reduced = basis.vectors[:, :k] @ trajectory.coefficients[m]
+    reduced = basis.vectors[:, :k] @ trajectory.coefficients[-1]
     plus_sq = float(np.real(np.vdot(reduced, forms.k_plus @ reduced)))
     l2_sq = float(np.real(np.vdot(reduced, forms.mass @ reduced)))
-    assert plus_sq == pytest.approx(trajectory.norm_plus_sq[m], rel=1e-8)
-    assert l2_sq == pytest.approx(trajectory.norm_l2_sq[m], rel=1e-8)
-    u = reconstruct_solution(trajectory, t)
+    assert plus_sq == pytest.approx(trajectory.norm_plus_sq[-1], rel=1e-8)
+    assert l2_sq == pytest.approx(trajectory.norm_l2_sq[-1], rel=1e-8)
+    u = reconstruct_solution(trajectory)
     assert np.allclose(u[forms.dofmap.free], reduced)
     assert np.all(u[forms.mesh.dirichlet_nodes()] == 0.0)
 
@@ -140,17 +138,16 @@ def test_reconstruct_initial_and_single_mode(heat_pipeline):
     trajectory = solve_evolution(spec, forms, basis, k, 10, 0.5)
     g0 = project_initial(trajectory.initial, basis, forms.mass)
     expected = forms.dofmap.expand(basis.vectors[:, :k] @ g0[:k])
-    assert np.allclose(reconstruct_solution(trajectory, 0.0), expected)
-    with pytest.raises(TimeOffGrid):
-        reconstruct_solution(trajectory, spec.final_time / 3.1)
+    trajectory.coefficients[-1] = trajectory.coefficients[0]
+    assert np.allclose(reconstruct_solution(trajectory), expected)
 
 
 def test_single_mode_trajectory_is_basis_vector(heat_pipeline):
     spec, mesh, forms, basis, k = heat_pipeline
     trajectory = solve_evolution(spec, forms, basis, k, 10, 1.0)
-    trajectory.coefficients[3] = 0.0
-    trajectory.coefficients[3, 0] = 1.0
-    u = reconstruct_solution(trajectory, trajectory.times[3])
+    trajectory.coefficients[-1] = 0.0
+    trajectory.coefficients[-1, 0] = 1.0
+    u = reconstruct_solution(trajectory)
     assert np.allclose(u[forms.dofmap.free], basis.vectors[:, 0])
 
 
@@ -266,7 +263,8 @@ def test_nodal_step_is_the_full_basis_galerkin_solution(name, resolution, steps,
     # with k = N the modal system is the nodal one in another basis, so both
     # theta schemes give the same final state
     spec = preset_problem(name)
-    forms, basis = discretize(spec, resolution, None)
+    forms, _ = discretize(spec, resolution, 0)
+    basis = generalized_eigenbasis(forms.k_plus, forms.mass, forms.N)
     modal = solve_evolution(spec, forms, basis, basis.size, steps, theta)
     expected = basis.vectors @ modal.coefficients[-1]
     nodal = solve_nodal(spec, forms, steps, theta)

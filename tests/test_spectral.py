@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ncparab import estimates, spectral
+from ncparab import spectral
 from ncparab.config import RunConfig, build_problem, preset_problem
 from ncparab.errors import NoConvergence, NotSPD, SingularStepMatrix
 from ncparab.estimates import check_cauchy_bound
@@ -109,7 +109,7 @@ def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, mon
     # standard mode forms no reference cycle, so reference counting alone
     # frees the factor and the Arnoldi workspace
     forms, _ = discretize(preset_problem(preset), 8, 0)
-    solves = []
+    solves, factor_and_certificate = [], spectral._factor
 
     class Solve:  # a factor's solve, wrapped so that it takes a weak reference
         def __init__(self, solve):
@@ -118,15 +118,13 @@ def test_shift_invert_lets_the_shifted_factor_go_when_arpack_returns(preset, mon
         def __call__(self, rhs):
             return self.solve(rhs)
 
-        def certify(self):
-            return self.solve.certify()
-
     def recording(*args, **kwargs):
-        solve = Solve(factor(*args, **kwargs))
+        solve, certify = factor_and_certificate(*args, **kwargs)
+        solve = Solve(solve)
         solves.append(weakref.ref(solve))
-        return solve
+        return solve, certify
 
-    monkeypatch.setattr(spectral, "factor", recording)
+    monkeypatch.setattr(spectral, "_factor", recording)
     gc.collect()
     basis = generalized_eigenbasis(forms.k_plus, forms.mass, 4)
     assert basis.size == 4 and solves
@@ -187,12 +185,12 @@ def test_indefinite_superlu_pencil_is_not_spd_after_arpack(complex_, arpack_fail
 
 def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monkeypatch):
     # a proxy around each SuperLU factor records its first read of U (which
-    # builds SuperLU's copies of L and U), and a wrapper around arpack its
+    # builds SuperLU's copies of L and U), and a wrapper around eigs its
     # return: the shifted pencil of the complex (disk) and the real
     # (robin_rect) eigenbasis, and K+ + M of the exact Cauchy constant on a
     # 2D mesh
     events = []
-    splu, arpack = spla.splu, spectral.arpack
+    splu, eigs = spla.splu, spla.eigs
 
     class Proxy:
         def __init__(self, lu):
@@ -208,8 +206,8 @@ def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monk
         return Proxy(splu(*args, **kwargs))
 
     def returning(*args, **kwargs):
-        result = arpack(*args, **kwargs)
-        events.append("arpack returned")
+        result = eigs(*args, **kwargs)
+        events.append("eigs returned")
         return result
 
     drift = build_problem(
@@ -225,8 +223,7 @@ def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monk
         (discretize(preset_problem(name), 8, 0)[0], 4) for name in ("disk", "robin_rect")
     ] + [(discretize(drift, 8, 0)[0], None)]
     monkeypatch.setattr(spla, "splu", proxied)
-    monkeypatch.setattr(spectral, "arpack", returning)
-    monkeypatch.setattr(estimates, "arpack", returning)
+    monkeypatch.setattr(spla, "eigs", returning)
     for forms, count in cases:
         events.clear()
         if count is None:
@@ -234,7 +231,7 @@ def test_superlu_pivots_of_the_arpack_factors_are_read_after_arpack_returns(monk
             check_cauchy_bound(forms, 1.0, 0.0)
         else:
             generalized_eigenbasis(forms.k_plus, forms.mass, count)
-        assert events == ["factored", "arpack returned", "U"]
+        assert events == ["factored", "eigs returned", "U"]
 
 
 def _fix_signs_copy(vectors):
@@ -344,7 +341,8 @@ def test_ritz_vector_that_is_not_real_for_a_real_pencil_is_no_convergence(monkey
 @example(n=3, complex_=True, seed=0)
 def test_arpack_matches_dense_generalized_eigh(n, complex_, seed):
     # the largest-modulus eigenvalue of E^-1 A, A Hermitian and E Hermitian
-    # positive definite; n <= 2 takes the dense branch
+    # positive definite, through arpack's own factor of E; n <= 2 takes the
+    # dense branch
     rng = np.random.default_rng(seed)
 
     def draw():
@@ -353,7 +351,7 @@ def test_arpack_matches_dense_generalized_eigh(n, complex_, seed):
 
     B, G = draw(), draw()
     A, E = B + B.conj().T, G @ G.conj().T + n * np.eye(n)
-    (mu,), X = spectral.arpack(lambda x: sla.solve(E, A @ x), n, A.dtype, 1)
+    (mu,), X = spectral.arpack(E, "E", lambda solve: lambda x: solve(A @ x), A.dtype, 1)
     w = sla.eigh(A, E, eigvals_only=True)
     assert abs(mu) == pytest.approx(np.max(np.abs(w)), rel=1e-10, abs=0.0)
     assert abs(mu.imag) <= 1e-10 * abs(mu)
@@ -383,11 +381,12 @@ def _imported_modules(tree):
 
 def test_arpack_and_superlu_are_named_only_in_spectral():
     # one eigensolver module: ARPACK's routines, its error and SuperLU's
-    # factor are named only in spectral.py, eigs once and eigsh nowhere,
-    # and estimates imports no scipy module; scipy's private CSR kernel is
-    # imported and called once, in integrator.py, so a scipy release that
-    # moves it fails in one place
-    watched = {"eigs", "eigsh", "ArpackError", "splu", "csr_matvec"}
+    # factor are named only in spectral.py, eigs once and eigsh nowhere, as
+    # are the factor's certificate and the helper that returns it; estimates
+    # imports no scipy module and nothing of spectral but arpack. scipy's
+    # private CSR kernel is imported and called once, in integrator.py, so a
+    # scipy release that moves it fails in one place
+    watched = {"eigs", "eigsh", "ArpackError", "splu", "csr_matvec", "certify", "_factor"}
     named = {}
     for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -404,6 +403,14 @@ def test_arpack_and_superlu_are_named_only_in_spectral():
                 named.setdefault(name, []).append(path.name)
         if path.name == "estimates.py":
             assert not [m for m in _imported_modules(tree) if m.split(".")[0] == "scipy"]
+            from_spectral = [
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "spectral"
+                for alias in node.names
+            ]
+            assert from_spectral == ["arpack"]
+    assert set(named.pop("certify") + named.pop("_factor")) == {"spectral.py"}
     assert named == {
         "eigs": ["spectral.py"],
         "ArpackError": ["spectral.py"],

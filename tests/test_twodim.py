@@ -42,7 +42,7 @@ def _solve(spec, resolution, k, steps):
 
 
 def _rel_error(spec, traj):
-    u = reconstruct_solution(traj, spec.final_time)
+    u = reconstruct_solution(traj)
     mesh, M = traj.forms.mesh, traj.forms.mass
     exact = np.exp(-DECAY_RATE * spec.final_time) * _u0(mesh.nodes[:, 0], mesh.nodes[:, 1])
     d = u - exact

@@ -6,8 +6,8 @@ problem against the committed reference (perfbench/reference/tiny). The
 perfbench modules are only read; they are loaded under private names so
 their plain module names (``check``, ``workloads``) stay out of the way.
 The same tiny runs also pin the package's sparse factors: how many
-``spectral.factor`` makes and of which kind, and that SuperLU runs only
-from there, and only for the 2D workload.
+``spectral._factor`` makes, for ``factor`` and ``arpack``, and of which
+kind, and that SuperLU runs only from there, and only for the 2D workload.
 """
 
 import importlib.util
@@ -54,24 +54,22 @@ def test_tiny_workload_passes_the_benchmark_output_check(name, tmp_path):
 
 
 def test_every_sparse_factor_of_the_workloads_comes_from_spectral_factor(tmp_path, monkeypatch):
-    # factor is wrapped in every module of the package that calls it, and
-    # SuperLU both where factor reaches it and where ARPACK would factor a
-    # pencil itself; each factor call records its hermitian flag, each
-    # SuperLU call the code that made it
-    factor, splu = spectral.factor, spla.splu
+    # the helper behind factor and arpack is wrapped, and SuperLU both where
+    # the helper reaches it and where ARPACK would factor a pencil itself;
+    # each factor records its hermitian flag, each SuperLU call the code
+    # that made it
+    factor, splu = spectral._factor, spla.splu
     factored, callers = [], []
 
-    def counting(mat, name, hermitian=False, **kwargs):
+    def counting(mat, name, hermitian):
         factored.append(hermitian)
-        return factor(mat, name, hermitian, **kwargs)
+        return factor(mat, name, hermitian)
 
     def recording(*args, **kwargs):
         callers.append(sys._getframe(1).f_code)
         return splu(*args, **kwargs)
 
-    for module in [m for n, m in sys.modules.items() if n.startswith("ncparab")]:
-        if getattr(module, "factor", None) is factor:
-            monkeypatch.setattr(module, "factor", counting)
+    monkeypatch.setattr(spectral, "_factor", counting)
     monkeypatch.setattr(spla, "splu", recording)
     monkeypatch.setattr(sys.modules[spla.eigs.__module__], "splu", recording)
     counts, superlu, kinds = {}, {}, {}
